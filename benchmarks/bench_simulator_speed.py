@@ -11,12 +11,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import Job, execute_job, run_jobs
-from repro.fastsim import (
-    BACKENDS,
-    make_processor,
-    native_available,
-    numpy_available,
-)
+from repro.fastsim import BACKENDS, make_processor, native_available
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import FOUR_WIDE
 from repro.workloads.feed import ReplayFeed, collect_stream
@@ -34,8 +29,6 @@ def test_speed_processor_cycle_loop(benchmark, backend):
     construction (branch-predictor table init) is not the cycle loop.
     Baselines: ``results/speed_baseline.txt``.
     """
-    if backend == "vector" and not numpy_available():
-        pytest.skip("vector backend needs numpy (pip install -e .[fast])")
     if backend == "native" and not native_available():
         pytest.skip(
             "native backend needs the compiled extension "
@@ -94,43 +87,21 @@ def test_speed_result_cache_hit(benchmark, tmp_path):
     assert result is not None and result.total_committed >= 1_000
 
 
-def test_speed_parallel_fanout_overhead(benchmark, monkeypatch):
-    """Legacy fan-out vs. inline: the fixed cost of pickling + worker startup.
-
-    Two tiny jobs through a fresh 2-worker ``ProcessPoolExecutor``
-    (``REPRO_POOL=0`` forces the pre-warm-pool path).  The absolute
-    number is dominated by process startup; it is the ~100 ms floor the
-    persistent pool exists to amortize away (see
-    ``test_speed_parallel_fanout_batched`` and docs/PERFORMANCE.md).
-    """
-    monkeypatch.setenv("REPRO_POOL", "0")
-    jobs = [Job("gzip", FOUR_WIDE, seed, 500, 500) for seed in (3, 4)]
-
-    def fan_out():
-        return run_jobs(jobs, workers=2)
-
-    results = benchmark(fan_out)
-    assert [r.total_committed >= 500 for r in results] == [True, True]
-
-
 def test_speed_parallel_fanout_batched(benchmark):
     """64 short jobs through the *warm* persistent pool, vs. inline.
 
     The acceptance bound for the warm-pool engine: amortized per-job
     dispatch overhead (batch wall time minus the pure inline simulation
     time, spread over the batch) must be at most 20 ms — a fifth of the
-    legacy ~100 ms single-fan-out floor — and every batched result must
-    be byte-identical to its inline run.  The pool is warmed outside the
+    ~100 ms a fresh per-call process pool pays — and every batched result
+    must be byte-identical to its inline run.  The pool is warmed outside the
     measured region; that one-time spin-up is exactly the cost the pool
     stops re-paying on every dispatch.
     """
     from time import perf_counter
 
     from repro.analysis.cache import serialize_result
-    from repro.analysis.pool import pool_enabled
 
-    if not pool_enabled():
-        pytest.skip("warm pool disabled via REPRO_POOL=0")
     jobs = [Job("gzip", FOUR_WIDE, seed, 300, 200) for seed in range(64)]
 
     started = perf_counter()

@@ -3,7 +3,6 @@
 # cycle-loop backend:
 #
 #   results/ci_baseline/python/   reference Processor
-#   results/ci_baseline/vector/   repro.fastsim vector backend (needs numpy)
 #   results/ci_baseline/native/   compiled C-extension backend (needs a
 #                                 built repro.fastsim._native artifact)
 #
@@ -13,10 +12,9 @@
 #
 # A backend whose prerequisite is missing is SKIPPED WITH A LOUD WARNING
 # and listed in the summary below — a partial regeneration must never
-# look complete.  CI's regression gate covers all three subtrees, so a
-# baseline refresh intended for CI needs all three present (install
-# numpy via `pip install -e .[fast]` and build the extension via
-# `pip install -e .[native]` first).
+# look complete.  CI's regression gate covers both subtrees, so a
+# baseline refresh intended for CI needs both present (build the
+# extension via `pip install -e .[native]` first).
 #
 # Run this after an INTENTIONAL timing-model change, eyeball the diff of
 # results/ci_baseline/, and commit it together with the model change.  The
@@ -60,7 +58,6 @@ fi
 backend_ready() {
   case "$1" in
     python) return 0 ;;
-    vector) PYTHONPATH=src python -c 'import numpy' 2>/dev/null ;;
     native) PYTHONPATH=src python -c \
       'import sys; from repro.fastsim import native_available; sys.exit(0 if native_available() else 1)' ;;
   esac
@@ -80,7 +77,7 @@ if ((CHECK)); then
     fi
   done
   # Every gated backend+benchmark must have its export committed.
-  for backend in python vector native; do
+  for backend in python native; do
     if ! backend_ready "$backend"; then
       echo "note: backend '$backend' not installed here; skipping its presence check" >&2
       continue
@@ -104,15 +101,11 @@ fi
 rm -rf results/ci_baseline
 baselined=()
 skipped=()
-for backend in python vector native; do
+for backend in python native; do
   if ! backend_ready "$backend"; then
     skipped+=("$backend")
-    case "$backend" in
-      vector) hint="pip install -e .[fast]" ;;
-      native) hint="pip install -e .[native]  (needs a C compiler)" ;;
-      *) hint="" ;;
-    esac
-    echo "WARNING: skipping backend '$backend' — not installed here ($hint)" >&2
+    echo "WARNING: skipping backend '$backend' — not installed here" \
+      "(pip install -e .[native], needs a C compiler)" >&2
     continue
   fi
   PYTHONPATH=src REPRO_BACKEND=$backend python -m repro export-stats $BENCHMARKS \
@@ -124,7 +117,7 @@ done
 echo "Baseline regenerated."
 echo "  baselined: ${baselined[*]}"
 if ((${#skipped[@]})); then
-  echo "  SKIPPED:   ${skipped[*]}  (CI gates all three backends;"
+  echo "  SKIPPED:   ${skipped[*]}  (CI gates both backends;"
   echo "             do not commit a partial baseline for a CI refresh)"
 fi
 ls -lR results/ci_baseline

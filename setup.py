@@ -2,7 +2,7 @@
 
 The ``repro.fastsim._native`` C extension is a best-effort build: on
 machines without a C compiler (or with a broken toolchain) the package
-must still install and run on the python/vector backends, so any build
+must still install and run on the python backend, so any build
 failure downgrades the extension to "absent" instead of failing the
 install.  ``repro.fastsim.native_available()`` reports what happened and
 the backend selector raises a one-line actionable error if ``native`` is
@@ -45,7 +45,7 @@ class OptionalBuildExt(build_ext):
         print(
             "WARNING: repro.fastsim._native failed to build "
             f"({type(exc).__name__}: {exc}); the 'native' backend will be "
-            "unavailable and runs fall back to vector/python. "
+            "unavailable and runs fall back to python. "
             "Set REPRO_NATIVE_REQUIRE=1 to make this fatal."
         )
 

@@ -2,12 +2,10 @@
 
 Independent simulation jobs — one ``(benchmark, config, seed, run-length,
 shadow)`` tuple each — fan out over the persistent warm worker pool
-(:mod:`repro.analysis.pool`), falling back to a per-call
-:class:`concurrent.futures.ProcessPoolExecutor` when the pool is disabled
-via ``REPRO_POOL=0``.  Results come back **in submission order** regardless
-of which worker finishes first, so anything aggregated from them is
-byte-identical to a serial run; each job is itself deterministic (seeded
-synthetic workloads, no shared state between jobs).
+(:mod:`repro.analysis.pool`).  Results come back **in submission order**
+regardless of which worker finishes first, so anything aggregated from
+them is byte-identical to a serial run; each job is itself deterministic
+(seeded synthetic workloads, no shared state between jobs).
 
 Worker count resolution, in priority order:
 
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.fastsim import make_processor
@@ -91,8 +88,7 @@ def run_jobs(jobs: list[Job], workers: int | None = None) -> list[SimulationResu
 
     Multi-job dispatches ride the process-wide warm pool — workers stay
     alive between calls with modules imported and configs memoized, so
-    repeat fan-outs skip the ~100 ms spin-up cost.  ``REPRO_POOL=0``
-    restores the legacy per-call executor.
+    repeat fan-outs skip the ~100 ms spin-up cost.
     """
     if not jobs:
         return []
@@ -100,10 +96,6 @@ def run_jobs(jobs: list[Job], workers: int | None = None) -> list[SimulationResu
     if count <= 1 or len(jobs) == 1:
         return [execute_job(job) for job in jobs]
     # Deferred import: the pool module imports Job/env_int from here.
-    from repro.analysis.pool import get_pool, pool_enabled
+    from repro.analysis.pool import get_pool
 
-    if pool_enabled():
-        return get_pool(workers=count).run(jobs)
-    max_workers = min(count, len(jobs))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(execute_job, jobs))
+    return get_pool(workers=count).run(jobs)

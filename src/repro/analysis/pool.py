@@ -1,11 +1,10 @@
 """Persistent warm worker pool with batched (chunked) dispatch.
 
-:func:`repro.analysis.parallel.run_jobs` historically paid a ~100 ms
-fixed cost per fan-out: a fresh ``ProcessPoolExecutor`` per call means
-worker spawn + cold module import + full ``MachineConfig`` pickling for
-every dispatch, which dwarfs a ~2.4 ms native-backend simulation (see
-``benchmarks/bench_simulator_speed.py::test_speed_parallel_fanout_overhead``).
-This module keeps the workers *alive* instead:
+:func:`repro.analysis.parallel.run_jobs` fans every multi-job dispatch
+out over this pool.  A fresh process pool per call would pay ~100 ms of
+worker spawn + cold module import + full ``MachineConfig`` pickling per
+fan-out, which dwarfs a ~2.4 ms native-backend simulation, so this module
+keeps the workers *alive* instead:
 
 * **Warm processes.** A :class:`WorkerPool` spawns its workers once
   (lazily, on the first dispatch) and reuses them across every
@@ -29,9 +28,6 @@ This module keeps the workers *alive* instead:
 
 Environment knobs (all optional):
 
-``REPRO_POOL``
-    ``0`` disables the warm pool entirely; ``run_jobs`` falls back to
-    the legacy per-call ``ProcessPoolExecutor``.  Default ``1``.
 ``REPRO_POOL_WORKERS``
     Pool size; defaults to :func:`~repro.analysis.parallel.default_jobs`
     (``REPRO_JOBS`` else CPU count).
@@ -555,11 +551,6 @@ class WorkerPool:
 # ----------------------------------------------------------------------
 _POOL: WorkerPool | None = None
 _POOL_LOCK = threading.Lock()
-
-
-def pool_enabled() -> bool:
-    """Whether the warm pool is enabled (``REPRO_POOL`` != 0)."""
-    return env_int("REPRO_POOL", 1) != 0
 
 
 def get_pool(workers: int | None = None) -> WorkerPool:

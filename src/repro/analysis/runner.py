@@ -99,19 +99,11 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _key(self, benchmark: str, config: MachineConfig, seed: int, shadow: bool) -> tuple:
-        # config.backend is part of the key even though the backends are
-        # bit-identical: a memo hit must return the result of the backend
-        # the caller resolved to, so per-backend baselines stay honest.
-        return (
-            benchmark,
-            seed,
-            config.name,
-            config.width,
-            config.backend,
-            self.insts,
-            self.warmup,
-            shadow,
-        )
+        # The whole frozen config, not its name: variant names omit knobs
+        # such as predictor_entries.  That includes config.backend, so a
+        # memo hit returns the result of the backend the caller resolved
+        # to and per-backend baselines stay honest.
+        return (benchmark, seed, config, self.insts, self.warmup, shadow)
 
     def _shadow_sizes(self, shadow: bool) -> tuple[int, ...] | None:
         return SHADOW_SIZES if shadow else None

@@ -951,12 +951,12 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--cross-backend", action="store_true",
         help="run every program on all compared cycle-loop backends and diff "
-        "the serialized stats byte-for-byte (the vector/native parity gate)",
+        "the serialized stats byte-for-byte (the native parity gate)",
     )
     fuzz_parser.add_argument(
         "--backends", default=None, metavar="NAMES",
         help="comma-separated backend set for --cross-backend, e.g. "
-        "'python,vector,native'; every named backend must be installed "
+        "'python,native'; every named backend must be installed "
         "(default: every installed backend)",
     )
     fuzz_parser.add_argument(

@@ -1,25 +1,20 @@
-"""Backend selection for the cycle loop: python, vector or native.
+"""Backend selection for the cycle loop: python or native.
 
-Three interchangeable cycle-loop backends exist:
+Two interchangeable cycle-loop backends exist:
 
 * ``"python"`` — :class:`repro.pipeline.processor.Processor`, the reference
-  implementation.  Supports every feature (lockstep checking, schedule
-  traces, profiling, the Figure 5 dependence matrix).
-* ``"vector"`` — :class:`repro.fastsim.engine.VectorProcessor`, a
-  struct-of-arrays rewrite of the same timing model that stores scheduler
-  state in flat preallocated arrays and fast-forwards over provably dead
-  cycles.  Bit-identical statistics (the ``repro fuzz --cross-backend``
-  parity gate pins this), roughly 3.5× faster, but it supports only plain
-  simulation runs — no checker, trace, profiler or dependence matrix.
-  Requires numpy (``pip install -e .[fast]``).
-* ``"native"`` — :class:`repro.fastsim.native.NativeProcessor`, the same
-  struct-of-arrays cycle loop compiled as a C extension
-  (``repro.fastsim._native``), with the stateful cold-path components
-  (branch unit, last-arrival predictor, shadow banks) shared with the
-  python backend through callbacks so the same parity gate pins it
-  byte-for-byte.  Same feature restrictions as ``vector``; needs the
-  compiled artifact (``pip install -e .[native]``, requires a C
-  compiler) but *not* numpy.
+  implementation and the fallback on every host.  Supports every feature
+  (lockstep checking, schedule traces, profiling, the Figure 5 dependence
+  matrix).
+* ``"native"`` — :class:`repro.fastsim.native.NativeProcessor`, a
+  struct-of-arrays rewrite of the same timing model compiled as a C
+  extension (``repro.fastsim._native``), with the stateful cold-path
+  components (branch unit, last-arrival predictor, shadow banks) shared
+  with the python backend through callbacks so the ``repro fuzz
+  --cross-backend`` parity gate pins it byte-for-byte.  It supports only
+  plain simulation runs — no checker, trace, profiler or dependence
+  matrix — and needs the compiled artifact (``pip install -e .[native]``,
+  requires a C compiler).
 
 Selection precedence: an explicit ``--backend`` flag beats the
 ``REPRO_BACKEND`` environment variable, which beats the config's
@@ -39,23 +34,11 @@ import dataclasses
 import os
 
 from repro.errors import ConfigurationError
-from repro.pipeline.config import MachineConfig
+from repro.pipeline.config import BACKENDS, MachineConfig
 from repro.pipeline.processor import Processor
-
-#: Known cycle-loop backends, in documentation order.
-BACKENDS = ("python", "vector", "native")
 
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def numpy_available() -> bool:
-    """Is numpy importable (the vector backend's only dependency)?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def native_available() -> bool:
@@ -67,12 +50,7 @@ def native_available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """The subset of :data:`BACKENDS` that can actually run here."""
-    out = ["python"]
-    if numpy_available():
-        out.append("vector")
-    if native_available():
-        out.append("native")
-    return tuple(out)
+    return BACKENDS if native_available() else ("python",)
 
 
 def resolve_backend(
@@ -119,7 +97,7 @@ def make_processor(
 ):
     """Build the processor the resolved backend asks for.
 
-    The vector and native backends reject (with a clean
+    The native backend rejects (with a clean
     :class:`ConfigurationError`) every feature that needs per-entry object
     state: lockstep checking, schedule traces, the stage profiler and the
     dependence-matrix cross-check all remain python-backend only.
@@ -148,19 +126,11 @@ def make_processor(
             f"backend {resolved!r} does not support {unsupported}; "
             "use the python backend for this run"
         )
-    if resolved == "native":
-        if not native_available():
-            raise ConfigurationError(
-                "backend 'native' needs the compiled extension; build it "
-                "with pip install -e .[native] (requires a C compiler)"
-            )
-        from repro.fastsim.native import NativeProcessor
-
-        return NativeProcessor(feed, config, shadow_sizes=shadow_sizes)
-    if not numpy_available():
+    if not native_available():
         raise ConfigurationError(
-            "backend 'vector' needs numpy; install it with pip install -e .[fast]"
+            "backend 'native' needs the compiled extension; build it "
+            "with pip install -e .[native] (requires a C compiler)"
         )
-    from repro.fastsim.engine import VectorProcessor
+    from repro.fastsim.native import NativeProcessor
 
-    return VectorProcessor(feed, config, shadow_sizes=shadow_sizes)
+    return NativeProcessor(feed, config, shadow_sizes=shadow_sizes)

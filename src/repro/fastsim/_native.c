@@ -1,11 +1,10 @@
 /* Compiled cycle-loop engine (the ``native`` backend).
  *
- * A C transliteration of the struct-of-arrays cycle loop in
- * ``repro/fastsim/engine.py`` (the ``vector`` backend), which is itself a
- * cycle-exact transliteration of ``repro.pipeline.processor.Processor``.
- * The phase structure, array layout and every comparison mirror engine.py
- * line for line — when editing, diff against that file, not against the
- * reference processor.
+ * A struct-of-arrays, cycle-exact transliteration of
+ * ``repro.pipeline.processor.Processor``.  Per-entry objects become flat
+ * per-tag arrays and provably dead cycles are fast-forwarded; every
+ * observable comparison follows the reference processor, and the
+ * cross-backend parity fuzz pins the two byte-for-byte.
  *
  * Parity strategy
  * ---------------
@@ -15,7 +14,7 @@
  * Python components whose internal order matters for bit-parity — the
  * branch unit, the last-arrival predictor + shadow banks, and
  * SimStats.record_wakeup_pair — stay in Python and are driven through
- * five cold-path callbacks at exactly the call sites engine.py uses:
+ * five cold-path callbacks at the matching reference call sites:
  *
  *   predict_cb(t)  -> 0 fallthrough-predicted / 1 taken-predicted /
  *                     2 mispredicted (fetch must stall)
@@ -33,17 +32,16 @@
  *
  * The bimodal predictor table is read in place (PyList_GET_ITEM on the
  * live ``_table`` list) so predictor updates made inside pair_cb are
- * visible to later dispatches, same as the Python engines.
+ * visible to later dispatches, same as in the reference.
  *
- * The ``store_line`` dict of engine.py (8-byte line -> newest in-LSQ
- * store) is replaced by a backward scan of the LSQ ring, which computes
- * the same answer: the dict only ever maps to stores still resident in
- * the LSQ.
+ * Store-to-load forwarding (8-byte line -> newest in-LSQ store) is a
+ * backward scan of the LSQ ring: only stores still resident in the LSQ
+ * can forward.
  *
  * Counters accumulate in C and are returned to the wrapper
  * (repro/fastsim/native.py), which flushes them into the real
- * SimStats / CacheStats objects exactly where engine.py's
- * flush_stats/flush_mem do.
+ * SimStats / CacheStats objects at the warmup boundary and at the end
+ * of the run.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -621,8 +619,8 @@ grow_i64(int64_t *p, Py_ssize_t old_n, Py_ssize_t new_n, int64_t fill)
 }
 
 /* Grow every per-tag state array (and, in generator mode, the column
- * arrays) so that tags < need are addressable.  Mirrors engine.py's
- * grow() including the default values per array. */
+ * arrays) so that tags < need are addressable, filling each array with
+ * its default value. */
 static int
 ensure_cap(Ctx *c, Py_ssize_t need)
 {
@@ -1129,8 +1127,7 @@ native_run(PyObject *self, PyObject *args)
                         for (i = 0; i + 2 < n0 + 2; i += 3) {
                             int64_t pt = bkt->d[i];
                             int64_t pep = bkt->d[i + 1];
-                            /* bkt->d[i + 2] (data_valid) is unused,
-                             * exactly as in engine.py */
+                            /* bkt->d[i + 2] (data_valid) is unused */
                             if (c->epoch[pt] != pep || !c->sb_alive[pt]) {
                                 continue;
                             }
@@ -1692,8 +1689,7 @@ native_run(PyObject *self, PyObject *args)
                         if (is_mem) {
                             if (is_load) {
                                 /* _setup_load_forwarding: newest
-                                 * in-LSQ store to the 8-byte line
-                                 * (== engine.py's store_line dict) */
+                                 * in-LSQ store to the 8-byte line */
                                 int64_t line8 = c->addr[t] & -8;
                                 int64_t best = -1;
                                 Py_ssize_t li;
@@ -2152,7 +2148,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.fastsim._native",
-    "Compiled cycle-loop engine (C transliteration of fastsim/engine.py).",
+    "Compiled cycle-loop engine (the native backend).",
     -1,
     native_methods,
 };

@@ -2,9 +2,9 @@
 
 The C extension owns the whole struct-of-arrays machine state (per-tag
 arrays, event rings, ROB/LSQ/frontend rings, rename table, the three
-true-LRU caches) and runs the same five-phase cycle loop as
-``fastsim/engine.py``.  This wrapper keeps bit-parity with the python and
-vector backends by reusing the *same stateful Python components* — the
+true-LRU caches) and runs the python reference's five-phase cycle loop.
+This wrapper keeps bit-parity with the python backend by reusing the
+*same stateful Python components* — the
 branch unit, the last-arrival predictor, the shadow/design banks and the
 SimStats wakeup-order tracker — through five cold-path callbacks:
 
@@ -30,9 +30,6 @@ list object), so ``pair`` updates are visible to later dispatches exactly
 as in the reference.  Everything on the hot path stays in C; the
 callbacks fire only for control instructions, recorded wakeup pairs, the
 single warmup boundary and per-2048-op ingest chunks.
-
-No numpy anywhere in this module: ``native`` must work (and fall back
-cleanly) on installs without the ``[fast]`` extra.
 """
 
 from __future__ import annotations

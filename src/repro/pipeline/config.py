@@ -162,6 +162,10 @@ class Latencies:
         return latency
 
 
+#: Known cycle-loop backends, in documentation order.
+BACKENDS = ("python", "native")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Complete machine description.
@@ -203,9 +207,8 @@ class MachineConfig:
     #: mismatch counter stays zero for bus-delivered wakeup schemes and
     #: exposes tag elimination's incompatibility, Section 3.1)
     use_dependence_matrix: bool = False
-    #: cycle-loop backend: "python" (reference Processor), "vector"
-    #: (struct-of-arrays engine, bit-identical stats, needs numpy) or
-    #: "native" (the same loop compiled as a C extension, bit-identical
+    #: cycle-loop backend: "python" (reference Processor) or "native"
+    #: (a struct-of-arrays loop compiled as a C extension, bit-identical
     #: stats, needs the built artifact).  Not part of the timing model —
     #: it never appears in variant names — but it IS part of the
     #: result-cache fingerprint, so cached results are never served
@@ -222,11 +225,27 @@ class MachineConfig:
             or self.predictor_entries & (self.predictor_entries - 1)
         ):
             raise ConfigurationError(f"{self.name}: predictor entries must be 2^n")
-        if self.backend not in ("python", "vector", "native"):
+        if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"{self.name}: unknown backend {self.backend!r} "
-                "(known: python, vector, native)"
+                f"(known: {', '.join(BACKENDS)})"
             )
+
+    def __hash__(self) -> int:
+        # The runner's memo keys on the whole config, and hashing the
+        # nested dataclasses and enums on every lookup showed up in warm
+        # figure re-renders; the fields are frozen, so hash them once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes: never pickle the cached one.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # ------------------------------------------------------------------
     @property

@@ -38,6 +38,7 @@ from repro.analysis.cache import fingerprint as cache_fingerprint
 from repro.analysis.runner import SHADOW_SIZES
 from repro.errors import ReproError
 from repro.pipeline.config import (
+    BACKENDS,
     EIGHT_WIDE,
     FOUR_WIDE,
     BypassModel,
@@ -141,9 +142,8 @@ class RunSpec:
     warmup: int = 20_000
     shadow: bool = False
     priority: int = 0
-    #: cycle-loop backend the job asks for ("python"/"vector"/"native");
-    #: part of the
-    #: config and therefore of the fingerprint, so coalescing and cached
+    #: cycle-loop backend the job asks for ("python"/"native"); part of
+    #: the config and therefore of the fingerprint, so coalescing and cached
     #: results never cross backends.  A server-side ``REPRO_BACKEND``
     #: override still wins inside the runner (stats are bit-identical
     #: either way — only cache locality differs).
@@ -343,8 +343,8 @@ def _parse_run(payload: dict) -> RunSpec:
     _require(width in (4, 8), "width must be 4 or 8")
     backend = payload.get("backend", "python")
     _require(
-        backend in ("python", "vector", "native"),
-        f"unknown backend {backend!r} (known: python, vector, native)",
+        backend in BACKENDS,
+        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})",
     )
     spec = RunSpec(
         benchmark=benchmark,
@@ -399,8 +399,8 @@ def _parse_trace(payload: dict) -> TraceSpec:
     _require(width in (4, 8), "width must be 4 or 8")
     backend = payload.get("backend", "python")
     _require(
-        backend in ("python", "vector", "native"),
-        f"unknown backend {backend!r} (known: python, vector, native)",
+        backend in BACKENDS,
+        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})",
     )
     content_hash = payload.get("content_hash")
     if content_hash is None:

@@ -1,10 +1,10 @@
 """TraceFeed: replay a binary tracefile as a first-class simulator feed.
 
 A :class:`TraceFeed` is a :class:`~repro.workloads.feed.ReplayFeed` whose
-ops come from a tracefile on disk, so it flows through all three cycle-loop
-backends (python/vector/native) unchanged — the vector and native engines
-pick up the materialized ``ops`` list and cached ``columns()`` exactly as
-they do for any replay feed, and stats come out bit-identical.
+ops come from a tracefile on disk, so it flows through both cycle-loop
+backends (python/native) unchanged — the native engine picks up the
+materialized ``ops`` list and cached ``columns()`` exactly as it does for
+any replay feed, and stats come out bit-identical.
 
 Identity is the header's ``trace_sha256`` content hash: cache fingerprints
 and serve-job routing key on :attr:`content_hash`, never on the filesystem

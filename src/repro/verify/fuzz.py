@@ -42,7 +42,6 @@ from repro.fastsim import (
     available_backends,
     make_processor,
     native_available,
-    numpy_available,
 )
 from repro.isa.assembler import assemble
 from repro.isa.emulator import Emulator
@@ -226,7 +225,7 @@ def check_source(
 
 
 def _first_divergence(
-    left: str, right: str, label_l: str = "python", label_r: str = "vector"
+    left: str, right: str, label_l: str = "python", label_r: str = "native"
 ) -> str:
     """Locate the first differing leaf between two stats-export payloads."""
     try:
@@ -266,11 +265,6 @@ def resolve_cross_backends(
                 raise ConfigurationError(
                     f"unknown backend {name!r}; known: {', '.join(BACKENDS)}"
                 )
-            if name == "vector" and not numpy_available():
-                raise ConfigurationError(
-                    "backend 'vector' needs numpy; install it with "
-                    "pip install -e .[fast]"
-                )
             if name == "native" and not native_available():
                 raise ConfigurationError(
                     "backend 'native' needs the compiled extension; build "
@@ -284,8 +278,8 @@ def resolve_cross_backends(
     if len(backends) < 2:
         raise ConfigurationError(
             "cross-backend fuzzing needs at least two installed backends; "
-            f"have: {', '.join(backends)} (pip install -e .[fast] adds "
-            "vector, pip install -e .[native] adds native)"
+            f"have: {', '.join(backends)} (pip install -e .[native] adds "
+            "native)"
         )
     return tuple(backends)
 
@@ -294,7 +288,7 @@ def check_source_cross_backend(
     source: str,
     config: MachineConfig,
     budget: int = DEFAULT_BUDGET,
-    backends: Sequence[str] = ("python", "vector"),
+    backends: Sequence[str] = BACKENDS,
 ) -> FuzzFailure | None:
     """Run one program on every backend and diff the stats exports.
 
@@ -342,7 +336,7 @@ def _shrink_failure(
     original: FuzzFailure,
     config: MachineConfig,
     budget: int,
-    backends: Sequence[str] = ("python", "vector"),
+    backends: Sequence[str] = BACKENDS,
 ) -> str | None:
     """Minimize a failing program; None if the failure will not re-fire."""
     kind = original.kind
@@ -408,9 +402,9 @@ def run_fuzz(
     With *cross_backend*, every (program, config) case instead runs on all
     compared cycle-loop backends and diffs the serialized results
     byte-for-byte (:func:`check_source_cross_backend`) — the bit-parity
-    gate for the vector and native backends.  *backends* pins the exact
-    set (every named backend must be installed); the default is every
-    installed backend.
+    gate for the native backend.  *backends* pins the exact set (every
+    named backend must be installed); the default is every installed
+    backend.
     """
     if cross_backend:
         parity_backends = resolve_cross_backends(backends)
@@ -420,7 +414,7 @@ def run_fuzz(
                 source, config, budget, parity_backends
             )
     else:
-        parity_backends = ("python", "vector")
+        parity_backends = BACKENDS
         check = check_source
     matrix = list(configs) if configs is not None else config_matrix()
     if raw_seeds is not None:

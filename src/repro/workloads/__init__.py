@@ -20,7 +20,6 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.kernels import KERNELS, kernel_program, kernel_source
-from repro.workloads.tracefile import TraceFileFeed, load_trace, save_trace
 
 __all__ = [
     "DynOp",
@@ -37,7 +36,4 @@ __all__ = [
     "KERNELS",
     "kernel_program",
     "kernel_source",
-    "TraceFileFeed",
-    "load_trace",
-    "save_trace",
 ]

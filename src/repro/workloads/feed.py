@@ -68,7 +68,7 @@ def collect_stream(stream: Iterable[DynOp], limit: int) -> list[DynOp]:
 def decode_columns(ops: list[DynOp]) -> dict:
     """Decode static per-instruction facts into flat parallel columns.
 
-    The vector backend indexes every per-instruction array by the dense
+    The native backend indexes every per-instruction array by the dense
     instruction tag, which equals the op's position in the stream — hence
     the density check.  Booleans are stored as 0/1 ints so the hot loop
     avoids attribute lookups and bool boxing; ``deps`` keeps references to
@@ -97,7 +97,7 @@ class ReplayFeed:
     """Reusable pre-materialized stream with a decode cache.
 
     Wraps a list of :class:`DynOp` in program order.  Iterating replays the
-    list, so any backend accepts it like a regular stream; the vector
+    list, so any backend accepts it like a regular stream; the native
     backend additionally recognizes the materialized ``ops`` list and the
     :meth:`columns` decode cache, making this the "decode once, simulate
     many" feed for benchmarks, sweeps and serve traffic.

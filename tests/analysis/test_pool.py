@@ -4,8 +4,7 @@ The guarantees under test: batched dispatch through the persistent pool
 returns results **in submission order**, **byte-identical** to inline
 execution, with **faithful exception propagation**; a SIGKILLed worker is
 replaced and its chunk retried; warm workers are reused (no respawn, no
-config re-ship); fully-warm prefetches never touch the pool; and
-``REPRO_POOL=0`` falls back to the legacy per-call executor.
+config re-ship); and fully-warm prefetches never touch the pool.
 """
 
 import dataclasses
@@ -19,11 +18,11 @@ import pytest
 import repro.analysis.pool as pool_mod
 import repro.analysis.runner as runner_mod
 from repro.analysis.cache import ResultCache, serialize_result
-from repro.analysis.parallel import Job, execute_job, run_jobs
+from repro.analysis.parallel import Job, execute_job
 from repro.analysis.pool import TraceJob, WorkerCrashError, WorkerPool
 from repro.analysis.runner import ExperimentRunner
 from repro.errors import ConfigurationError
-from repro.fastsim import native_available, numpy_available
+from repro.fastsim import available_backends
 from repro.pipeline.config import FOUR_WIDE
 
 INSTS = 300
@@ -73,11 +72,6 @@ class TestOrderAndParity:
         assert metrics["pool.config_ships"] <= 2  # once per worker, ever
 
     def test_cross_backend_batch(self, pool):
-        backends = ["python"]
-        if numpy_available():
-            backends.append("vector")
-        if native_available():
-            backends.append("native")
         jobs = [
             Job(
                 "gzip",
@@ -86,7 +80,7 @@ class TestOrderAndParity:
                 INSTS,
                 WARMUP,
             )
-            for backend in backends
+            for backend in available_backends()
         ]
         results = pool.run(jobs)
         inline = [execute_job(job) for job in jobs]
@@ -222,19 +216,6 @@ class TestLifecycle:
         assert fresh.prefetch(requests, workers=4) == 0
         warm = fresh.metrics.get("runner.prefetch_warm_hits")
         assert warm is not None and warm.value == 3
-
-    def test_repro_pool_disabled_falls_back_to_legacy_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "0")
-
-        def explode(*args, **kwargs):
-            raise AssertionError("REPRO_POOL=0 must not touch the warm pool")
-
-        monkeypatch.setattr(pool_mod, "get_pool", explode)
-        jobs = _jobs(2)
-        results = run_jobs(jobs, workers=2)
-        assert [serialize_result(r) for r in results] == [
-            serialize_result(execute_job(job)) for job in jobs
-        ]
 
 
 def _id(result):

@@ -21,6 +21,20 @@ class TestRunner:
     def test_widths_are_distinct(self, runner):
         assert runner.base("gzip", 4) is not runner.base("gzip", 8)
 
+    def test_memo_distinguishes_configs_that_share_a_name(self):
+        """Variant names omit predictor_entries; the memo key must not."""
+        base = FOUR_WIDE.with_techniques(scheduler=SchedulerModel.SEQ_WAKEUP)
+        small = base.with_techniques(predictor_entries=16)
+        large = base.with_techniques(predictor_entries=4096)
+        assert small.name == large.name
+        runner = ExperimentRunner(insts=3000, warmup=1000, cache=False)
+        first = runner.result("gcc", small)
+        second = runner.result("gcc", large)
+        fresh = ExperimentRunner(insts=3000, warmup=1000, cache=False)
+        assert second is not first
+        assert second.ipc == fresh.result("gcc", large).ipc
+        assert second.ipc != first.ipc
+
     def test_normalized_ipc_near_one_for_base_variant(self, runner):
         config = FOUR_WIDE.with_techniques(scheduler=SchedulerModel.SEQ_WAKEUP)
         value = runner.normalized_ipc("gzip", config)

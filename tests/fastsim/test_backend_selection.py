@@ -12,7 +12,6 @@ from repro.fastsim import (
     available_backends,
     make_processor,
     native_available,
-    numpy_available,
     resolve_backend,
 )
 from repro.pipeline.config import FOUR_WIDE, MachineConfig
@@ -25,27 +24,22 @@ class TestResolutionPrecedence:
         assert resolve_backend() == "python"
         assert resolve_backend(None, FOUR_WIDE) == "python"
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_config_field_beats_default(self, monkeypatch, backend):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         config = dataclasses.replace(FOUR_WIDE, backend=backend)
         assert resolve_backend(None, config) == backend
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_env_beats_config_field(self, monkeypatch, backend):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         config = dataclasses.replace(FOUR_WIDE, backend=backend)
         assert resolve_backend(None, config) == "python"
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_explicit_flag_beats_env(self, monkeypatch, backend):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         assert resolve_backend(backend, FOUR_WIDE) == backend
-
-    def test_env_native_beats_config_vector(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "native")
-        config = dataclasses.replace(FOUR_WIDE, backend="vector")
-        assert resolve_backend(None, config) == "native"
 
     def test_empty_env_var_is_ignored(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
@@ -65,7 +59,7 @@ class TestResolutionPrecedence:
 
 
 class TestApplyBackend:
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_materializes_resolved_choice(self, monkeypatch, backend):
         monkeypatch.setenv(BACKEND_ENV_VAR, backend)
         applied = apply_backend(FOUR_WIDE)
@@ -77,7 +71,7 @@ class TestApplyBackend:
         assert apply_backend(FOUR_WIDE) is FOUR_WIDE
 
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "native")
         assert apply_backend(FOUR_WIDE, "python").backend == "python"
 
 
@@ -87,7 +81,7 @@ class TestMakeProcessor:
         processor = make_processor(iter(()), FOUR_WIDE)
         assert isinstance(processor, Processor)
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     @pytest.mark.parametrize(
         "kwargs, needle",
         [
@@ -102,21 +96,11 @@ class TestMakeProcessor:
         with pytest.raises(ConfigurationError, match=needle):
             make_processor(iter(()), FOUR_WIDE, backend=backend, **kwargs)
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_fast_backends_reject_dependence_matrix(self, backend):
         config = dataclasses.replace(FOUR_WIDE, use_dependence_matrix=True)
         with pytest.raises(ConfigurationError, match="dependence-matrix"):
             make_processor(iter(()), config, backend=backend)
-
-    def test_missing_numpy_message_is_actionable(self, monkeypatch):
-        import repro.fastsim as fastsim
-
-        monkeypatch.setattr(fastsim, "numpy_available", lambda: False)
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_processor(iter(()), FOUR_WIDE, backend="vector")
-        assert str(excinfo.value) == (
-            "backend 'vector' needs numpy; install it with pip install -e .[fast]"
-        )
 
     def test_missing_native_message_is_actionable(self, monkeypatch):
         import repro.fastsim as fastsim
@@ -127,22 +111,6 @@ class TestMakeProcessor:
         assert str(excinfo.value) == (
             "backend 'native' needs the compiled extension; build it "
             "with pip install -e .[native] (requires a C compiler)"
-        )
-
-    def test_cli_surfaces_numpy_gate_as_one_line_error(self, monkeypatch, capsys):
-        """`repro run --backend vector` without numpy: clean error, exit 1."""
-        import repro.fastsim as fastsim
-        from repro.cli import main
-
-        monkeypatch.setattr(fastsim, "numpy_available", lambda: False)
-        code = main(
-            ["run", "gzip", "--insts", "100", "--warmup", "0", "--backend", "vector"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.strip() == (
-            "error: backend 'vector' needs numpy; "
-            "install it with pip install -e .[fast]"
         )
 
     def test_cli_surfaces_native_gate_as_one_line_error(self, monkeypatch, capsys):
@@ -164,11 +132,8 @@ class TestMakeProcessor:
 
 class TestBackendsConstant:
     def test_known_backends(self):
-        assert BACKENDS == ("python", "vector", "native")
+        assert BACKENDS == ("python", "native")
         assert MachineConfig.__dataclass_fields__["backend"].default == "python"
-
-    def test_numpy_available_is_boolean(self):
-        assert numpy_available() in (True, False)
 
     def test_native_available_is_boolean(self):
         assert native_available() in (True, False)
@@ -177,5 +142,4 @@ class TestBackendsConstant:
         installed = available_backends()
         assert installed[0] == "python"
         assert set(installed) <= set(BACKENDS)
-        assert ("vector" in installed) == numpy_available()
         assert ("native" in installed) == native_available()

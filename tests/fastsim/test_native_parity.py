@@ -1,12 +1,12 @@
-"""Bit-parity of the vector and native backends against the reference.
+"""Bit-parity of the native backend against the python reference.
 
 The heavyweight gate is ``repro fuzz --cross-backend`` (random programs,
 full config matrix); these tests pin a fast deterministic slice of the
 same contract in tier-1: identical serialized results — every counter,
 histogram and predictor-bank count — on representative machine variants,
 plus the cross-backend fuzz plumbing itself.  Every parity test is
-parameterized over both fast backends and skips cleanly when a backend's
-prerequisite (numpy / the compiled extension) is missing.
+parameterized over the fast backends and skips cleanly when the compiled
+extension is missing.
 """
 
 import json
@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.analysis.cache import serialize_result
-from repro.fastsim import make_processor, native_available, numpy_available
+from repro.fastsim import make_processor, native_available
 from repro.pipeline.config import (
     EIGHT_WIDE,
     FOUR_WIDE,
@@ -45,14 +45,12 @@ _VARIANTS = {
     "8-wide": EIGHT_WIDE,
 }
 
-#: Fast backends under parity test, with their availability probes.
-_FAST_BACKENDS = ("vector", "native")
+#: Fast backends under parity test.
+_FAST_BACKENDS = ("native",)
 
 
-def _require(backend):
-    if backend == "vector" and not numpy_available():
-        pytest.skip("vector backend needs numpy (pip install -e .[fast])")
-    if backend == "native" and not native_available():
+def _require_native():
+    if not native_available():
         pytest.skip(
             "native backend needs the compiled extension "
             "(pip install -e .[native])"
@@ -79,7 +77,7 @@ def _assert_parity(
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 @pytest.mark.parametrize("name", sorted(_VARIANTS))
 def test_synthetic_workload_parity(name, backend):
-    _require(backend)
+    _require_native()
     config = _VARIANTS[name]
     _assert_parity(
         lambda: SyntheticWorkload(get_profile("gzip"), seed=3), config, backend
@@ -88,7 +86,7 @@ def test_synthetic_workload_parity(name, backend):
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_parity_with_warmup_and_shadow_bank(backend):
-    _require(backend)
+    _require_native()
     _assert_parity(
         lambda: SyntheticWorkload(get_profile("gcc"), seed=7),
         FOUR_WIDE,
@@ -101,7 +99,7 @@ def test_parity_with_warmup_and_shadow_bank(backend):
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_emulator_feed_parity(backend):
     """The generator ingest path (no decoded columns) is also bit-exact."""
-    _require(backend)
+    _require_native()
     program = kernel_program("pointer_chase")
     _assert_parity(
         lambda: EmulatorFeed(program, name="pointer_chase"), FOUR_WIDE, backend
@@ -111,7 +109,7 @@ def test_emulator_feed_parity(backend):
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_replay_feed_decoded_columns_parity(backend):
     """Pre-decoded ReplayFeed (the fast path) matches the reference too."""
-    _require(backend)
+    _require_native()
     workload = SyntheticWorkload(get_profile("vortex"), seed=5)
     feed = ReplayFeed.from_stream(workload, 1_600)
     feed.columns()
@@ -129,7 +127,7 @@ def feed_copy(feed):
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_fast_backends_are_single_run(backend):
-    _require(backend)
+    _require_native()
     workload = SyntheticWorkload(get_profile("gzip"), seed=3)
     processor = make_processor(workload, FOUR_WIDE, backend=backend)
     processor.run(max_insts=300, warmup=0)
@@ -141,13 +139,17 @@ def test_cross_backend_fuzz_smoke():
     """A short cross-backend fuzz session through the real orchestration.
 
     Covers every installed backend (the default resolution), so on a
-    fully-built checkout this is a genuine python/vector/native 3-way
-    byte-parity check.
+    checkout with the extension built this is a python/native byte-parity
+    check; with python alone there is nothing to compare against and the
+    session must refuse to run rather than pass vacuously.
     """
+    from repro.errors import ConfigurationError
     from repro.verify.fuzz import config_matrix, run_fuzz
 
-    if not numpy_available():
-        pytest.skip("cross-backend fuzzing needs at least the vector backend")
+    if not native_available():
+        with pytest.raises(ConfigurationError, match="at least two"):
+            run_fuzz(1, seed=11, cross_backend=True)
+        return
     report = run_fuzz(
         3,
         seed=11,
@@ -156,8 +158,7 @@ def test_cross_backend_fuzz_smoke():
     )
     assert report.ok, report.summary()
     assert report.checked == 3 * 3  # 3 programs x (base x2 recoveries + 1)
-    assert report.backends is not None and report.backends[0] == "python"
-    assert ("native" in report.backends) == native_available()
+    assert report.backends == ("python", "native")
 
 
 def test_cross_backend_fuzz_pinned_backends_fail_loudly(monkeypatch):
@@ -168,13 +169,13 @@ def test_cross_backend_fuzz_pinned_backends_fail_loudly(monkeypatch):
 
     monkeypatch.setattr(fuzz_mod, "native_available", lambda: False)
     with pytest.raises(ConfigurationError, match="compiled extension"):
-        resolve_cross_backends(["python", "vector", "native"])
+        resolve_cross_backends(["python", "native"])
 
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_runner_serves_all_backends_identically(monkeypatch, backend):
     """REPRO_BACKEND flows through the runner; stats stay bit-identical."""
-    _require(backend)
+    _require_native()
     from repro.analysis.runner import ExperimentRunner
 
     payloads = {}

@@ -1,5 +1,7 @@
 """Tests for machine configuration (Table 1)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -103,6 +105,15 @@ class TestVariants:
     def test_recovery_variant(self):
         config = FOUR_WIDE.with_techniques(recovery=RecoveryModel.SELECTIVE)
         assert config.recovery is RecoveryModel.SELECTIVE
+
+    def test_cached_hash_stays_out_of_pickles(self):
+        """str hashes differ between processes, so a config shipped to a
+        worker must rehash there instead of carrying the cached value."""
+        config = FOUR_WIDE.with_techniques(scheduler=SchedulerModel.SEQ_WAKEUP)
+        assert hash(config) != hash(config.with_techniques(predictor_entries=16))
+        clone = pickle.loads(pickle.dumps(config))
+        assert "_hash" not in clone.__dict__
+        assert clone == config and hash(clone) == hash(config)
 
 
 class TestValidation:

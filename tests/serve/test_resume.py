@@ -30,8 +30,10 @@ def _executor(tmp_path) -> JobExecutor:
 class TestWaitResume:
     def test_wait_survives_a_restart_with_the_original_id(self, tmp_path):
         spool = tmp_path / "spool"
+        # batch=1: a worker must not drain the second job into the first
+        # one's batch, or nothing is left queued across the restart.
         first = BackgroundServer(
-            port=0, workers=1, spool=spool, executor=_executor(tmp_path)
+            port=0, workers=1, spool=spool, executor=_executor(tmp_path), batch=1
         )
         first.start()
         port = first.port

@@ -67,8 +67,6 @@ class TestSubpackageExports:
             EmulatorFeed,
             SPEC_BENCHMARKS,
             SyntheticWorkload,
-            load_trace,
-            save_trace,
         )
 
         assert len(SPEC_BENCHMARKS) == 12

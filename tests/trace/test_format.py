@@ -2,10 +2,20 @@
 
 import struct
 import zlib
+from itertools import islice
 
 import pytest
 
-from repro.trace.capture import capture_kernel, capture_program, program_sha256
+from repro.isa.assembler import INSTRUCTION_BYTES
+from repro.pipeline.config import FOUR_WIDE
+from repro.pipeline.processor import simulate
+from repro.trace.capture import (
+    capture_kernel,
+    capture_program,
+    capture_stream,
+    program_sha256,
+)
+from repro.trace.feed import TraceFeed
 from repro.trace.format import (
     MAGIC,
     TRACE_FORMAT_VERSION,
@@ -15,8 +25,10 @@ from repro.trace.format import (
     isa_version,
     read_header,
 )
-from repro.workloads.feed import EmulatorFeed
+from repro.workloads.feed import EmulatorFeed, ReplayFeed
 from repro.workloads.kernels import kernel_program
+from repro.workloads.profiles import SPEC_BENCHMARKS, get_profile
+from repro.workloads.synthetic import SyntheticWorkload
 
 FIELDS = (
     "seq",
@@ -34,6 +46,26 @@ FIELDS = (
     "is_two_source_format",
     "is_eliminated_nop",
 )
+
+
+#: Round-trip inputs: an emulator kernel (captured whole) and synthetic
+#: SPEC clones (captured for SYNTHETIC_OPS ops; their streams are endless).
+SOURCES = ("strsearch", "gcc", "mcf", "eon", "vortex")
+SYNTHETIC_OPS = 3_000
+
+
+def live_ops(source):
+    """The live dynamic stream a capture of *source* persists."""
+    if source in SPEC_BENCHMARKS:
+        workload = SyntheticWorkload(get_profile(source), seed=9)
+        return list(islice(workload, SYNTHETIC_OPS))
+    return list(EmulatorFeed(kernel_program(source), name=source))
+
+
+def capture_source(tmp_path, source):
+    path = tmp_path / f"{source}.hpt"
+    capture_stream(live_ops(source), path, name=source)
+    return path
 
 
 def capture(tmp_path, kernel="strsearch", chunk_records=None, **kwargs):
@@ -54,14 +86,34 @@ def capture(tmp_path, kernel="strsearch", chunk_records=None, **kwargs):
 
 class TestRoundTrip:
     def test_every_persisted_field_is_identical(self, tmp_path):
-        program = kernel_program("strsearch")
-        live = list(EmulatorFeed(program, name="strsearch"))
-        path = capture(tmp_path)
-        replayed = list(TraceReader(path).ops())
-        assert len(replayed) == len(live)
-        for original, decoded in zip(live, replayed):
-            for name in FIELDS:
-                assert getattr(original, name) == getattr(decoded, name), name
+        for source in SOURCES:
+            live = live_ops(source)
+            replayed = list(TraceReader(capture_source(tmp_path, source)).ops())
+            assert len(replayed) == len(live), source
+            for original, decoded in zip(live, replayed):
+                for name in FIELDS:
+                    assert getattr(original, name) == getattr(decoded, name), (
+                        source,
+                        name,
+                    )
+
+    @pytest.mark.parametrize("source", ["branchy_max", "gcc", "perl"])
+    def test_simulation_from_trace_matches_live(self, tmp_path, source):
+        """Simulating the decoded trace gives the live stream's IPC.
+
+        A tracefile maps static instruction ids to byte addresses with the
+        ISA's instruction size (the emulator's own mapping); the live
+        stream is simulated under that mapping too, since a synthetic
+        clone spaces its PCs differently.
+        """
+        trace = TraceFeed(capture_source(tmp_path, source))
+        live = ReplayFeed(
+            live_ops(source), pc_address=lambda pc: pc * INSTRUCTION_BYTES
+        )
+        expected = simulate(live, FOUR_WIDE, max_insts=10**6, warmup=0)
+        replay = simulate(trace, FOUR_WIDE, max_insts=10**6, warmup=0)
+        assert replay.ipc == expected.ipc
+        assert replay.stats.committed == expected.stats.committed
 
     def test_small_chunks_round_trip(self, tmp_path):
         whole = list(TraceReader(capture(tmp_path)).ops())
