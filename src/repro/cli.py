@@ -569,7 +569,8 @@ def _cmd_serve(args) -> int:
         return _cmd_serve_router(args)
     from repro.analysis.cache import ResultCache
     from repro.serve.executor import JobExecutor
-    from repro.serve.server import ServeServer, run_server
+    from repro.serve.frontend import run_server
+    from repro.serve.server import ServeServer
 
     if args.no_cache:
         cache: ResultCache | bool = False
@@ -607,7 +608,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_router(args) -> int:
-    from repro.serve.router import RouterServer, run_router
+    from repro.serve.frontend import run_server
+    from repro.serve.router import RouterServer
 
     if not args.worker_url:
         print(
@@ -631,7 +633,7 @@ def _cmd_serve_router(args) -> int:
         if started.recovered:
             print(f"recovered {started.recovered} pending job(s) from {args.spool}", flush=True)
 
-    code = run_router(router, announce=announce)
+    code = run_server(router, announce=announce)
     pending = len(router.table.pending())
     completed = router.registry.get("router.completed")
     print(

@@ -13,9 +13,15 @@ inference-style service (docs/SERVING.md):
 * :mod:`repro.serve.executor` — spec execution on worker threads through
   the shared :class:`~repro.analysis.runner.ExperimentRunner` machinery
   (memo, disk cache, process-local singleflight);
-* :mod:`repro.serve.server` — the asyncio HTTP server: bounded priority
-  queue, 429 + ``Retry-After`` backpressure, ``/metrics``, graceful
-  SIGTERM drain;
+* :mod:`repro.serve.frontend` — the one asyncio HTTP job front end both
+  server roles share: admission with 429 + ``Retry-After``
+  backpressure, long-poll, cancel, ``/metrics``, spool recovery and the
+  graceful SIGTERM drain;
+* :mod:`repro.serve.server` — local dispatch (``repro serve``): a bounded
+  priority queue drained in batches by worker tasks over the warm pool;
+* :mod:`repro.serve.router` — ring dispatch (``repro serve --router``):
+  fingerprint-sharded placement onto serve workers, health eviction,
+  stealing and batched dispatch POSTs;
 * :mod:`repro.serve.client` — the client SDK: jittered-exponential
   retries, Retry-After compliance, idempotent resubmission, long-poll
   waiting.
@@ -35,7 +41,8 @@ from repro.serve.protocol import (
     parse_batch,
     parse_spec,
 )
-from repro.serve.server import BackgroundServer, ServeServer, run_server
+from repro.serve.frontend import run_server
+from repro.serve.server import BackgroundServer, ServeServer
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.analysis.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.executor import JobExecutor
-from repro.serve.server import BackgroundServer
 
 from .conftest import tiny_run
 
@@ -82,59 +79,71 @@ class TestVerifyJobs:
 
 
 class TestBackpressure:
-    def test_429_with_retry_after_when_queue_full(self, tmp_path):
-        executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
-        with BackgroundServer(port=0, workers=0, queue_size=2, executor=executor) as bg:
-            client = ServeClient(bg.base_url)
-            client.submit([tiny_run(), tiny_run("gcc")])  # fills the queue
-            status, headers, document = client._once(
-                "POST", "/v1/jobs", tiny_run("bzip")
-            )
-            assert status == 429
-            assert "queue full" in document["error"]
-            retry_after = {k.lower(): v for k, v in headers.items()}["retry-after"]
-            assert int(retry_after) >= 1
+    """Admission on a queue that never drains; TestBackpressureRouter
+    reruns every case against the router."""
 
-    def test_coalescing_submissions_bypass_backpressure(self, tmp_path):
-        executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
-        with BackgroundServer(port=0, workers=0, queue_size=1, executor=executor) as bg:
-            client = ServeClient(bg.base_url)
-            client.submit(tiny_run())
-            # Same fingerprint: accepted as a follower despite a full queue.
-            (receipt,) = client.submit(tiny_run())
-            assert receipt["coalesced"]
+    role = "serve"
 
-    def test_atomic_batch_rejection(self, tmp_path):
-        executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
-        with BackgroundServer(port=0, workers=0, queue_size=2, executor=executor) as bg:
-            client = ServeClient(bg.base_url)
-            batch = [tiny_run(), tiny_run("gcc"), tiny_run("bzip")]
-            status, _headers, _document = client._once("POST", "/v1/jobs", {"jobs": batch})
-            assert status == 429
-            assert client.jobs() == []  # nothing partially admitted
+    def test_429_with_retry_after_when_queue_full(self, front_door):
+        bg = front_door(self.role, queued=True, queue_size=2)
+        client = ServeClient(bg.base_url)
+        client.submit([tiny_run(), tiny_run("gcc")])  # fills the queue
+        status, headers, document = client._once(
+            "POST", "/v1/jobs", tiny_run("bzip")
+        )
+        assert status == 429
+        assert "queue full" in document["error"]
+        retry_after = {k.lower(): v for k, v in headers.items()}["retry-after"]
+        assert int(retry_after) >= 1
+
+    def test_coalescing_submissions_bypass_backpressure(self, front_door):
+        bg = front_door(self.role, queued=True, queue_size=1)
+        client = ServeClient(bg.base_url)
+        client.submit(tiny_run())
+        # Same fingerprint: accepted as a follower despite a full queue.
+        (receipt,) = client.submit(tiny_run())
+        assert receipt["coalesced"]
+
+    def test_atomic_batch_rejection(self, front_door):
+        bg = front_door(self.role, queued=True, queue_size=2)
+        client = ServeClient(bg.base_url)
+        batch = [tiny_run(), tiny_run("gcc"), tiny_run("bzip")]
+        status, _headers, _document = client._once("POST", "/v1/jobs", {"jobs": batch})
+        assert status == 429
+        assert client.jobs() == []  # nothing partially admitted
+
+
+class TestBackpressureRouter(TestBackpressure):
+    role = "router"
 
 
 class TestHttpSurface:
-    def test_bad_spec_is_400(self, server):
-        client = ServeClient(server.base_url)
+    """The shared HTTP contract; TestHttpSurfaceRouter reruns it against
+    the router."""
+
+    role = "serve"
+
+    def test_bad_spec_is_400(self, front_door):
+        client = ServeClient(front_door(self.role).base_url)
         with pytest.raises(ServeError, match="unknown benchmark") as excinfo:
             client.submit(tiny_run("doom"))
         assert excinfo.value.status == 400
 
-    def test_unknown_job_404(self, server):
-        client = ServeClient(server.base_url)
+    def test_unknown_job_404(self, front_door):
+        client = ServeClient(front_door(self.role).base_url)
         with pytest.raises(ServeError) as excinfo:
             client.job("j-999999")
         assert excinfo.value.status == 404
 
-    def test_unknown_route_404_and_bad_method_405(self, server):
-        client = ServeClient(server.base_url)
+    def test_unknown_route_404_and_bad_method_405(self, front_door):
+        client = ServeClient(front_door(self.role).base_url)
         assert client._once("GET", "/v2/nope", None)[0] == 404
         assert client._once("DELETE", "/v1/jobs", None)[0] == 405
 
-    def test_invalid_json_body_400(self, server):
+    def test_invalid_json_body_400(self, front_door):
         import http.client
 
+        server = front_door(self.role)
         connection = http.client.HTTPConnection(server.server.host, server.port, timeout=10)
         connection.request("POST", "/v1/jobs", body=b"{not json",
                            headers={"Content-Type": "application/json"})
@@ -142,17 +151,21 @@ class TestHttpSurface:
         assert response.status == 400
         connection.close()
 
-    def test_cancel_queued_job(self, tmp_path):
-        executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
-        with BackgroundServer(port=0, workers=0, executor=executor) as bg:
-            client = ServeClient(bg.base_url)
-            (receipt,) = client.submit(tiny_run())
-            document = client.cancel(receipt["id"])
-            assert document["status"] == "cancelled"
-            assert client.job(receipt["id"])["status"] == "cancelled"
+    def test_cancel_queued_job(self, front_door):
+        bg = front_door(self.role, queued=True, queue_size=1)
+        client = ServeClient(bg.base_url)
+        (receipt,) = client.submit(tiny_run())
+        document = client.cancel(receipt["id"])
+        assert document["status"] == "cancelled"
+        assert client.job(receipt["id"])["status"] == "cancelled"
+        # Cancelling frees the admission slot at once: the queue is empty
+        # and a full-size queue admits the next submission.
+        assert client.healthz()["queue_depth"] == 0
+        status, _headers, _document = client._once("POST", "/v1/jobs", tiny_run())
+        assert status == 202
 
-    def test_list_jobs_with_status_filter(self, server):
-        client = ServeClient(server.base_url)
+    def test_list_jobs_with_status_filter(self, front_door):
+        client = ServeClient(front_door(self.role).base_url)
         (receipt,) = client.submit(tiny_run("twolf"))
         client.wait(receipt["id"], timeout=60, poll=1.0)
         done = client.jobs(status="done")
@@ -160,17 +173,30 @@ class TestHttpSurface:
         assert all("result" not in job for job in done)  # listings are light
 
 
+class TestHttpSurfaceRouter(TestHttpSurface):
+    role = "router"
+
+
 class TestMetrics:
-    def test_metrics_document_shape(self, server):
-        client = ServeClient(server.base_url)
+    role = "serve"
+
+    def test_metrics_document_shape(self, front_door):
+        client = ServeClient(front_door(self.role).base_url)
         (receipt,) = client.submit(tiny_run("vpr"))
         client.wait(receipt["id"], timeout=60, poll=1.0)
         document = client.metrics()
-        serve = document["serve"]
-        assert serve["queue_depth"] == 0 and serve["workers"] == 2
-        assert serve["latency_ms"]["p50"] is not None
-        assert serve["latency_ms"]["p99"] >= serve["latency_ms"]["p50"]
+        section = document[self.role]
+        # A server reports its worker-task count, a router its roster.
+        workers = section["workers"]
+        assert section["queue_depth"] == 0
+        assert (workers == 2) if self.role == "serve" else (len(workers) == 1)
+        assert section["latency_ms"]["p50"] is not None
+        assert section["latency_ms"]["p99"] >= section["latency_ms"]["p50"]
         metrics = document["metrics"]
-        assert metrics["serve.submitted"] >= 1
-        assert metrics["serve.completed"] >= 1
-        assert "serve.job_latency_ms" in metrics
+        assert metrics[f"{self.role}.submitted"] >= 1
+        assert metrics[f"{self.role}.completed"] >= 1
+        assert f"{self.role}.job_latency_ms" in metrics
+
+
+class TestMetricsRouter(TestMetrics):
+    role = "router"
