@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from repro.analysis.cache import fingerprint as cache_fingerprint
@@ -468,13 +469,19 @@ def parse_spec(payload: object) -> JobSpec:
     raise ProtocolError(f"unknown job kind {kind!r} (known: run, verify, trace)")
 
 
+#: The form of every id a JobTable issues; pinned ids must match it.
+_JOB_ID = re.compile(r"j-[0-9]{6,12}")
+
+
 def parse_batch_with_ids(payload: object) -> tuple[list[JobSpec], list[str] | None]:
     """Parse a ``POST /v1/jobs`` body: specs plus optional assigned ids.
 
     The ``"ids"`` list (parallel to ``"jobs"``) lets a trusted caller —
     the cluster router — pin its own job ids onto a worker, so one job
     keeps a single identity across the whole cluster.  Absent ``"ids"``,
-    the server assigns ids as before.
+    the server assigns ids as before.  A pinned id must have the form the
+    server issues (``j-`` and six to twelve digits): the router puts ids
+    into request paths, so anything else is refused here.
     """
     _require(isinstance(payload, dict), "request body must be a JSON object")
     assert isinstance(payload, dict)
@@ -489,8 +496,11 @@ def parse_batch_with_ids(payload: object) -> tuple[list[JobSpec], list[str] | No
             _require(
                 isinstance(ids, list)
                 and len(ids) == len(specs)
-                and all(isinstance(job_id, str) and job_id for job_id in ids),
-                "ids must be a list of job-id strings parallel to jobs",
+                and all(
+                    isinstance(job_id, str) and _JOB_ID.fullmatch(job_id)
+                    for job_id in ids
+                ),
+                "ids must be a list of job ids (j-NNNNNN) parallel to jobs",
             )
         return specs, ids
     return [parse_spec(payload)], None
