@@ -13,7 +13,10 @@ SIGKILLs one worker mid-run, and asserts the cluster's core guarantees:
   into duplicates);
 * byte parity — every unique result served through the cluster is
   byte-identical to what offline ``repro export-stats`` writes for the
-  same inputs.
+  same inputs;
+* no leaked claims — after the drain, every store claim file left
+  behind names the SIGKILLed worker's pid (a leaked claim would stall
+  its fingerprint for ``REPRO_CLAIM_STALE_S``).
 
 A metrics snapshot (router queue depth, latency quantiles, steal and
 re-dispatch counters, per-worker state) is written to
@@ -225,6 +228,17 @@ def main() -> None:
             fail(f"{label} did not exit within 60s of SIGTERM")
         if code != 0:
             fail(f"{label} exited {code} on SIGTERM")
+
+    # No leaked claims: the drained processes released every claim they
+    # took (batched drains hold one per simulated miss); only the
+    # SIGKILLed worker may have left any.  Claim files hold "<pid> <time>".
+    victim_pid = str(workers[0][0].pid)
+    leftover = sorted(store.rglob("*.claim"))
+    for claim in leftover:
+        holder = (claim.read_text().split() or ["<empty>"])[0]
+        if holder != victim_pid:
+            fail(f"claim {claim.name} left by pid {holder}, not the SIGKILLed worker {victim_pid}")
+    print(f"{len(leftover)} claims left in the store, all the SIGKILLed worker's")
     print("PASS: cluster smoke")
 
 

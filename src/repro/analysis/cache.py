@@ -32,7 +32,9 @@ Environment knobs::
     REPRO_CACHE          "0"/"off"/"false" disables the disk cache (default on)
     REPRO_CACHE_DIR      cache directory (default <repo>/results/cache)
     REPRO_CLAIM_STALE_S  seconds before an abandoned cross-process claim
-                         is broken by the next contender (default 300)
+                         is broken by the next contender (default 300);
+                         every path that publishes holds one while it
+                         computes, prefetch and batched serve drains too
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ import hashlib
 import json
 import os
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
-from repro.analysis.store import DirectoryStore, ResultStore, StoreClaim
+from repro.analysis.store import DirectoryStore, ResultStore
 from repro.core.last_arrival import DesignComparisonBank, ShadowPredictorBank
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
@@ -262,28 +265,33 @@ class ResultCache:
         """Return the cached result for these inputs, or None on a miss."""
         digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
         record = self.backend.get(digest)
-        if record is None:
-            self.misses += 1
-            return None
-        stored_checksum = record.get("checksum")
-        if (
-            record.get("fingerprint") != digest
-            or stored_checksum is None
-            or stored_checksum != record_checksum(record)
-        ):
-            # Corrupt or pre-v2 record that a permissive store served
-            # anyway: refuse it (DirectoryStore already quarantines).
-            self.misses += 1
-            return None
-        try:
-            result = deserialize_result(record)
-        except (KeyError, TypeError, ValueError):
-            # Structurally damaged despite a matching checksum is
-            # impossible in practice, but never let a cache file crash a
-            # run — recompute instead.
-            self.misses += 1
-            return None
-        self.hits += 1
+        result = None if record is None else self._decode(digest, record)
+        self._count(result is not None)
+        return result
+
+    def lookup_or_claim(self, *run) -> tuple:
+        """Non-blocking: ``(result, None)`` on a hit, ``(None, claim)`` when
+        this caller must simulate and :meth:`store` before releasing the
+        claim, ``(None, None)`` while another process simulates.  *run*
+        is the six inputs :meth:`load` takes."""
+        digest = fingerprint(*run)
+        result, claim = self.backend.lookup_or_claim(digest, partial(self._decode, digest))
+        self._count(result is not None)
+        return result, claim
+
+    def get_or_compute(self, compute, *run) -> SimulationResult:
+        """The cached result for *run*, else ``compute()``'s, published
+        under the store claim (waits while another process holds it)."""
+        digest = fingerprint(*run)
+        computed = []
+
+        def compute_record() -> tuple[SimulationResult, dict]:
+            computed.append(compute())
+            self.stores += 1
+            return computed[0], self._record(digest, run, computed[0])
+
+        result = self.backend.get_or_compute(digest, compute_record, partial(self._decode, digest))
+        self._count(not computed)
         return result
 
     def store(
@@ -297,47 +305,46 @@ class ResultCache:
         result: SimulationResult,
     ) -> Path | None:
         """Publish one result; returns the blob path for directory stores."""
-        digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
-        record = serialize_result(result)
-        record["fingerprint"] = digest
-        record["benchmark"] = benchmark
-        record["seed"] = seed
-        record["insts"] = insts
-        record["warmup"] = warmup
-        record["model_version"] = TIMING_MODEL_VERSION
-        record["checksum"] = record_checksum(record)
-        self.backend.put(digest, record)
+        run = (benchmark, seed, insts, warmup, config, shadow_sizes)
+        digest = fingerprint(*run)
+        self.backend.put(digest, self._record(digest, run, result))
         self.stores += 1
         if isinstance(self.backend, DirectoryStore):
             return self.backend._blob_path(digest)
         return None
 
     # ------------------------------------------------------------------
-    # Cross-process singleflight (delegated to the store)
-    # ------------------------------------------------------------------
-    def claim(
-        self,
-        benchmark: str,
-        seed: int,
-        insts: int,
-        warmup: int,
-        config: MachineConfig,
-        shadow_sizes: tuple[int, ...] | None,
-    ) -> StoreClaim | None:
-        """Try to become the computing process for these inputs."""
-        digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
-        return self.backend.claim(digest)
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
 
-    def wait_published(
-        self,
-        benchmark: str,
-        seed: int,
-        insts: int,
-        warmup: int,
-        config: MachineConfig,
-        shadow_sizes: tuple[int, ...] | None,
-        timeout: float,
-    ) -> bool:
-        """Poll for another process's publication of these inputs."""
-        digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
-        return self.backend.wait(digest, timeout) is not None
+    @staticmethod
+    def _decode(digest: str, record: dict) -> SimulationResult | None:
+        """The result a published record holds, or None when unusable."""
+        stored_checksum = record.get("checksum")
+        if (
+            record.get("fingerprint") != digest
+            or stored_checksum is None
+            or stored_checksum != record_checksum(record)
+        ):
+            # Corrupt or pre-v2 record that a permissive store served
+            # anyway: refuse it (DirectoryStore already quarantines).
+            return None
+        try:
+            return deserialize_result(record)
+        except (KeyError, TypeError, ValueError):
+            # Structurally damaged despite a matching checksum is
+            # impossible in practice, but never let a cache file crash a
+            # run — recompute instead.
+            return None
+
+    @staticmethod
+    def _record(digest: str, run: tuple, result: SimulationResult) -> dict:
+        record = serialize_result(result)
+        record["fingerprint"] = digest
+        record["benchmark"], record["seed"], record["insts"], record["warmup"] = run[:4]
+        record["model_version"] = TIMING_MODEL_VERSION
+        record["checksum"] = record_checksum(record)
+        return record

@@ -6,6 +6,11 @@ served through three layers: an in-process memo table, a persistent on-disk
 JSON cache (:mod:`repro.analysis.cache`), and — only when both miss — a
 fresh simulation.  Independent misses can be computed in parallel with
 :meth:`ExperimentRunner.prefetch` (:mod:`repro.analysis.parallel`).
+Both paths publish under the store's claim protocol
+(:mod:`repro.analysis.store`), so processes sharing one store simulate
+each fingerprint once: ``result()`` waits for another process's blob,
+``prefetch()`` claims its misses without blocking and leaves the ones
+claimed elsewhere to ``result()``.
 See ``docs/PERFORMANCE.md`` for the full picture.  Environment knobs::
 
     REPRO_INSTS      measured instructions per run   (default 15000)
@@ -30,7 +35,7 @@ from pathlib import Path
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import Job, env_int, run_jobs
 from repro.analysis.singleflight import SingleFlight
-from repro.fastsim import apply_backend, make_processor
+from repro.fastsim import apply_backend
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.pipeline.processor import SimulationResult
@@ -40,8 +45,10 @@ from repro.workloads.synthetic import SyntheticWorkload
 #: Figure 7's shadow predictor table sizes.
 SHADOW_SIZES = (128, 512, 1024, 4096)
 
-#: Backwards-compatible alias (the engine owns the canonical helper now).
-_env_int = env_int
+
+def _cache_inputs(job: Job) -> tuple:
+    """*job*'s inputs in :class:`ResultCache` argument order."""
+    return (job.benchmark, job.seed, job.insts, job.warmup, job.config, job.shadow_sizes)
 
 
 class ExperimentRunner:
@@ -132,69 +139,39 @@ class ExperimentRunner:
         if found is not None:
             self.metrics.counter("runner.memo_hits").inc()
             return found
-        found, leader = self._flight.do(key, lambda: self._compute(key, benchmark, config, seed, shadow))
+        job = Job(benchmark, config, seed, self.insts, self.warmup, self._shadow_sizes(shadow))
+        found, leader = self._flight.do(key, lambda: self._serve_miss(key, job))
         if not leader:
             self.metrics.counter("runner.coalesced").inc()
         return found
 
-    #: per-round wait for another process's publication before the claim
-    #: is re-contended (stale claims are broken by the store itself).
-    CLAIM_WAIT_S = 20.0
-
-    def _compute(
-        self, key: tuple, benchmark: str, config: MachineConfig, seed: int, shadow: bool
-    ) -> SimulationResult:
-        """Cache-or-simulate under the singleflight lock (leader only)."""
+    def _serve_miss(self, key: tuple, job: Job) -> SimulationResult:
+        """Memo, then store, then simulation (singleflight leader only)."""
         # Re-check the memo: a previous leader may have landed while this
         # caller was between its own memo miss and winning the flight.
         found = self._results.get(key)
         if found is not None:
             self.metrics.counter("runner.memo_hits").inc()
             return found
-        shadow_sizes = self._shadow_sizes(shadow)
-        claim = None
-        if self.cache is not None:
-            run = (benchmark, seed, self.insts, self.warmup, config, shadow_sizes)
-            # Cross-process singleflight: among processes sharing this
-            # store (serving-tier workers, parallel CI legs), exactly one
-            # simulates a given fingerprint; the rest wait for the blob.
-            # A claim abandoned by a dead process goes stale and is
-            # taken over, so this loop always terminates.  Each wait is
-            # capped at the stale horizon: past it the claim is
-            # contestable, so there is no point sleeping longer.
-            stale = getattr(self.cache.backend, "claim_stale_s", None)
-            wait_s = self.CLAIM_WAIT_S
-            if isinstance(stale, (int, float)):
-                wait_s = max(0.1, min(wait_s, float(stale)))
-            while True:
-                found = self.cache.load(*run)
-                if found is not None:
-                    self.metrics.counter("runner.disk_hits").inc()
-                    self._results[key] = found
-                    return found
-                claim = self.cache.claim(*run)
-                if claim is not None:
-                    break
-                self.metrics.counter("runner.claim_waits").inc()
-                self.cache.wait_published(*run, timeout=wait_s)
-        try:
-            processor = make_processor(
-                self.workload(benchmark, seed),
-                config,
-                backend=config.backend,
-                shadow_sizes=shadow_sizes,
-            )
-            found = processor.run(max_insts=self.insts, warmup=self.warmup)
-            self.metrics.counter("runner.simulated").inc()
-            self._results[key] = found
-            if self.cache is not None:
-                self.cache.store(
-                    benchmark, seed, self.insts, self.warmup, config, shadow_sizes, found
-                )
-        finally:
-            if claim is not None:
-                claim.release()
+        simulated = []
+
+        def simulate() -> SimulationResult:
+            simulated.append(job)
+            return self._simulate([job])[0]
+
+        # Waits while another process holds the fingerprint's store claim.
+        found = simulate() if self.cache is None else self.cache.get_or_compute(
+            simulate, *_cache_inputs(job)
+        )
+        if not simulated:
+            self.metrics.counter("runner.disk_hits").inc()
+        self._results[key] = found
         return found
+
+    def _simulate(self, jobs: list[Job], workers: int | None = None) -> list[SimulationResult]:
+        results = run_jobs(jobs, workers=workers)
+        self.metrics.counter("runner.simulated").inc(len(jobs))
+        return results
 
     # ------------------------------------------------------------------
     def prefetch(
@@ -205,56 +182,58 @@ class ExperimentRunner:
         """Bulk-resolve ``(benchmark, config, seed, shadow)`` requests.
 
         Requests already served by the memory or disk layers are skipped;
-        the rest fan out over the parallel engine (worker count: explicit
-        *workers*, else the runner's ``jobs``, else ``REPRO_JOBS``/CPU
-        count).  Returns the number of simulations actually executed.
-        Results land in both cache layers, so later ``result()`` calls for
-        the same keys are pure lookups — and deterministic job ordering
-        makes every aggregate identical to a serial run.
+        the rest are claimed in the store without blocking, and only the
+        claimed ones fan out over the parallel engine (worker count:
+        explicit *workers*, else the runner's ``jobs``, else
+        ``REPRO_JOBS``/CPU count), are published, and then released.  A
+        miss claimed by another process is left to ``result()``, which
+        waits for its blob.  Returns the number of simulations actually
+        executed.  Results land in both cache layers, so later
+        ``result()`` calls for the same keys are pure lookups — and
+        deterministic job ordering makes every aggregate identical to a
+        serial run.
         """
-        pending: list[tuple[tuple, Job]] = []
+        claimed: list[tuple[tuple, Job, object]] = []
         seen: set[tuple] = set()
+        elsewhere = 0
         for benchmark, config, seed, shadow in requests:
             config = apply_backend(config)
             key = self._key(benchmark, config, seed, shadow)
             if key in seen or key in self._results:
                 continue
-            shadow_sizes = self._shadow_sizes(shadow)
+            seen.add(key)
+            job = Job(benchmark, config, seed, self.insts, self.warmup, self._shadow_sizes(shadow))
+            claim = None
             if self.cache is not None:
-                found = self.cache.load(
-                    benchmark, seed, self.insts, self.warmup, config, shadow_sizes
-                )
+                found, claim = self.cache.lookup_or_claim(*_cache_inputs(job))
                 if found is not None:
                     self._results[key] = found
                     continue
-            seen.add(key)
-            pending.append(
-                (key, Job(benchmark, config, seed, self.insts, self.warmup, shadow_sizes))
-            )
+                if claim is None:
+                    elsewhere += 1
+                    continue
+            claimed.append((key, job, claim))
         self.metrics.counter("runner.prefetch_warm_hits").inc(
-            len(requests) - len(pending)
+            len(requests) - len(claimed) - elsewhere
         )
-        if not pending:
-            # Fully-warm sweep: every request was a memo or disk hit, so
-            # we never reach run_jobs and the worker pool is never even
-            # created (it starts lazily on first dispatch).
+        if not claimed:
+            # Fully-warm sweep: every request was a memo or disk hit (or
+            # is being simulated elsewhere), so we never reach run_jobs
+            # and the worker pool is never even created (it starts lazily
+            # on first dispatch).
             return 0
         workers = workers if workers is not None else self.jobs
-        results = run_jobs([job for _, job in pending], workers=workers)
-        self.metrics.counter("runner.simulated").inc(len(pending))
-        for (key, job), result in zip(pending, results):
-            self._results[key] = result
-            if self.cache is not None:
-                self.cache.store(
-                    job.benchmark,
-                    job.seed,
-                    job.insts,
-                    job.warmup,
-                    job.config,
-                    job.shadow_sizes,
-                    result,
-                )
-        return len(pending)
+        try:
+            results = self._simulate([job for _, job, _ in claimed], workers)
+            for (key, job, _), result in zip(claimed, results):
+                self._results[key] = result
+                if self.cache is not None:
+                    self.cache.store(*_cache_inputs(job), result)
+        finally:
+            for _, _, claim in claimed:
+                if claim is not None:
+                    claim.release()
+        return len(claimed)
 
     def prefetch_base(self, workers: int | None = None) -> int:
         """Warm every base-machine run the standard figures lean on."""

@@ -15,12 +15,14 @@ every consumer leans on:
   and the payload checksum on every read.  A torn, truncated or
   bit-rotted blob is **quarantined** (moved aside, never deleted — it is
   evidence) and reads as a miss, so the caller recomputes.
-* **Cross-process claims.**  ``claim()`` is the cluster-wide
-  singleflight primitive: among concurrent *processes* missing the same
-  fingerprint, one acquires the claim and computes while the rest wait
-  for the blob to be published.  A claim abandoned by a dead process
-  goes stale and is taken over, so a SIGKILLed worker never wedges the
-  fingerprint.
+* **One claim protocol.**  ``claim()`` is the cluster-wide singleflight
+  primitive, and this module is its only caller.  ``lookup_or_claim()``
+  is the non-blocking step — get, claim, get again once the claim is
+  won — and ``get_or_compute()`` is the blocking loop built on it: among
+  concurrent *processes* missing the same fingerprint, one computes and
+  publishes while the rest wait for — or find — its blob.  A claim
+  abandoned by a dead process goes stale and is taken over, so a
+  SIGKILLed worker never wedges the fingerprint.
 
 :class:`DirectoryStore` implements the interface on a plain directory —
 shareable between processes and, via a network filesystem, between
@@ -106,6 +108,55 @@ class ResultStore:
         """
         return StoreClaim(None)
 
+    #: a claim older than this is presumed abandoned (see DirectoryStore)
+    _claim_stale_s = DEFAULT_CLAIM_STALE_S
+
+    def lookup_or_claim(self, fingerprint: str, decode) -> tuple:
+        """One non-blocking step of the claim protocol: get, claim, get.
+
+        ``(decode(record), None)`` on a hit (a record *decode* maps to
+        None reads as a miss); ``(None, claim)`` when this caller must
+        compute, :meth:`put`, then release *claim*; ``(None, None)`` when
+        another process holds the claim.
+        """
+        value = self._decoded(fingerprint, decode)
+        if value is not None:
+            return value, None
+        claim = self.claim(fingerprint)
+        if claim is None:
+            return None, None
+        # The previous holder may have published and released between
+        # the miss above and this claim: re-read before computing.
+        value = self._decoded(fingerprint, decode)
+        if value is not None:
+            claim.release()
+            return value, None
+        return None, claim
+
+    def get_or_compute(self, fingerprint: str, compute, decode):
+        """Blocking :meth:`lookup_or_claim` loop; the decoded value.
+
+        The claim winner's ``compute()`` returns ``(value, record)``, and
+        *record* is published before the claim is released.  Each wait
+        for another holder lasts a tenth of the stale horizon, so a
+        holder that failed without publishing is noticed soon and a dead
+        one is taken over just after its claim goes stale.
+        """
+        while True:
+            value, claim = self.lookup_or_claim(fingerprint, decode)
+            if value is not None:
+                return value
+            if claim is not None:
+                with claim:
+                    value, record = compute()
+                    self.put(fingerprint, record)
+                return value
+            self.wait(fingerprint, self._claim_stale_s / 10)
+
+    def _decoded(self, fingerprint: str, decode):
+        record = self.get(fingerprint)
+        return None if record is None else decode(record)
+
     def wait(self, fingerprint: str, timeout: float) -> dict | None:
         """Poll for *fingerprint* to be published, up to *timeout* s."""
         deadline = time.monotonic() + timeout
@@ -166,7 +217,7 @@ class DirectoryStore(ResultStore):
         claim_stale_s: float | None = None,
     ):
         self.root = Path(root)
-        self.claim_stale_s = (
+        self._claim_stale_s = (
             claim_stale_s if claim_stale_s is not None else _default_claim_stale_s()
         )
         #: observability counters (mirrored into runner/serve metrics)
@@ -263,7 +314,7 @@ class DirectoryStore(ResultStore):
                     age = time.time() - path.stat().st_mtime
                 except OSError:
                     continue  # holder released between open and stat: retry
-                if age <= self.claim_stale_s:
+                if age <= self._claim_stale_s:
                     return None
                 # The holder is presumed dead (SIGKILL mid-simulation).
                 # Remove the stale claim and contend again.

@@ -98,7 +98,10 @@ class JobExecutor:
         via :meth:`~repro.analysis.runner.ExperimentRunner.prefetch`, so
         their cache misses fan out together over the warm worker pool
         and the per-spec ``execute`` calls below are pure memo lookups
-        plus document builds.  Cache hits never reach the pool.
+        plus document builds.  Cache hits never reach the pool, and the
+        prefetch holds the store claim on each miss it simulates: a miss
+        another worker has claimed is waited for in ``execute`` instead
+        of simulated twice.
         """
         groups: dict[tuple[int, int], list[RunSpec]] = {}
         for spec in specs:

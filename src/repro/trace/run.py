@@ -12,7 +12,11 @@ sequence; there is nothing to reseed).
 Full runs reuse the :class:`~repro.analysis.cache.ResultCache` record
 format unchanged.  Sampled runs produce a *report* (weights, per-sample
 IPCs, coverage) rather than a ``SimulationResult``, so they are published
-to the same store as a distinct self-checksummed record kind.
+to the same store as a distinct self-checksummed record kind.  Both go
+through the store's one claim protocol
+(:meth:`~repro.analysis.store.ResultStore.get_or_compute`): among
+processes sharing the store, exactly one simulates a given fingerprint,
+the rest wait for its blob.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from repro.trace.sampling import (
 
 #: The seed slot of trace fingerprints (a trace has no workload seed).
 TRACE_SEED = 0
-
-#: Per-round wait for another process's publication (mirrors the runner).
-CLAIM_WAIT_S = 20.0
 
 
 def trace_fingerprint(
@@ -63,31 +64,6 @@ def trace_fingerprint(
     )
 
 
-def _cache_identity(
-    feed: TraceFeed,
-    config: MachineConfig,
-    insts: int | None,
-    warmup: int,
-    shadow_sizes: tuple[int, ...] | None,
-) -> tuple:
-    return (
-        trace_token(feed.content_hash),
-        TRACE_SEED,
-        insts if insts is not None else 0,
-        warmup,
-        config,
-        shadow_sizes,
-    )
-
-
-def _wait_seconds(cache: ResultCache) -> float:
-    stale = getattr(cache.backend, "claim_stale_s", None)
-    wait_s = CLAIM_WAIT_S
-    if isinstance(stale, (int, float)):
-        wait_s = max(0.1, min(wait_s, float(stale)))
-    return wait_s
-
-
 def run_full(
     feed: TraceFeed,
     config: MachineConfig,
@@ -99,35 +75,24 @@ def run_full(
 ) -> SimulationResult:
     """Simulate a trace end to end, through the result cache.
 
-    Same load → claim → simulate → publish loop as the benchmark runner:
-    among processes sharing the store, exactly one simulates a given
-    fingerprint, the rest wait for the published blob.  ``config.backend``
-    must already be materialized (call ``apply_backend`` at the boundary).
+    Cached under the inputs :func:`trace_fingerprint` digests.
+    ``config.backend`` must already be materialized (call
+    ``apply_backend`` at the boundary).
     """
-    run = _cache_identity(feed, config, insts, warmup, shadow_sizes)
-    claim = None
-    if cache is not None:
-        wait_s = _wait_seconds(cache)
-        while True:
-            found = cache.load(*run)
-            if found is not None:
-                return found
-            claim = cache.claim(*run)
-            if claim is not None:
-                break
-            cache.wait_published(*run, timeout=wait_s)
-    try:
+
+    def simulate() -> SimulationResult:
         processor = make_processor(
             feed, config, backend=config.backend, shadow_sizes=shadow_sizes
         )
         limit = insts if insts is not None else len(feed.ops)
-        result = processor.run(max_insts=limit, warmup=warmup)
-        if cache is not None:
-            cache.store(*run, result)
-    finally:
-        if claim is not None:
-            claim.release()
-    return result
+        return processor.run(max_insts=limit, warmup=warmup)
+
+    if cache is None:
+        return simulate()
+    return cache.get_or_compute(
+        simulate, trace_token(feed.content_hash), TRACE_SEED, insts or 0, warmup, config,
+        shadow_sizes,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -185,24 +150,8 @@ def run_sampled(
         warm_caches=warm_caches,
         shadow_sizes=shadow_sizes,
     )
-    claim = None
-    if cache is not None:
-        wait_s = _wait_seconds(cache)
-        while True:
-            record = cache.backend.get(digest)
-            if record is not None:
-                if (
-                    record.get("kind") == "trace-sampled"
-                    and record.get("fingerprint") == digest
-                    and record.get("checksum") == record_checksum(record)
-                ):
-                    return record["report"]
-                record = None  # corrupt/foreign record: recompute
-            claim = cache.backend.claim(digest)
-            if claim is not None:
-                break
-            cache.backend.wait(digest, wait_s)
-    try:
+
+    def simulate() -> tuple[dict, dict]:
         report = simulate_sampled(
             feed,
             config,
@@ -214,16 +163,24 @@ def run_sampled(
             warm_caches=warm_caches,
             shadow_sizes=shadow_sizes,
         )
-        if cache is not None:
-            record = {
-                "kind": "trace-sampled",
-                "fingerprint": digest,
-                "model_version": TIMING_MODEL_VERSION,
-                "report": report,
-            }
-            record["checksum"] = record_checksum(record)
-            cache.backend.put(digest, record)
-    finally:
-        if claim is not None:
-            claim.release()
-    return report
+        record = {
+            "kind": "trace-sampled",
+            "fingerprint": digest,
+            "model_version": TIMING_MODEL_VERSION,
+            "report": report,
+        }
+        record["checksum"] = record_checksum(record)
+        return report, record
+
+    def decode(record: dict) -> dict | None:
+        if (
+            record.get("kind") == "trace-sampled"
+            and record.get("fingerprint") == digest
+            and record.get("checksum") == record_checksum(record)
+        ):
+            return record["report"]
+        return None  # corrupt/foreign record: recompute
+
+    if cache is None:
+        return simulate()[0]
+    return cache.backend.get_or_compute(digest, simulate, decode)

@@ -13,14 +13,23 @@ import multiprocessing
 import threading
 import time
 
+import pytest
+
+from repro.analysis import runner as runner_mod
 from repro.analysis.cache import ResultCache, record_checksum
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.store import (
     QUARANTINE_DIR,
     DirectoryStore,
     MemoryStore,
+    StoreClaim,
 )
 from repro.pipeline.config import FOUR_WIDE
+from repro.serve.executor import JobExecutor
+from repro.serve.protocol import parse_spec
+from repro.trace import run as trace_run
+from repro.trace.capture import capture_kernel
+from repro.trace.feed import TraceFeed
 
 INSTS = 300
 WARMUP = 150
@@ -180,35 +189,170 @@ class TestClaims:
         assert store.wait(FP, timeout=0.05) is None
 
 
-def _run_one(directory, queue):
-    runner = ExperimentRunner(
-        insts=INSTS,
-        warmup=WARMUP,
-        benchmarks=("gzip",),
-        cache=ResultCache(directory),
-    )
+class TestClaimProtocol:
+    def test_lookup_or_claim_outcomes(self, tmp_path):
+        store = DirectoryStore(tmp_path)
+        value, claim = store.lookup_or_claim(FP, lambda record: record)
+        assert value is None and claim is not None
+        assert store.lookup_or_claim(FP, lambda record: record) == (None, None)
+        store.put(FP, _record(FP))
+        claim.release()
+        value, claim = store.lookup_or_claim(FP, lambda record: record["payload"])
+        assert (value, claim) == (1, None)
+
+    def test_undecodable_record_is_a_miss(self, tmp_path):
+        store = DirectoryStore(tmp_path)
+        store.put(FP, _record(FP))
+        value, claim = store.lookup_or_claim(FP, lambda record: None)
+        assert value is None and claim is not None
+        claim.release()
+
+    def test_get_or_compute_publishes_before_releasing(self, tmp_path):
+        store = DirectoryStore(tmp_path)
+        claim_file = tmp_path / FP[:2] / f"{FP}.claim"
+
+        def compute():
+            assert claim_file.is_file()  # computed under the claim
+            return "fresh", _record(FP, payload=7)
+
+        assert store.get_or_compute(FP, compute, lambda record: record["payload"]) == "fresh"
+        assert store.get(FP)["payload"] == 7
+        assert not claim_file.exists()
+        assert store.get_or_compute(FP, compute, lambda record: record["payload"]) == 7
+
+    def test_waiter_takes_over_a_claim_released_without_publishing(self, tmp_path):
+        """A holder whose computation failed releases its claim; a waiter
+        notices within a fraction of the stale horizon and computes."""
+        store = DirectoryStore(tmp_path, claim_stale_s=1.0)
+        holder = store.claim(FP)
+        threading.Timer(0.2, holder.release).start()
+        started = time.monotonic()
+        value = store.get_or_compute(
+            FP, lambda: ("mine", _record(FP)), lambda record: record["payload"]
+        )
+        assert value == "mine"
+        assert time.monotonic() - started < 1.0
+
+
+class _PublishOnClaim(MemoryStore):
+    """A leader that published and released between a caller's miss and
+    its claim: ``claim()`` publishes the pending record, then grants."""
+
+    def __init__(self, records: dict):
+        super().__init__()
+        self._pending = dict(records)
+
+    def claim(self, fingerprint):
+        if fingerprint in self._pending:
+            self.put(fingerprint, self._pending.pop(fingerprint))
+        return StoreClaim(None)
+
+
+def _forbid(*args, **kwargs):
+    raise AssertionError("simulated a fingerprint that was published before its claim")
+
+
+class TestClaimWindow:
+    """Winning the claim is not proof of a miss: re-read before computing."""
+
+    @pytest.mark.parametrize("entry", ["result", "prefetch"])
+    def test_runner_never_simulates_a_record_published_before_its_claim(
+        self, entry, monkeypatch
+    ):
+        leader = MemoryStore()
+        expected = ExperimentRunner(
+            insts=INSTS, warmup=WARMUP, cache=ResultCache(store=leader)
+        ).result("gzip", FOUR_WIDE)
+        runner = ExperimentRunner(
+            insts=INSTS, warmup=WARMUP, cache=ResultCache(store=_PublishOnClaim(leader._records))
+        )
+        monkeypatch.setattr(runner_mod, "run_jobs", _forbid)
+        if entry == "prefetch":
+            assert runner.prefetch([("gzip", FOUR_WIDE, runner.seed, False)]) == 0
+        served = runner.result("gzip", FOUR_WIDE)
+        assert runner.metrics.get("runner.simulated") is None
+        assert (served.total_cycles, served.total_committed) == (
+            expected.total_cycles,
+            expected.total_committed,
+        )
+
+    def test_run_full_never_simulates_a_record_published_before_its_claim(
+        self, tmp_path, monkeypatch
+    ):
+        source = tmp_path / "t.hpt"
+        capture_kernel("vector_sum", source, n=400)
+        leader = MemoryStore()
+        expected = trace_run.run_full(
+            TraceFeed(source), FOUR_WIDE, cache=ResultCache(store=leader)
+        )
+        cache = ResultCache(store=_PublishOnClaim(leader._records))
+        monkeypatch.setattr(trace_run, "make_processor", _forbid)
+        served = trace_run.run_full(TraceFeed(source), FOUR_WIDE, cache=cache)
+        assert served.total_cycles == expected.total_cycles
+
+
+#: entry points that turn a cold miss into a published result
+ENTRY_POINTS = ["result", "prefetch", "execute_batch", "run_full"]
+
+
+def _run_one(entry, directory, trace, barrier, queue):
+    cache = ResultCache(directory)
+    runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, benchmarks=("gzip",), cache=cache)
+    if entry == "execute_batch":
+        executor = JobExecutor(cache=cache, jobs=1)
+        spec = parse_spec({"benchmark": "gzip", "insts": INSTS, "warmup": WARMUP})
+        barrier.wait(timeout=60)
+        [document] = executor.execute_batch([spec])
+        queue.put(
+            {"simulated": executor.simulated(), "signature": json.dumps(document, sort_keys=True)}
+        )
+        return
+    if entry == "run_full":
+        simulated = []
+        build = trace_run.make_processor
+
+        def counting_build(*args, **kwargs):
+            simulated.append(1)
+            return build(*args, **kwargs)
+
+        trace_run.make_processor = counting_build
+        feed = TraceFeed(trace)
+        barrier.wait(timeout=60)
+        result = trace_run.run_full(feed, FOUR_WIDE, cache=cache)
+        queue.put({"simulated": len(simulated), "signature": result.total_cycles})
+        return
+    barrier.wait(timeout=60)
+    if entry == "prefetch":
+        runner.prefetch([("gzip", FOUR_WIDE, runner.seed, False)], workers=1)
     result = runner.result("gzip", FOUR_WIDE)
-    simulated = runner.metrics.get("runner.simulated")
+    counter = runner.metrics.get("runner.simulated")
     queue.put(
         {
-            "simulated": simulated.value if simulated is not None else 0,
-            "cycles": result.total_cycles,
-            "committed": result.total_committed,
+            "simulated": counter.value if counter is not None else 0,
+            "signature": (result.total_cycles, result.total_committed),
         }
     )
 
 
 class TestCrossProcessSingleflight:
-    def test_two_runner_processes_share_one_simulation(self, tmp_path):
-        """Two ExperimentRunner *processes* on one store: one simulation.
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_two_runner_processes_share_one_simulation(self, entry, tmp_path):
+        """Two processes on one store, cold misses overlapping: one simulation.
 
-        The store claim makes one process the computing leader; the other
-        waits for the published blob instead of duplicating the work.
+        Whichever entry point turns the miss into a published result, the
+        store claim makes one process the computing leader; the other
+        waits for — or finds — the published blob instead of duplicating
+        the work.
         """
+        trace = tmp_path / "t.hpt"
+        capture_kernel("vector_sum", trace, n=2_000)
         context = multiprocessing.get_context()
+        barrier = context.Barrier(2)
         queue = context.Queue()
         processes = [
-            context.Process(target=_run_one, args=(tmp_path / "store", queue))
+            context.Process(
+                target=_run_one, args=(entry, tmp_path / "store", trace, barrier, queue)
+            )
             for _ in range(2)
         ]
         for process in processes:
@@ -218,5 +362,5 @@ class TestCrossProcessSingleflight:
             process.join(timeout=60)
             assert process.exitcode == 0
         assert sum(outcome["simulated"] for outcome in outcomes) == 1
-        signatures = {(o["cycles"], o["committed"]) for o in outcomes}
+        signatures = {json.dumps(outcome["signature"]) for outcome in outcomes}
         assert len(signatures) == 1  # the waiter got the leader's result

@@ -1,11 +1,13 @@
 """The shipped corpus, and content-hash (never path) cache identity."""
 
+import json
 import shutil
 
 import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.pipeline.config import FOUR_WIDE
+from repro.trace import run as trace_run
 from repro.trace.capture import capture_kernel
 from repro.trace.corpus import (
     CORPUS,
@@ -18,7 +20,10 @@ from repro.trace.corpus import (
 )
 from repro.trace.feed import TraceFeed
 from repro.trace.format import TraceFormatError, read_header
-from repro.trace.run import run_full, sampled_fingerprint, trace_fingerprint
+from repro.trace.run import run_full, run_sampled, sampled_fingerprint, trace_fingerprint
+
+#: a small sampling plan: a 4k-instruction trace in 1k windows
+SAMPLING = {"interval": 1_000, "k": 2, "warmup": 200}
 
 
 class TestShippedCorpus:
@@ -102,6 +107,9 @@ class TestCachedRuns:
         assert cache.hits == hits_before + 1
         assert second.stats.cycles == first.stats.cycles
         assert second.ipc == first.ipc
+        # Published under the fingerprint the serving tier computes for
+        # the same wire spec.
+        assert cache.backend.get(trace_fingerprint(feed.content_hash, FOUR_WIDE)) is not None
 
     def test_cache_is_shared_across_paths(self, tmp_path):
         source = tmp_path / "t.hpt"
@@ -113,6 +121,38 @@ class TestCachedRuns:
         hits_before = cache.hits
         run_full(TraceFeed(copy), FOUR_WIDE, cache=cache)
         assert cache.hits == hits_before + 1
+
+    def test_run_sampled_second_call_is_served_from_the_store(self, tmp_path, monkeypatch):
+        source = tmp_path / "t.hpt"
+        capture_kernel("vector_sum", source, n=1_000)
+        feed = TraceFeed(source)
+        cache = ResultCache(tmp_path / "cache")
+        first = run_sampled(feed, FOUR_WIDE, cache=cache, **SAMPLING)
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a stored sampled report was simulated again")
+
+        monkeypatch.setattr(trace_run, "simulate_sampled", explode)
+        second = run_sampled(TraceFeed(source), FOUR_WIDE, cache=cache, **SAMPLING)
+        assert json.dumps(second, sort_keys=True) == json.dumps(first, sort_keys=True)
+
+    def test_tampered_sampled_blob_is_quarantined_and_recomputed(self, tmp_path):
+        source = tmp_path / "t.hpt"
+        capture_kernel("vector_sum", source, n=1_000)
+        feed = TraceFeed(source)
+        cache = ResultCache(tmp_path / "cache")
+        first = run_sampled(feed, FOUR_WIDE, cache=cache, **SAMPLING)
+        digest = sampled_fingerprint(feed.content_hash, FOUR_WIDE, **SAMPLING)
+        blob = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+        record = json.loads(blob.read_text())
+        record["report"]["weighted_ipc"] = 99.0  # tamper without re-stamping
+        blob.write_text(json.dumps(record))
+
+        again = run_sampled(feed, FOUR_WIDE, cache=cache, **SAMPLING)
+        assert cache.backend.quarantined == 1
+        assert json.dumps(again, sort_keys=True) == json.dumps(first, sort_keys=True)
+        # The recompute republished a verifiable blob in the slot.
+        assert cache.backend.get(digest)["report"] == first
 
     def test_load_corpus_feed_limit(self):
         feed = load_corpus_feed("vector_sum_80k", limit=500)
