@@ -16,15 +16,18 @@ SIGKILLs one worker mid-run, and asserts the cluster's core guarantees:
   same inputs;
 * no leaked claims — after the drain, every store claim file left
   behind names the SIGKILLed worker's pid (a leaked claim would stall
-  its fingerprint for ``REPRO_CLAIM_STALE_S``).
+  its fingerprint for ``REPRO_CLAIM_STALE_S``);
+* no orphans — the warm pool workers the SIGKILLed worker had forked
+  exit with it instead of living on under init (Linux ``/proc`` only).
 
-A metrics snapshot (router queue depth, latency quantiles, steal and
+A metrics snapshot (router queue depth, latency quantiles, dispatch and
 re-dispatch counters, per-worker state) is written to
 ``cluster-smoke-artifacts/`` for CI to upload.
 
 Run from the repository root:  PYTHONPATH=src python scripts/cluster_smoke.py
 """
 
+import contextlib
 import json
 import os
 import random
@@ -75,6 +78,29 @@ def boot(args: list[str], announce_re: str, env: dict) -> tuple[subprocess.Popen
     return process, match.group(1)
 
 
+def stat_fields(pid) -> list[str]:
+    """``/proc/<pid>/stat`` after the command name (state, ppid, ...);
+    empty once the process is gone, or where there is no ``/proc``."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return []
+
+
+def is_live(pid) -> bool:
+    """Running or sleeping: an exited zombie nobody reaped is not live."""
+    fields = stat_fields(pid)
+    return bool(fields) and fields[0] != "Z"
+
+
+def live_children(pid: int) -> list[int]:
+    return [
+        int(entry.name)
+        for entry in Path("/proc").glob("[0-9]*")
+        if stat_fields(entry.name)[1:2] == [str(pid)] and is_live(entry.name)
+    ]
+
+
 def main() -> None:
     scratch = Path(tempfile.mkdtemp(prefix="cluster-smoke-"))
     store = scratch / "store"
@@ -83,6 +109,9 @@ def main() -> None:
     # Shrink the claim-stale horizon so the SIGKILLed worker's abandoned
     # store claims are taken over in seconds, not minutes.
     env["REPRO_CLAIM_STALE_S"] = "5"
+    # Workers fan batched misses out over a 2-process warm pool on any
+    # host, so the SIGKILLed worker has pool children to orphan.
+    env["REPRO_JOBS"] = "2"
 
     workers = []
     for index in range(WORKERS):
@@ -116,6 +145,7 @@ def main() -> None:
 
     receipts = []
     killed = False
+    orphans_to_check: list[int] = []
     started = time.monotonic()
     for offset in range(0, len(sweep), BATCH):
         receipts.extend(client.submit(sweep[offset:offset + BATCH]))
@@ -123,12 +153,27 @@ def main() -> None:
             # Mid-run, with work in flight: hard-kill one worker.  Its
             # jobs must re-dispatch to the survivors with no losses.
             victim, victim_url = workers[0]
+            orphans_to_check = live_children(victim.pid)
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=30)
             killed = True
-            print(f"SIGKILLed worker w0 ({victim_url}) mid-run")
+            print(
+                f"SIGKILLed worker w0 ({victim_url}) mid-run, "
+                f"with {len(orphans_to_check)} pool children"
+            )
     if len(receipts) != JOBS:
         fail(f"expected {JOBS} receipts, got {len(receipts)}")
+
+    # No orphans: the dead worker's pool children see EOF and exit.
+    deadline = time.monotonic() + 10
+    while any(map(is_live, orphans_to_check)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in orphans_to_check if is_live(pid)]
+    for pid in orphans:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    if orphans:
+        fail(f"the SIGKILLed worker left live pool children {orphans}")
 
     statuses = {}
     for receipt in receipts:
@@ -203,12 +248,11 @@ def main() -> None:
         "router: "
         f"dispatches={counters.get('router.dispatches', 0)} "
         f"redispatches={counters.get('router.redispatches', 0)} "
-        f"steals={counters.get('router.steals', 0)} "
         f"evictions={counters.get('router.worker_evictions', 0)} "
         f"coalesce_hits={counters.get('router.coalesce_hits', 0)}"
     )
     if counters.get("router.worker_evictions", 0) < 1:
-        fail("the SIGKILLed worker was never evicted from the ring")
+        fail("the router never marked the SIGKILLed worker unhealthy in its roster")
     # Each submitted batch holds at most len(unique) distinct fingerprints,
     # so at least BATCH - len(unique) jobs per batch must coalesce (more
     # coalesce when a primary from an earlier batch is still pending).

@@ -15,34 +15,24 @@ keeps the workers *alive* instead:
   trace feeds by content hash, so repeat dispatches ship small tuples —
   the full config travels only to a worker that has not seen it yet.
 * **Adaptive chunking.** Jobs are packed into chunks sized from the
-  measured per-job cost (EWMA, targeting ``REPRO_POOL_CHUNK_MS`` of work
+  measured per-job cost (EWMA, targeting :data:`CHUNK_MS` of work
   per chunk) so one IPC round-trip amortizes over many short
   simulations while long jobs still spread across workers.
 * **Same answers.** Results return in submission order, outputs are
   byte-identical to inline execution (each job runs the exact
   :func:`~repro.analysis.parallel.execute_job` path), and a job that
   raises re-raises the same exception in the caller.
-* **Lifecycle.** Lazy start, idle reap after ``REPRO_POOL_IDLE_S`` of
-  disuse, crash-replace-and-retry when a worker dies mid-chunk (bounded
-  by ``REPRO_POOL_RETRIES``), and an ``atexit`` shutdown hook.
+* **Lifecycle.** Lazy start, idle reap after :data:`IDLE_S` of disuse,
+  crash-replace-and-retry when a worker dies mid-chunk (bounded by
+  :data:`RETRIES`), and an ``atexit`` shutdown hook.  A worker exits
+  when its parent dies: it holds no copy of any parent-side pipe end,
+  so its ``recv`` sees EOF.
 
-Environment knobs (all optional):
-
-``REPRO_POOL_WORKERS``
-    Pool size; defaults to :func:`~repro.analysis.parallel.default_jobs`
-    (``REPRO_JOBS`` else CPU count).
-``REPRO_POOL_CHUNK_MS``
-    Target per-chunk work in milliseconds for adaptive chunking
-    (default ``40``).
-``REPRO_POOL_IDLE_S``
-    Reap warm workers after this many seconds without a dispatch
-    (default ``120``; ``0`` disables reaping).
-``REPRO_POOL_RETRIES``
-    How many times a chunk is requeued after a worker crash before its
-    jobs fail with :class:`WorkerCrashError` (default ``2``).
-``REPRO_POOL_BATCH``
-    Consumed by the serving layer: the maximum number of queued jobs a
-    server worker drains into one batched execution (default ``8``).
+The pool size defaults to :func:`~repro.analysis.parallel.default_jobs`
+(``REPRO_JOBS``, else the CPU count); the constructor arguments override
+every default.  ``REPRO_POOL_BATCH``, read by the serving layer, caps how
+many queued jobs a server worker drains into one batched execution
+(default ``8``).
 
 The pool publishes its own :class:`~repro.obs.registry.MetricsRegistry`
 (``pool.*`` names) which the serve ``/metrics`` endpoint and the
@@ -61,7 +51,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection, get_all_start_methods, get_context
 from typing import Sequence
 
-from repro.analysis.parallel import Job, default_jobs, env_int
+from repro.analysis.parallel import Job, default_jobs
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import MachineConfig
 
@@ -69,6 +59,14 @@ from repro.pipeline.config import MachineConfig
 _OP_CHUNK = "chunk"
 _OP_DONE = "done"
 _OP_EXIT = "exit"
+
+#: Target work per chunk, in milliseconds, for adaptive chunking.
+CHUNK_MS = 40
+#: Reap warm workers after this many seconds without a dispatch (0: never).
+IDLE_S = 120
+#: Requeues of a chunk after worker crashes before its jobs fail with
+#: :class:`WorkerCrashError`.
+RETRIES = 2
 
 
 class WorkerCrashError(RuntimeError):
@@ -161,13 +159,18 @@ def _execute_task(task: tuple, configs: dict, feeds: dict, stats: dict):
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, inherited: list) -> None:
     """Long-lived worker loop: receive chunks, run jobs, send outcomes.
 
     Warm state lives here: ``configs`` maps pool-assigned ids to
     :class:`MachineConfig` values (shipped once per worker), ``feeds``
-    memoizes decoded trace feeds by content hash.
+    memoizes decoded trace feeds by content hash.  *inherited* are the
+    parent-side pipe ends a forked worker holds copies of; closing them
+    leaves the parent as the only holder, so ``recv`` sees EOF when the
+    parent dies and the worker exits instead of outliving it.
     """
+    for parent_end in inherited:
+        parent_end.close()
     configs: dict[int, MachineConfig] = {}
     feeds: dict[str, object] = {}
     while True:
@@ -237,18 +240,10 @@ class WorkerPool:
         idle_s: float | None = None,
         retries: int | None = None,
     ):
-        self.size = max(
-            1, workers or env_int("REPRO_POOL_WORKERS", 0) or default_jobs()
-        )
-        self.chunk_ms = (
-            chunk_ms if chunk_ms is not None else env_int("REPRO_POOL_CHUNK_MS", 40)
-        )
-        self.idle_s = (
-            idle_s if idle_s is not None else env_int("REPRO_POOL_IDLE_S", 120)
-        )
-        self.retries = (
-            retries if retries is not None else env_int("REPRO_POOL_RETRIES", 2)
-        )
+        self.size = max(1, workers or default_jobs())
+        self.chunk_ms = chunk_ms if chunk_ms is not None else CHUNK_MS
+        self.idle_s = idle_s if idle_s is not None else IDLE_S
+        self.retries = retries if retries is not None else RETRIES
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         # fork (where available) hands workers the parent's already-warm
@@ -282,8 +277,13 @@ class WorkerPool:
 
     def _spawn_worker(self) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
+        # A forked child inherits the parent end of its own pipe and of
+        # every earlier worker's; a spawned child inherits none.
+        inherited = []
+        if self._context.get_start_method() == "fork":
+            inherited = [parent_conn, *(worker.conn for worker in self._workers)]
         process = self._context.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, inherited), daemon=True
         )
         process.start()
         child_conn.close()

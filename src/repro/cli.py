@@ -624,12 +624,11 @@ def _cmd_serve_router(args) -> int:
         workers=args.worker_url,
         spool=args.spool,
         queue_size=args.queue_size,
-        steal_watermark=args.steal_watermark,
     )
 
     def announce(started: RouterServer) -> None:
         print(f"routing on http://{started.host}:{started.port}", flush=True)
-        print(f"workers: {', '.join(started.ring.nodes())}", flush=True)
+        print(f"workers: {', '.join(sorted(started.workers))}", flush=True)
         if started.recovered:
             print(f"recovered {started.recovered} pending job(s) from {args.spool}", flush=True)
 
@@ -1023,8 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--router", action="store_true",
-        help="run as the cluster router: shard jobs onto --worker-url workers "
-        "by cache fingerprint (docs/SERVING.md, Cluster mode)",
+        help="run as the cluster router: place each job on the --worker-url "
+        "worker with the fewest of its jobs in flight (docs/SERVING.md, "
+        "Cluster mode)",
     )
     serve_parser.add_argument(
         "--worker", action="store_true",
@@ -1042,11 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="shared result-store directory (all cluster workers must agree)",
-    )
-    serve_parser.add_argument(
-        "--steal-watermark", type=int, default=8, metavar="N",
-        help="router mode: queue depth above which a hot worker's jobs are "
-        "stolen by the least-loaded worker (default 8)",
     )
 
     submit_parser = subparsers.add_parser(

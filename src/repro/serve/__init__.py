@@ -19,9 +19,9 @@ inference-style service (docs/SERVING.md):
   graceful SIGTERM drain;
 * :mod:`repro.serve.server` — local dispatch (``repro serve``): a bounded
   priority queue drained in batches by worker tasks over the warm pool;
-* :mod:`repro.serve.router` — ring dispatch (``repro serve --router``):
-  fingerprint-sharded placement onto serve workers, health eviction,
-  stealing and batched dispatch POSTs;
+* :mod:`repro.serve.router` — cluster dispatch (``repro serve --router``):
+  least-in-flight placement onto serve workers, health eviction and
+  batched dispatch POSTs;
 * :mod:`repro.serve.client` — the client SDK: jittered-exponential
   retries, Retry-After compliance, idempotent resubmission, long-poll
   waiting.

@@ -1,4 +1,4 @@
-"""Ring dispatch: the cluster router that shards jobs onto serve workers.
+"""Cluster dispatch: the router that places jobs onto serve workers.
 
 :class:`RouterServer` is the :class:`~repro.serve.frontend.JobFrontEnd`
 behind ``repro serve --router``: the single front door of a serve
@@ -9,27 +9,24 @@ worker processes (plain ``repro serve --worker`` servers) and watched to
 completion.  Its queue depth counts primaries accepted but not yet
 settled.  The design invariants (docs/SERVING.md, "Cluster mode"):
 
-* **Fingerprint sharding.**  Jobs are placed by consistent-hashing their
-  cache fingerprint onto the worker ring (:mod:`repro.serve.ring`), so
-  every submission of one fingerprint lands on the same worker and that
-  worker's in-process singleflight coalesces them.  Cluster-wide
-  coalescing therefore needs no cross-worker locking at all.
+* **Least-in-flight placement.**  Each job goes to the routable worker
+  with the fewest of this router's jobs dispatched and not yet finished
+  watching (ties broken by URL).  The router counts that itself, so
+  placement never waits on a health probe.  Duplicates need no worker
+  affinity: the front end coalesces in-flight duplicates, and workers
+  share one content-addressed result store (:mod:`repro.analysis.store`)
+  whose claims make a second worker wait for — or find — the first
+  worker's published blob.
 * **Router-pinned ids.**  Dispatches carry the router's job id in the
   batch envelope (``"ids"``, protocol v2), so a job keeps one identity
   on the router, the worker, and the wire.  A worker that already holds
   the id for a different spec answers 409 and the job fails loudly.
-* **Job stealing.**  When a fingerprint's home worker is hotter than the
-  steal watermark (queue depth from its ``/healthz``), the job routes to
-  the least-loaded worker instead.  Stolen or re-dispatched jobs cannot
-  duplicate completed work: workers share one content-addressed result
-  store (:mod:`repro.analysis.store`), whose claims make the second
-  worker wait for — or find — the first worker's published blob.
 * **Worker lifecycle.**  A health monitor polls every worker's
-  ``/healthz``; K consecutive failures evict it from the ring and its
+  ``/healthz``; K consecutive failures mark it unhealthy and its
   in-flight jobs re-dispatch to surviving workers.  A worker draining on
-  SIGTERM advertises ``draining`` and is removed from routing while its
-  in-flight jobs finish — a graceful ring resize.  Workers can also be
-  added at runtime via ``POST /v1/workers/register``.
+  SIGTERM advertises ``draining`` and gets no new jobs while its
+  in-flight jobs finish.  Workers can also be added at runtime via
+  ``POST /v1/workers/register``.
 """
 
 from __future__ import annotations
@@ -47,11 +44,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.frontend import BackgroundFrontEnd, JobFrontEnd, read_headers
 from repro.serve.jobs import Job
 from repro.serve.protocol import QUEUED, ProtocolError
-from repro.serve.ring import HashRing
 
 #: Router defaults (all overridable per instance).
 DEFAULT_QUEUE_SIZE = 1024
-DEFAULT_STEAL_WATERMARK = 8
 DEFAULT_HEALTH_INTERVAL_S = 1.0
 DEFAULT_HEALTH_FAILURES = 3
 #: Long-poll slice a watcher asks its worker for per round trip.
@@ -110,10 +105,13 @@ class WorkerHandle:
 
     url: str
     name: str | None = None
+    #: last ``/healthz`` report; shown on the roster, not read by placement
     queue_depth: int = 0
     draining: bool = False
     healthy: bool = True
     consecutive_failures: int = 0
+    #: this router's jobs dispatched here and not yet finished watching
+    in_flight: int = 0
     registered_at: float = field(default_factory=time.time)
 
     @property
@@ -132,7 +130,7 @@ class WorkerHandle:
 
 
 class RouterServer(JobFrontEnd):
-    """The shared front end over a consistent-hash ring of serve workers."""
+    """The shared front end over a roster of serve workers."""
 
     role = "router"
 
@@ -144,17 +142,14 @@ class RouterServer(JobFrontEnd):
         spool: Path | str | None = None,
         registry: MetricsRegistry | None = None,
         queue_size: int = DEFAULT_QUEUE_SIZE,
-        steal_watermark: int = DEFAULT_STEAL_WATERMARK,
         health_interval_s: float = DEFAULT_HEALTH_INTERVAL_S,
         health_failures: int = DEFAULT_HEALTH_FAILURES,
         watch_poll_s: float = WATCH_POLL_S,
     ):
         super().__init__(host, port, queue_size, spool, registry)
-        self.steal_watermark = steal_watermark
         self.health_interval_s = health_interval_s
         self.health_failures = health_failures
         self.watch_poll_s = watch_poll_s
-        self.ring = HashRing()
         self.workers: dict[str, WorkerHandle] = {}
         for url in workers:
             self._add_worker(url)
@@ -173,39 +168,17 @@ class RouterServer(JobFrontEnd):
         if handle is None:
             handle = WorkerHandle(url=url, name=name)
             self.workers[url] = handle
-            self.ring.add(url)
         elif name is not None:
             handle.name = name
         return handle
 
-    def _evict_worker(self, handle: WorkerHandle) -> None:
-        if self.ring.remove(handle.url):
-            handle.healthy = False
-            self.registry.counter("router.worker_evictions").inc()
-
     def _routable(self) -> list[WorkerHandle]:
-        return [w for w in self.workers.values() if w.routable and w.url in self.ring]
+        return [w for w in self.workers.values() if w.routable]
 
-    def _choose_worker(self, fingerprint: str) -> tuple[WorkerHandle | None, bool]:
-        """Pick the worker for *fingerprint*: ``(worker, stolen)``.
-
-        The home worker (ring placement) wins unless it is gone, not
-        routable, or hotter than the steal watermark — then the job is
-        stolen by the least-loaded routable worker.
-        """
-        candidates = self._routable()
-        if not candidates:
-            return None, False
-        home = self.workers.get(self.ring.node(fingerprint) or "")
-        if (
-            home is not None
-            and home.routable
-            and home.queue_depth < self.steal_watermark
-        ):
-            return home, False
-        best = min(candidates, key=lambda w: (w.queue_depth, w.url))
-        stolen = home is not None and home.routable and best.url != home.url
-        return best, stolen
+    def _choose_worker(self) -> WorkerHandle | None:
+        """The routable worker with the fewest of this router's jobs in
+        flight (ties broken by URL), or None when none is routable."""
+        return min(self._routable(), key=lambda w: (w.in_flight, w.url), default=None)
 
     def _roster(self) -> list[dict]:
         return [w.public() for w in sorted(self.workers.values(), key=lambda w: w.url)]
@@ -233,7 +206,7 @@ class RouterServer(JobFrontEnd):
         return {"role": self.role, "workers": len(self._routable())}
 
     def _role_metrics(self) -> tuple[dict, dict]:
-        return {"steal_watermark": self.steal_watermark, "workers": self._roster()}, {}
+        return {"workers": self._roster()}, {}
 
     def _role_route(self, method: str, path: str, body: bytes) -> dict | None:
         if path == "/v1/workers" and method == "GET":
@@ -268,8 +241,9 @@ class RouterServer(JobFrontEnd):
             status, document = 0, {}
         if status != 200:
             worker.consecutive_failures += 1
-            if worker.consecutive_failures >= self.health_failures and worker.url in self.ring:
-                self._evict_worker(worker)
+            if worker.consecutive_failures >= self.health_failures and worker.healthy:
+                worker.healthy = False
+                self.registry.counter("router.worker_evictions").inc()
             return
         worker.consecutive_failures = 0
         worker.draining = bool(document.get("draining"))
@@ -280,9 +254,7 @@ class RouterServer(JobFrontEnd):
         if isinstance(name, str) and name:
             worker.name = name
         if not worker.healthy and not worker.draining:
-            # Recovered: rejoin the ring (its old keys flow back home).
-            worker.healthy = True
-            self.ring.add(worker.url)
+            worker.healthy = True  # recovered: routable again
             self.registry.counter("router.worker_rejoins").inc()
 
     # ------------------------------------------------------------------
@@ -353,8 +325,8 @@ class RouterServer(JobFrontEnd):
     async def _dispatch_and_watch(self, job: Job) -> None:
         """Place one primary on a worker and follow it to a terminal state.
 
-        Every transport failure re-enters the placement loop: the ring may
-        have changed (dead worker evicted, drain observed), and the shared
+        Every failed attempt re-enters placement: the roster may have
+        changed (dead worker evicted, drain observed), and the shared
         result store guarantees a re-dispatched job never duplicates work
         that already published.
         """
@@ -362,39 +334,48 @@ class RouterServer(JobFrontEnd):
         while not job.terminal:
             if self._draining:
                 return  # job stays pending; the journal re-dispatches it
-            worker, stolen = self._choose_worker(job.fingerprint)
+            worker = self._choose_worker()
             if worker is None:
                 starve_rounds += 1
                 self.registry.counter("router.no_workers_waits").inc()
                 await asyncio.sleep(min(2.0, 0.1 * starve_rounds))
                 continue
             starve_rounds = 0
-            if stolen:
-                self.registry.counter("router.steals").inc()
+            worker.in_flight += 1
             try:
-                status, document = await self._send_dispatch(worker, job)
-            except (OSError, asyncio.TimeoutError, ValueError, ConnectionError):
-                worker.consecutive_failures += 1
-                self.registry.counter("router.dispatch_errors").inc()
-                await asyncio.sleep(0.1)
-                continue
-            if status in (429, 503):
-                # Worker backpressure: let its queue depth refresh, then
-                # re-place (likely stealing to a colder worker).
-                worker.queue_depth = max(worker.queue_depth, self.steal_watermark)
-                await asyncio.sleep(0.2)
-                continue
-            if status >= 400:
-                self._settle(
-                    job, None, f"worker {worker.url} rejected dispatch: HTTP {status}: "
-                    f"{document.get('error', 'unknown')}"
-                )
+                backoff = await self._run_on(worker, job)
+            finally:
+                worker.in_flight -= 1
+            if backoff is None:
                 return
-            worker.queue_depth += 1  # optimistic; corrected by next probe
-            self.registry.counter("router.dispatches").inc()
-            if await self._watch(job, worker):
-                return
-            self.registry.counter("router.redispatches").inc()
+            await asyncio.sleep(backoff)
+
+    async def _run_on(self, worker: WorkerHandle, job: Job) -> float | None:
+        """Dispatch *job* to *worker* and watch it.
+
+        Returns None once the job needs no more placing (settled, or left
+        pending for the journal by a drain), else the seconds to wait
+        before placing it again.
+        """
+        try:
+            status, document = await self._send_dispatch(worker, job)
+        except (OSError, asyncio.TimeoutError, ValueError, ConnectionError):
+            worker.consecutive_failures += 1
+            self.registry.counter("router.dispatch_errors").inc()
+            return 0.1
+        if status in (429, 503):
+            return 0.2  # worker backpressure: place again after a pause
+        if status >= 400:
+            self._settle(
+                job, None, f"worker {worker.url} rejected dispatch: HTTP {status}: "
+                f"{document.get('error', 'unknown')}"
+            )
+            return None
+        self.registry.counter("router.dispatches").inc()
+        if await self._watch(job, worker):
+            return None
+        self.registry.counter("router.redispatches").inc()
+        return 0.0
 
     async def _watch(self, job: Job, worker: WorkerHandle) -> bool:
         """Long-poll *worker* until *job* settles; False to re-dispatch."""

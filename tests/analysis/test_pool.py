@@ -4,14 +4,19 @@ The guarantees under test: batched dispatch through the persistent pool
 returns results **in submission order**, **byte-identical** to inline
 execution, with **faithful exception propagation**; a SIGKILLed worker is
 replaced and its chunk retried; warm workers are reused (no respawn, no
-config re-ship); and fully-warm prefetches never touch the pool.
+config re-ship); fully-warm prefetches never touch the pool; and workers
+exit when the process that owns the pool dies.
 """
 
+import contextlib
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +186,56 @@ class TestCrashRecovery:
             instance.close()
 
 
+#: Owns a warm 2-worker pool, prints the worker pids, then waits to be killed.
+_POOL_OWNER = f"""
+import time
+from repro.analysis.parallel import Job
+from repro.analysis.pool import WorkerPool
+from repro.pipeline.config import FOUR_WIDE
+pool = WorkerPool(2, idle_s=0)
+pool.run([Job("gzip", FOUR_WIDE, seed, {INSTS}, {WARMUP}) for seed in range(2)])
+print(*pool.worker_pids(), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs; a zombie nobody has reaped yet counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestLifecycle:
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="reads process states from /proc"
+    )
+    def test_workers_exit_when_their_owner_is_sigkilled(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(pool_mod.__file__).parents[2]))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER], stdout=subprocess.PIPE, text=True, env=env
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.kill()
+            owner.wait()
+            deadline = time.monotonic() + 5
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in pids if _alive(pid)]
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+
     def test_lazy_start_and_idle_reap(self):
         instance = WorkerPool(2, idle_s=0.2)
         try:

@@ -1,4 +1,4 @@
-"""Cluster router tests: sharding, stealing, failover, registration.
+"""Cluster router tests: placement, failover, registration.
 
 Integration tests boot real BackgroundServer workers (each its own
 thread + event loop) that share one on-disk result store, with a
@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.cache import ResultCache
 from repro.serve.client import JobFailed, ServeClient
 from repro.serve.executor import JobExecutor
+from repro.serve.protocol import parse_spec
 from repro.serve.router import RouterServer, BackgroundRouter, WorkerHandle
 from repro.serve.server import BackgroundServer
 
@@ -29,58 +30,70 @@ class TestPlacement:
     def _router(self, urls, **kwargs) -> RouterServer:
         return RouterServer(workers=urls, **kwargs)
 
-    def test_home_worker_wins_when_cold(self):
+    def test_fewest_in_flight_wins_whatever_the_fingerprint(self):
         router = self._router(["http://a:1", "http://b:2"])
-        fingerprint = "f" * 64
-        home = router.ring.node(fingerprint)
-        worker, stolen = router._choose_worker(fingerprint)
-        assert worker is not None and worker.url == home
-        assert stolen is False
+        router.workers["http://a:1"].in_flight = 1
+        for index in range(64):
+            job, _coalesced = router.table.submit(parse_spec(tiny_run(seed=index)))
+            worker = router._choose_worker()
+            assert worker.url == "http://b:2", job.fingerprint
 
-    def test_hot_home_is_stolen_from(self):
-        router = self._router(["http://a:1", "http://b:2"], steal_watermark=4)
-        fingerprint = "f" * 64
-        home = router.ring.node(fingerprint)
-        other = next(url for url in router.workers if url != home)
-        router.workers[home].queue_depth = 10  # over the watermark
-        worker, stolen = router._choose_worker(fingerprint)
-        assert worker.url == other
-        assert stolen is True
+    def test_in_flight_count_released_after_transport_error_and_settle(self):
+        router = self._router(["http://a:1"])
+        worker = router.workers["http://a:1"]
+        job, _coalesced = router.table.submit(parse_spec(tiny_run()))
+        seen = []
+
+        async def send(target, _job):
+            seen.append(("send", target.in_flight))
+            if len(seen) == 1:
+                raise ConnectionError("worker went away")
+            return 202, {}
+
+        async def watch(watched, target):
+            seen.append(("watch", target.in_flight))
+            router._settle(watched, {"kind": "run"})
+            return True
+
+        router._send_dispatch = send
+        router._watch = watch
+        asyncio.run(router._dispatch_and_watch(job))
+        # The failed attempt released its count before the job was placed
+        # again, so each attempt saw exactly its own; settling released it.
+        assert seen == [("send", 1), ("send", 1), ("watch", 1)]
+        assert worker.in_flight == 0
+        assert job.status == "done"
 
     def test_draining_home_routes_away_without_counting_as_steal(self):
+        """A draining worker is never chosen, however idle it is."""
         router = self._router(["http://a:1", "http://b:2"])
-        fingerprint = "f" * 64
-        home = router.ring.node(fingerprint)
-        other = next(url for url in router.workers if url != home)
-        router.workers[home].draining = True
-        worker, stolen = router._choose_worker(fingerprint)
-        assert worker.url == other
-        assert stolen is False
+        router.workers["http://a:1"].draining = True
+        router.workers["http://b:2"].in_flight = 5
+        assert router._choose_worker().url == "http://b:2"
 
     def test_no_routable_workers(self):
         router = self._router(["http://a:1"])
         router.workers["http://a:1"].draining = True
-        worker, stolen = router._choose_worker("f" * 64)
-        assert worker is None and stolen is False
+        assert router._choose_worker() is None
 
     def test_everyone_hot_picks_least_loaded(self):
-        router = self._router(
-            ["http://a:1", "http://b:2", "http://c:3"], steal_watermark=1
-        )
-        for url, depth in zip(sorted(router.workers), (9, 3, 7)):
-            router.workers[url].queue_depth = depth
-        worker, _stolen = router._choose_worker("f" * 64)
-        assert worker.queue_depth == 3
+        """The worker with the fewest of the router's jobs in flight wins."""
+        router = self._router(["http://a:1", "http://b:2", "http://c:3"])
+        for url, count in zip(sorted(router.workers), (9, 3, 7)):
+            router.workers[url].in_flight = count
+        assert router._choose_worker().url == "http://b:2"
 
     def test_probe_failures_evict_from_ring(self):
+        """Failed probes leave the worker in the roster, no longer routable."""
         # Point at a port nothing listens on: every probe fails.
         router = self._router(["http://127.0.0.1:9"], health_failures=2)
         worker = router.workers["http://127.0.0.1:9"]
-        assert worker.url in router.ring
+        assert worker.routable
         for _ in range(2):
             asyncio.run(router._probe(worker))
-        assert worker.url not in router.ring
+        assert not worker.routable
         assert worker.healthy is False
+        assert router._choose_worker() is None
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +194,7 @@ class TestClusterIntegration:
             assert receipt["registered"]["url"] == extra.base_url
             listing = client.request("GET", "/v1/workers")["workers"]
             assert extra.base_url in {w["url"] for w in listing}
-            assert extra.base_url in router.server.ring
+            assert router.server.workers[extra.base_url].routable
         finally:
             extra.stop(graceful=True)
 
@@ -341,8 +354,8 @@ class TestWorkerProtocolExtensions:
 
 class TestStealingLive:
     def test_watermark_zero_spreads_load(self, tmp_path):
-        """With the watermark at 0 every home is 'hot': placement must
-        still complete all jobs (stealing never strands work)."""
+        """Least-in-flight placement spreads distinct jobs over both
+        workers, and every job completes."""
         store = tmp_path / "store"
         executors = [JobExecutor(cache=ResultCache(store)) for _ in range(2)]
         workers = [
@@ -354,7 +367,6 @@ class TestStealingLive:
         router = BackgroundRouter(
             port=0,
             workers=[worker.base_url for worker in workers],
-            steal_watermark=0,
             health_interval_s=0.1,
             watch_poll_s=2.0,
         )
@@ -364,6 +376,8 @@ class TestStealingLive:
             specs = [tiny_run("gzip", seed=200 + index) for index in range(6)]
             documents = client.submit_and_wait(specs, timeout=90.0)
             assert all(document["status"] == "done" for document in documents)
+            assert len({document["fingerprint"] for document in documents}) == 6
+            assert all(executor.simulated() >= 1 for executor in executors)
             metrics = client.metrics()["metrics"]
             assert metrics.get("router.dispatches", 0) >= 6
         finally:
