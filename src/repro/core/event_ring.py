@@ -1,8 +1,10 @@
 """Per-cycle event calendar backed by a power-of-two ring of buckets.
 
 The processor schedules every future event (tag broadcasts, slow-bus
-wakeups, completions, replay kills) at an absolute cycle and drains exactly
-one cycle per simulated cycle.  A dict keyed by cycle works but pays a hash
+wakeups, completions, replay kills) at an absolute cycle and drains only
+the cycles it simulates.  Cycles it fast-forwards over are skipped only
+after :meth:`EventRing.next_due` has shown their buckets empty, so no
+event is ever left behind.  A dict keyed by cycle works but pays a hash
 lookup (plus ``setdefault`` list allocation) per event and per drain; since
 the scheduling horizon is bounded by the machine's worst-case latency, a
 ring of pre-allocated buckets indexed by ``cycle & mask`` is cheaper.
@@ -20,10 +22,11 @@ _EMPTY: list = []
 class EventRing:
     """Cycle-indexed event buckets for a monotonically advancing clock.
 
-    The caller must drain cycles in strictly increasing order and only
-    schedule events for cycles later than the one currently being drained
-    (both naturally true of the processor's event calendars: every delay
-    is at least one cycle).
+    The caller must drain cycles in strictly increasing order, skip a
+    cycle only when :meth:`next_due` says nothing is due before it, and
+    only schedule events for cycles later than the one currently being
+    drained (all naturally true of the processor's event calendars: every
+    delay is at least one cycle).
     """
 
     __slots__ = ("_mask", "_size", "_buckets", "_overflow")
@@ -60,5 +63,30 @@ class EventRing:
         self._buckets[index] = []
         return bucket
 
-    def __bool__(self) -> bool:  # pragma: no cover - debugging nicety
+    def due(self, cycle: int) -> bool:
+        """True if an event is scheduled for *cycle* (an O(1) probe)."""
+        return bool(self._buckets[cycle & self._mask]) or cycle in self._overflow
+
+    def next_due(self, now: int, limit: int) -> int:
+        """Earliest cycle after *now* with an event, or *limit* if sooner.
+
+        Every cycle up to *now* must already be drained.  An event in a
+        bucket was scheduled less than one ring size ahead of a drained
+        cycle, so only the buckets for ``now + 1 .. now + size - 1`` can
+        hold one, each for a single cycle; the overflow dict holds the
+        rest.  The scan stops at the first non-empty bucket, and at once
+        when ``now + 1`` is due.
+        """
+        buckets = self._buckets
+        mask = self._mask
+        for cycle in range(now + 1, min(limit, now + self._size)):
+            if buckets[cycle & mask]:
+                limit = cycle
+                break
+        if self._overflow:
+            limit = min(limit, min(self._overflow))
+        return limit
+
+    def __bool__(self) -> bool:
+        """True while any event is pending."""
         return bool(self._overflow) or any(self._buckets)

@@ -51,6 +51,15 @@ class Selector:
         self._disabled_now = self._disable_next
         self._disable_next = 0
 
+    def skip_cycles(self) -> None:
+        """The clock jumped over cycles that issued nothing.
+
+        A slot disabled by the last issuing cycle is re-enabled after one
+        idle cycle, so no slot is disabled when the clock lands.
+        """
+        self._disabled_now = 0
+        self._disable_next = 0
+
     @property
     def available_slots(self) -> int:
         return self.width - self._disabled_now

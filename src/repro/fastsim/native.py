@@ -23,13 +23,16 @@ SimStats wakeup-order tracker — through five cold-path callbacks:
     and reset the measurement window.
 ``ingest()``
     Pull the next chunk of a generator feed; returns ``None`` when
-    drained, else a 12-tuple of int64 columns.
+    drained, else a 12-tuple of int64 columns.  A chunk holds what the
+    run can still use (the instruction budget not yet pulled plus the
+    in-flight window), at least one fetch group and at most ``_CHUNK``
+    ops, so a short run builds few ops it never fetches.
 
 The bimodal predictor *table* is read in place by the C loop (via the
 list object), so ``pair`` updates are visible to later dispatches exactly
 as in the reference.  Everything on the hot path stays in C; the
 callbacks fire only for control instructions, recorded wakeup pairs, the
-single warmup boundary and per-2048-op ingest chunks.
+single warmup boundary and the ingest chunks.
 """
 
 from __future__ import annotations
@@ -325,9 +328,19 @@ class NativeProcessor:
             self._apply_stats(s24)
             stats.reset_window()
 
+        # Size pulls to what the run can still fetch: its budget plus what
+        # is in flight when the last op commits (a full window and
+        # front_depth fetch groups).  Fetch can run further ahead while
+        # dispatch stalls, so a pull never drops below one fetch group.
+        # Fetch consumes ops in program order, so no pull size changes a
+        # result.
+        budget = max_insts + warmup
+        in_flight = config.ruu_size + config.width * config.front_depth
+
         def ingest_cb():
             base = len(ops_l)
-            chunk = list(islice(feed_iter, _CHUNK))
+            size = min(_CHUNK, max(budget + in_flight - base, config.width))
+            chunk = list(islice(feed_iter, size))
             if not chunk:
                 return None
             for i, op in enumerate(chunk):

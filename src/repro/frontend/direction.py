@@ -9,6 +9,10 @@ All predictors follow the same two-call protocol::
 The combined predictor (McFarling-style, as shipped in the Alpha 21264 and
 SimpleScalar) keeps both component predictions from the most recent
 ``predict`` internally so that ``update`` can train the selector.
+
+Every table holds its saturating counters as one byte each in a flat
+``bytearray``: a machine builds three 4096-entry tables, and one object
+per counter cost more to build than the rest of the machine.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ class SaturatingCounter:
     """An n-bit saturating up/down counter.
 
     The counter predicts "taken"/"strong" when in the upper half of its
-    range.  Used by direction predictors and by the last-arriving operand
-    predictor in ``repro.core.last_arrival``.
+    range.  A standalone model of one table entry: the predictor tables
+    below hold the same counters as bytes and apply the same rule.
     """
 
     __slots__ = ("value", "maximum")
@@ -57,6 +61,23 @@ def _check_power_of_two(entries: int, what: str) -> None:
         raise ConfigurationError(f"{what} table size must be a power of two")
 
 
+def _counter_table(entries: int, bits: int) -> bytearray:
+    """*entries* weakly-taken *bits*-bit counters, one byte each."""
+    if not 1 <= bits <= 8:
+        raise ConfigurationError("counters need 1 to 8 bits")
+    return bytearray([1 << (bits - 1)]) * entries
+
+
+def _train(table: bytearray, index: int, outcome: bool, maximum: int) -> None:
+    """Saturating increment (*outcome* true) or decrement of one counter."""
+    value = table[index]
+    if outcome:
+        if value < maximum:
+            table[index] = value + 1
+    elif value:
+        table[index] = value - 1
+
+
 class BimodalPredictor:
     """PC-indexed table of 2-bit saturating counters."""
 
@@ -64,16 +85,14 @@ class BimodalPredictor:
         _check_power_of_two(entries, "bimodal")
         self.entries = entries
         self._mask = entries - 1
-        self._table = [SaturatingCounter(bits) for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return pc & self._mask
+        self._max = (1 << bits) - 1
+        self._table = _counter_table(entries, bits)
 
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)].predict
+        return self._table[pc & self._mask] > self._max >> 1
 
     def update(self, pc: int, taken: bool) -> None:
-        self._table[self._index(pc)].train(taken)
+        _train(self._table, pc & self._mask, taken, self._max)
 
 
 class GSharePredictor:
@@ -85,17 +104,15 @@ class GSharePredictor:
         self._mask = entries - 1
         self._history_mask = (1 << history_bits) - 1
         self.history = 0
-        self._table = [SaturatingCounter(bits) for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self.history) & self._mask
+        self._max = (1 << bits) - 1
+        self._table = _counter_table(entries, bits)
 
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)].predict
+        return self._table[(pc ^ self.history) & self._mask] > self._max >> 1
 
     def update(self, pc: int, taken: bool) -> None:
         """Train the counter, then shift the outcome into the history."""
-        self._table[self._index(pc)].train(taken)
+        _train(self._table, (pc ^ self.history) & self._mask, taken, self._max)
         self.history = ((self.history << 1) | int(taken)) & self._history_mask
 
 
@@ -117,12 +134,11 @@ class CombinedPredictor:
         _check_power_of_two(selector_entries, "selector")
         self.bimodal = BimodalPredictor(bimodal_entries)
         self.gshare = GSharePredictor(gshare_entries, history_bits)
-        self._selector = [SaturatingCounter(2) for _ in range(selector_entries)]
+        self._selector = _counter_table(selector_entries, 2)
         self._selector_mask = selector_entries - 1
 
     def predict(self, pc: int) -> bool:
-        use_gshare = self._selector[pc & self._selector_mask].predict
-        if use_gshare:
+        if self._selector[pc & self._selector_mask] > 1:
             return self.gshare.predict(pc)
         return self.bimodal.predict(pc)
 
@@ -130,6 +146,7 @@ class CombinedPredictor:
         bimodal_said = self.bimodal.predict(pc)
         gshare_said = self.gshare.predict(pc)
         if bimodal_said != gshare_said:
-            self._selector[pc & self._selector_mask].train(gshare_said == taken)
+            _train(self._selector, pc & self._selector_mask,
+                   gshare_said == taken, 3)
         self.bimodal.update(pc, taken)
         self.gshare.update(pc, taken)

@@ -147,7 +147,9 @@ class StageProfiler:
     ``wrap(name, fn)`` returns a closure timing every call of *fn* into a
     per-stage accumulator.  The processor only calls it when built with
     ``profile=True``; otherwise the raw bound methods run and the profiler
-    is never constructed.
+    is never constructed.  ``calls`` counts cycles: the cycles the
+    processor fast-forwards over count as one call of every phase with
+    zero seconds (:meth:`skip`), so ``calls[phase] == processor.now``.
     """
 
     __slots__ = ("seconds", "calls")
@@ -170,6 +172,12 @@ class StageProfiler:
             calls[name] += 1
 
         return timed
+
+    def skip(self, cycles: int) -> None:
+        """Count *cycles* skipped cycles as zero-second calls of each phase."""
+        calls = self.calls
+        for name in calls:
+            calls[name] += cycles
 
     def publish(self, registry: MetricsRegistry, prefix: str = "stage") -> None:
         for name in self.seconds:

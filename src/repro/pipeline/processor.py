@@ -16,8 +16,14 @@ paper's Figure 9/12 examples.
 Implementation note: the inner loop is written for CPython speed — event
 calendars are :class:`~repro.core.event_ring.EventRing` buckets instead of
 dicts, selection sorts on a precomputed key, and hot methods hoist
-attribute lookups into locals.  None of this changes simulated timing;
-``tests/analysis/test_parallel_and_cache.py`` pins cycle-exact determinism.
+attribute lookups into locals.  After a cycle that leaves nothing ready
+and nothing to commit, :meth:`Processor._fast_forward` jumps the clock to
+the next cycle in which an event, a dispatch, a fetch or the watchdog can
+act, as the native loop does; most cycles of a short run are such dead
+cycles.  None of this changes simulated timing;
+``tests/analysis/test_parallel_and_cache.py`` pins cycle-exact determinism
+and ``tests/pipeline/test_fast_forward.py`` checks the fast-forward
+against a loop that steps every cycle.
 """
 
 from __future__ import annotations
@@ -289,6 +295,8 @@ class Processor:
             commit = wrap("commit", commit)
         rob = self.rob
         frontend = self._frontend
+        ready = self._ready
+        fast_forward = self._fast_forward
         while True:
             self.now += 1
             process_events()
@@ -315,6 +323,8 @@ class Processor:
                 # must not).
                 error.cycle = self.now
                 raise error
+            if not ready and not rob.committable():
+                fast_forward()
         return SimulationResult(
             config_name=self.config.name,
             workload_name=getattr(self.feed, "name", "workload"),
@@ -322,6 +332,41 @@ class Processor:
             total_committed=self._total_committed,
             total_cycles=self.now,
         )
+
+    def _fast_forward(self) -> None:
+        """Move the clock over cycles in which nothing can happen.
+
+        Called after a cycle that left the ready set empty and the ROB head
+        unable to commit.  The next live cycle is the earliest of: the
+        first due event, the arrival of the frontend head, the end of a
+        fetch stall (when fetch is neither blocked nor done) and the
+        watchdog deadline.  Every cycle before it would run the five
+        phases without changing any state but the cycle count and the
+        selector's slot-disable rotation, so the clock jumps there, as
+        the native loop does.
+        """
+        now = self.now
+        target = self._last_commit_cycle + _WATCHDOG_CYCLES + 1
+        frontend = self._frontend
+        if frontend:
+            target = min(target, frontend[0][0])
+        if not self._feed_done and self._fetch_blocked_on is None:
+            target = min(target, self._fetch_stalled_until)
+        if target <= now + 1:
+            return
+        rings = (self._completions, self._broadcasts, self._slow_wakeups,
+                 self._kills)
+        for ring in rings:
+            if ring.due(now + 1):
+                return
+        for ring in rings:
+            target = ring.next_due(now, target)
+        skipped = target - now - 1
+        self.now = target - 1
+        self.stats.cycles += skipped
+        self.selector.skip_cycles()
+        if self.profiler is not None:
+            self.profiler.skip(skipped)
 
     # ==================================================================
     # Phase 1: event delivery (kills, wakeups, completions).
@@ -867,17 +912,6 @@ class Processor:
             self._fetch_blocked_on = None
             self._fetch_stalled_until = max(self._fetch_stalled_until, self.now + 1)
             self._last_fetch_line = -1
-
-    def _peek_feed(self) -> DynOp | None:
-        if self._next_op is None and not self._feed_done:
-            try:
-                self._next_op = next(self._feed_iter)
-            except StopIteration:
-                self._feed_done = True
-        return self._next_op
-
-    def _consume_feed(self) -> None:
-        self._next_op = None
 
     # ==================================================================
     # Phase 5: commit.
