@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 from repro.analysis.store import DirectoryStore, ResultStore
@@ -175,19 +174,6 @@ def deserialize_result(record: dict) -> SimulationResult:
     )
 
 
-def record_checksum(record: dict) -> str:
-    """Self-validation digest over a record's canonical JSON payload.
-
-    Computed over every field except ``checksum`` itself.  A record whose
-    stored digest does not match — truncated write, manual edit, bit rot,
-    or a partially materialized record directory — is treated as a cache
-    miss instead of being served as a (wrong) hit.
-    """
-    payload = {key: value for key, value in record.items() if key != "checksum"}
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Disk store
 # ----------------------------------------------------------------------
@@ -265,17 +251,16 @@ class ResultCache:
         """Return the cached result for these inputs, or None on a miss."""
         digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
         record = self.backend.get(digest)
-        result = None if record is None else self._decode(digest, record)
+        result = None if record is None else self._decode(record)
         self._count(result is not None)
         return result
 
     def lookup_or_claim(self, *run) -> tuple:
         """Non-blocking: ``(result, None)`` on a hit, ``(None, claim)`` when
         this caller must simulate and :meth:`store` before releasing the
-        claim, ``(None, None)`` while another process simulates.  *run*
+        claim, ``(None, None)`` while another caller simulates.  *run*
         is the six inputs :meth:`load` takes."""
-        digest = fingerprint(*run)
-        result, claim = self.backend.lookup_or_claim(digest, partial(self._decode, digest))
+        result, claim = self.backend.lookup_or_claim(fingerprint(*run), self._decode)
         self._count(result is not None)
         return result, claim
 
@@ -288,9 +273,9 @@ class ResultCache:
         def compute_record() -> tuple[SimulationResult, dict]:
             computed.append(compute())
             self.stores += 1
-            return computed[0], self._record(digest, run, computed[0])
+            return computed[0], self._record(run, computed[0])
 
-        result = self.backend.get_or_compute(digest, compute_record, partial(self._decode, digest))
+        result = self.backend.get_or_compute(digest, compute_record, self._decode)
         self._count(not computed)
         return result
 
@@ -307,7 +292,7 @@ class ResultCache:
         """Publish one result; returns the blob path for directory stores."""
         run = (benchmark, seed, insts, warmup, config, shadow_sizes)
         digest = fingerprint(*run)
-        self.backend.put(digest, self._record(digest, run, result))
+        self.backend.put(digest, self._record(run, result))
         self.stores += 1
         if isinstance(self.backend, DirectoryStore):
             return self.backend._blob_path(digest)
@@ -321,30 +306,22 @@ class ResultCache:
             self.misses += 1
 
     @staticmethod
-    def _decode(digest: str, record: dict) -> SimulationResult | None:
-        """The result a published record holds, or None when unusable."""
-        stored_checksum = record.get("checksum")
-        if (
-            record.get("fingerprint") != digest
-            or stored_checksum is None
-            or stored_checksum != record_checksum(record)
-        ):
-            # Corrupt or pre-v2 record that a permissive store served
-            # anyway: refuse it (DirectoryStore already quarantines).
-            return None
+    def _decode(record: dict) -> SimulationResult | None:
+        """The result a published record holds, or None when unusable.
+
+        The store has already matched the record's fingerprint and
+        checksum; a record that passed those checks but is structurally
+        damaged is a miss too — never let a cache file crash a run.
+        """
         try:
             return deserialize_result(record)
         except (KeyError, TypeError, ValueError):
-            # Structurally damaged despite a matching checksum is
-            # impossible in practice, but never let a cache file crash a
-            # run — recompute instead.
             return None
 
     @staticmethod
-    def _record(digest: str, run: tuple, result: SimulationResult) -> dict:
+    def _record(run: tuple, result: SimulationResult) -> dict:
+        """The bare record for *run*; the store adds the envelope."""
         record = serialize_result(result)
-        record["fingerprint"] = digest
         record["benchmark"], record["seed"], record["insts"], record["warmup"] = run[:4]
         record["model_version"] = TIMING_MODEL_VERSION
-        record["checksum"] = record_checksum(record)
         return record

@@ -11,9 +11,9 @@ keeps the workers *alive* instead:
   subsequent sweep in the process.  Modules are imported and backends
   resolved once per worker lifetime, not once per call.
 * **Compact descriptors.** Workers memoize :class:`~repro.pipeline.
-  config.MachineConfig` values by a pool-assigned integer id and decoded
-  trace feeds by content hash, so repeat dispatches ship small tuples —
-  the full config travels only to a worker that has not seen it yet.
+  config.MachineConfig` values by a pool-assigned integer id, so repeat
+  dispatches ship small tuples — the full config travels only to a
+  worker that has not seen it yet.
 * **Adaptive chunking.** Jobs are packed into chunks sized from the
   measured per-job cost (EWMA, targeting :data:`CHUNK_MS` of work
   per chunk) so one IPC round-trip amortizes over many short
@@ -30,9 +30,8 @@ keeps the workers *alive* instead:
 
 The pool size defaults to :func:`~repro.analysis.parallel.default_jobs`
 (``REPRO_JOBS``, else the CPU count); the constructor arguments override
-every default.  ``REPRO_POOL_BATCH``, read by the serving layer, caps how
-many queued jobs a server worker drains into one batched execution
-(default ``8``).
+every default.  The pool runs :class:`~repro.analysis.parallel.Job`
+values only; trace replays run inline in their caller.
 
 The pool publishes its own :class:`~repro.obs.registry.MetricsRegistry`
 (``pool.*`` names) which the serve ``/metrics`` endpoint and the
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection, get_all_start_methods, get_context
 from typing import Sequence
 
-from repro.analysis.parallel import Job, default_jobs
+from repro.analysis.parallel import Job, default_jobs, execute_job
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import MachineConfig
 
@@ -71,24 +70,6 @@ RETRIES = 2
 
 class WorkerCrashError(RuntimeError):
     """A job's worker died repeatedly; the job could not be completed."""
-
-
-@dataclass(frozen=True)
-class TraceJob:
-    """One trace replay: a tracefile reference + machine + run lengths.
-
-    The pool-side analogue of :class:`~repro.analysis.parallel.Job` for
-    trace workloads.  Workers memoize the decoded feed by
-    ``content_hash``, so a sweep over many configs of one trace decodes
-    the tracefile once per worker, not once per job.
-    """
-
-    trace: str
-    content_hash: str
-    config: MachineConfig
-    insts: int | None
-    warmup: int
-    shadow_sizes: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -123,56 +104,18 @@ def _decode_error(payload: bytes) -> BaseException:
     return RuntimeError(f"worker returned a non-exception error: {error!r}")
 
 
-def _execute_task(task: tuple, configs: dict, feeds: dict, stats: dict):
-    """Run one wire task inside a worker, using its warm memo tables."""
-    kind = task[0]
-    if kind == "run":
-        _, _index, benchmark, config_id, seed, insts, warmup, shadow = task
-        from repro.analysis.parallel import execute_job
-
-        job = Job(benchmark, configs[config_id], seed, insts, warmup, shadow)
-        return execute_job(job)
-    if kind == "trace":
-        _, _index, trace, content_hash, config_id, insts, warmup, shadow = task
-        from repro.fastsim import make_processor
-        from repro.trace import TraceFormatError, load_corpus_feed
-
-        feed = feeds.get(content_hash)
-        if feed is None:
-            stats["feed_loads"] += 1
-            feed = load_corpus_feed(trace)
-            if feed.content_hash != content_hash:
-                raise TraceFormatError(
-                    f"trace {trace!r} has content hash "
-                    f"{feed.content_hash[:12]}…, but the job was submitted "
-                    f"for {content_hash[:12]}… (stale reference?)"
-                )
-            feeds[content_hash] = feed
-        else:
-            stats["feed_hits"] += 1
-        config = configs[config_id]
-        processor = make_processor(
-            feed, config, backend=config.backend, shadow_sizes=shadow
-        )
-        limit = insts if insts is not None else len(feed.ops)
-        return processor.run(max_insts=limit, warmup=warmup)
-    raise ValueError(f"unknown pool task kind {kind!r}")
-
-
 def _worker_main(conn, inherited: list) -> None:
     """Long-lived worker loop: receive chunks, run jobs, send outcomes.
 
     Warm state lives here: ``configs`` maps pool-assigned ids to
-    :class:`MachineConfig` values (shipped once per worker), ``feeds``
-    memoizes decoded trace feeds by content hash.  *inherited* are the
-    parent-side pipe ends a forked worker holds copies of; closing them
-    leaves the parent as the only holder, so ``recv`` sees EOF when the
-    parent dies and the worker exits instead of outliving it.
+    :class:`MachineConfig` values (shipped once per worker).  *inherited*
+    are the parent-side pipe ends a forked worker holds copies of; closing
+    them leaves the parent as the only holder, so ``recv`` sees EOF when
+    the parent dies and the worker exits instead of outliving it.
     """
     for parent_end in inherited:
         parent_end.close()
     configs: dict[int, MachineConfig] = {}
-    feeds: dict[str, object] = {}
     while True:
         try:
             message = conn.recv()
@@ -182,12 +125,12 @@ def _worker_main(conn, inherited: list) -> None:
             break
         _, chunk_id, config_delta, tasks = message
         configs.update(config_delta)
-        stats = {"feed_hits": 0, "feed_loads": 0}
         results = []
-        for task in tasks:
-            index = task[1]
+        for index, benchmark, config_id, seed, insts, warmup, shadow in tasks:
             try:
-                value = _execute_task(task, configs, feeds, stats)
+                value = execute_job(
+                    Job(benchmark, configs[config_id], seed, insts, warmup, shadow)
+                )
             except KeyboardInterrupt:  # pragma: no cover - interactive only
                 return
             except BaseException as error:  # noqa: BLE001 - transported
@@ -195,7 +138,7 @@ def _worker_main(conn, inherited: list) -> None:
             else:
                 results.append((index, True, value))
         try:
-            conn.send((_OP_DONE, chunk_id, results, stats))
+            conn.send((_OP_DONE, chunk_id, results))
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             break
     try:
@@ -361,30 +304,16 @@ class WorkerPool:
             self._config_ids[config] = config_id
         return config_id
 
-    def _descriptor(self, index: int, job) -> tuple:
-        if isinstance(job, Job):
-            return (
-                "run",
-                index,
-                job.benchmark,
-                self._config_id(job.config),
-                job.seed,
-                job.insts,
-                job.warmup,
-                job.shadow_sizes,
-            )
-        if isinstance(job, TraceJob):
-            return (
-                "trace",
-                index,
-                job.trace,
-                job.content_hash,
-                self._config_id(job.config),
-                job.insts,
-                job.warmup,
-                job.shadow_sizes,
-            )
-        raise TypeError(f"pool cannot dispatch {type(job).__name__} jobs")
+    def _descriptor(self, index: int, job: Job) -> tuple:
+        return (
+            index,
+            job.benchmark,
+            self._config_id(job.config),
+            job.seed,
+            job.insts,
+            job.warmup,
+            job.shadow_sizes,
+        )
 
     def _chunk_tasks(self, tasks: list[tuple]) -> deque:
         """Pack tasks into chunks sized from the measured per-job cost."""
@@ -410,7 +339,7 @@ class WorkerPool:
     def _send_chunk(self, worker: _Worker, chunk: _Chunk) -> bool:
         """Ship a chunk (plus any configs the worker lacks); False on crash."""
         delta: dict[int, MachineConfig] = {}
-        needed = {task[4] if task[0] == "trace" else task[3] for task in chunk.tasks}
+        needed = {task[2] for task in chunk.tasks}
         for config, config_id in self._config_ids.items():
             if config_id in needed and config_id not in worker.known_configs:
                 delta[config_id] = config
@@ -440,22 +369,21 @@ class WorkerPool:
             chunks.appendleft(chunk)
         else:
             for task in chunk.tasks:
-                outcomes[task[1]] = Outcome(
+                outcomes[task[0]] = Outcome(
                     ok=False,
                     error=WorkerCrashError(
                         f"pool worker died {chunk.retries + 1} times running "
-                        f"this chunk (job index {task[1]})"
+                        f"this chunk (job index {task[0]})"
                     ),
                 )
         return replacement
 
-    def submit(self, jobs: Sequence) -> list[Outcome]:
+    def submit(self, jobs: Sequence[Job]) -> list[Outcome]:
         """Run *jobs* on the warm pool; per-job outcomes in submission order.
 
-        Jobs may be :class:`~repro.analysis.parallel.Job` or
-        :class:`TraceJob` values, freely mixed.  A worker crash replaces
-        the worker and requeues its chunk up to ``retries`` times; jobs
-        still unfinished after that carry a :class:`WorkerCrashError`.
+        A worker crash replaces the worker and requeues its chunk up to
+        ``retries`` times; jobs still unfinished after that carry a
+        :class:`WorkerCrashError`.
         """
         if not jobs:
             return []
@@ -507,19 +435,13 @@ class WorkerPool:
                             self._handle_crash(worker, chunk, chunks, outcomes)
                         )
                         continue
-                    _, _chunk_id, results, stats = message
+                    _, _chunk_id, results = message
                     elapsed = time.perf_counter() - sent_at
                     per_job = elapsed / max(len(chunk.tasks), 1)
                     self._ewma_job_s = (
                         per_job
                         if self._ewma_job_s is None
                         else 0.5 * self._ewma_job_s + 0.5 * per_job
-                    )
-                    self.registry.counter("pool.feed_memo_hits").inc(
-                        stats.get("feed_hits", 0)
-                    )
-                    self.registry.counter("pool.feed_loads").inc(
-                        stats.get("feed_loads", 0)
                     )
                     for index, ok, payload in results:
                         if ok:

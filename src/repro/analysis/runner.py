@@ -7,10 +7,11 @@ JSON cache (:mod:`repro.analysis.cache`), and — only when both miss — a
 fresh simulation.  Independent misses can be computed in parallel with
 :meth:`ExperimentRunner.prefetch` (:mod:`repro.analysis.parallel`).
 Both paths publish under the store's claim protocol
-(:mod:`repro.analysis.store`), so processes sharing one store simulate
-each fingerprint once: ``result()`` waits for another process's blob,
-``prefetch()`` claims its misses without blocking and leaves the ones
-claimed elsewhere to ``result()``.
+(:mod:`repro.analysis.store`), so threads and processes sharing one
+store simulate each fingerprint once: ``result()`` waits for the claim
+holder's blob, ``prefetch()`` claims its misses without blocking and
+leaves the ones claimed elsewhere to ``result()``.  The claim is the only
+dedupe below the memo; with the cache disabled there is none.
 See ``docs/PERFORMANCE.md`` for the full picture.  Environment knobs::
 
     REPRO_INSTS      measured instructions per run   (default 15000)
@@ -34,7 +35,6 @@ from pathlib import Path
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import Job, env_int, run_jobs
-from repro.analysis.singleflight import SingleFlight
 from repro.fastsim import apply_backend
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
@@ -93,9 +93,6 @@ class ExperimentRunner:
         #: exported.  Published on every serve (cheap — per result, not
         #: per cycle); read via ``runner.metrics.as_dict()``.
         self.metrics = MetricsRegistry()
-        #: concurrent ``result()`` calls for the same key simulate once
-        #: (threads sharing this runner, e.g. repro.serve worker threads)
-        self._flight = SingleFlight()
 
     # ------------------------------------------------------------------
     def workload(self, benchmark: str, seed: int | None = None) -> SyntheticWorkload:
@@ -124,10 +121,9 @@ class ExperimentRunner:
     ) -> SimulationResult:
         """Serve one benchmark simulation: memory -> disk -> compute.
 
-        Concurrent callers (threads) that miss both cache layers for the
-        same key are collapsed into one simulation by a singleflight lock:
-        a single leader computes, the rest wait and share the result
-        (``runner.coalesced`` counts the waits).
+        Concurrent callers (threads or processes) that miss the memo for
+        the same key simulate once: the store claim makes one of them
+        compute and publish while the rest wait for its blob.
         """
         seed = seed if seed is not None else self.seed
         # The runner is a backend boundary: REPRO_BACKEND (then the config
@@ -140,26 +136,13 @@ class ExperimentRunner:
             self.metrics.counter("runner.memo_hits").inc()
             return found
         job = Job(benchmark, config, seed, self.insts, self.warmup, self._shadow_sizes(shadow))
-        found, leader = self._flight.do(key, lambda: self._serve_miss(key, job))
-        if not leader:
-            self.metrics.counter("runner.coalesced").inc()
-        return found
-
-    def _serve_miss(self, key: tuple, job: Job) -> SimulationResult:
-        """Memo, then store, then simulation (singleflight leader only)."""
-        # Re-check the memo: a previous leader may have landed while this
-        # caller was between its own memo miss and winning the flight.
-        found = self._results.get(key)
-        if found is not None:
-            self.metrics.counter("runner.memo_hits").inc()
-            return found
         simulated = []
 
         def simulate() -> SimulationResult:
             simulated.append(job)
             return self._simulate([job])[0]
 
-        # Waits while another process holds the fingerprint's store claim.
+        # Waits while another thread or process holds the store claim.
         found = simulate() if self.cache is None else self.cache.get_or_compute(
             simulate, *_cache_inputs(job)
         )

@@ -6,8 +6,11 @@ same digest :func:`repro.analysis.cache.fingerprint` computes) to one
 immutable JSON *blob* — the serialized simulation record.  The contract
 every consumer leans on:
 
+* **One envelope.**  ``put()`` stamps the record's ``fingerprint`` and
+  its :func:`record_checksum`; callers hand over the bare payload and
+  never stamp or re-check either field themselves.
 * **Atomic publication.**  ``put()`` either publishes a complete,
-  checksum-stamped blob or publishes nothing; readers can never observe
+  stamped blob or publishes nothing; readers can never observe
   a half-written record.  Publication is first-writer-wins: racing
   writers for one fingerprint leave exactly one blob (the records are
   deterministic, so which writer lands is irrelevant).
@@ -19,9 +22,9 @@ every consumer leans on:
   primitive, and this module is its only caller.  ``lookup_or_claim()``
   is the non-blocking step — get, claim, get again once the claim is
   won — and ``get_or_compute()`` is the blocking loop built on it: among
-  concurrent *processes* missing the same fingerprint, one computes and
-  publishes while the rest wait for — or find — its blob.  A claim
-  abandoned by a dead process goes stale and is taken over, so a
+  concurrent threads or processes missing the same fingerprint, one
+  computes and publishes while the rest wait for — or find — its blob.
+  A claim abandoned by a dead process goes stale and is taken over, so a
   SIGKILLed worker never wedges the fingerprint.
 
 :class:`DirectoryStore` implements the interface on a plain directory —
@@ -36,6 +39,7 @@ cross-worker locking (see docs/SERVING.md).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -64,12 +68,25 @@ def _default_claim_stale_s() -> float:
     return DEFAULT_CLAIM_STALE_S
 
 
-def blob_checksum(record: dict) -> str:
-    """Digest over a record's canonical JSON payload, sans ``checksum``."""
-    # Import cycle guard: cache.py imports this module for its store.
-    from repro.analysis.cache import record_checksum
+def record_checksum(record: dict) -> str:
+    """Self-validation digest over a record's canonical JSON payload.
 
-    return record_checksum(record)
+    Computed over every field except ``checksum`` itself.  A blob whose
+    stored digest does not match — truncated write, manual edit, bit rot
+    — is quarantined and read as a miss instead of served as a wrong hit.
+    """
+    payload = {key: value for key, value in record.items() if key != "checksum"}
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _sealed(fingerprint: str, record: dict) -> dict:
+    """A copy of *record* in the store's envelope: fingerprint + checksum."""
+    record = dict(record)
+    record["fingerprint"] = fingerprint
+    record.pop("checksum", None)
+    record["checksum"] = record_checksum(record)
+    return record
 
 
 class ResultStore:
@@ -84,7 +101,8 @@ class ResultStore:
         raise NotImplementedError
 
     def put(self, fingerprint: str, record: dict) -> bool:
-        """Publish *record* atomically; False if already published."""
+        """Publish *record*, stamped with the envelope, atomically;
+        False if already published."""
         raise NotImplementedError
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -201,7 +219,7 @@ class MemoryStore(ResultStore):
     def put(self, fingerprint: str, record: dict) -> bool:
         if fingerprint in self._records:
             return False
-        self._records[fingerprint] = dict(record)
+        self._records[fingerprint] = _sealed(fingerprint, record)
         return True
 
     def fingerprints(self) -> list[str]:
@@ -260,17 +278,14 @@ class DirectoryStore(ResultStore):
         if (
             not isinstance(record, dict)
             or record.get("fingerprint") != fingerprint
-            or record.get("checksum") != blob_checksum(record)
+            or record.get("checksum") != record_checksum(record)
         ):
             self._quarantine(fingerprint, path)
             return None
         return record
 
     def put(self, fingerprint: str, record: dict) -> bool:
-        record = dict(record)
-        record["fingerprint"] = fingerprint
-        record.pop("checksum", None)
-        record["checksum"] = blob_checksum(record)
+        record = _sealed(fingerprint, record)
         path = self._blob_path(fingerprint)
         if path.is_file():
             self.duplicate_publishes += 1

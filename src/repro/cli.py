@@ -46,12 +46,10 @@ from repro.obs.scorecard import (
     render_scorecard,
 )
 from repro.pipeline.config import (
-    EIGHT_WIDE,
-    FOUR_WIDE,
-    BypassModel,
+    MachineConfig,
     RegFileModel,
-    RenameModel,
     SchedulerModel,
+    machine_from_flags,
 )
 from repro.errors import ReproError
 from repro.fastsim import BACKENDS, apply_backend, make_processor
@@ -63,22 +61,11 @@ from repro.workloads.profiles import SPEC_BENCHMARKS, get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 
-def _machine(args) -> "MachineConfig":
-    config = FOUR_WIDE if args.width == 4 else EIGHT_WIDE
-    techniques = {}
-    if args.scheduler != "base":
-        techniques["scheduler"] = SchedulerModel(args.scheduler)
-    if args.regfile != "base":
-        techniques["regfile"] = RegFileModel(args.regfile)
-    if args.half_rename:
-        techniques["rename"] = RenameModel.HALF_PORTS
-    if args.half_bypass:
-        techniques["bypass"] = BypassModel.HALF
-    if args.no_predictor:
-        techniques["predictor_entries"] = None
-    if techniques:
-        config = config.with_techniques(**techniques)
-    return config
+def _machine(args) -> MachineConfig:
+    return machine_from_flags(
+        args.width, args.scheduler, args.regfile, args.half_rename,
+        args.half_bypass, not args.no_predictor,
+    )
 
 
 def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -356,6 +343,9 @@ def _cmd_trace_run(args) -> int:
     from repro.analysis.cache import ResultCache
     from repro.trace import load_corpus_feed, run_full, run_sampled
 
+    if args.insts is not None and args.insts < 1:
+        print("error: --insts must be >= 1 (omit it to run the whole trace)", file=sys.stderr)
+        return 2
     config = apply_backend(_machine(args), args.backend)
     feed = load_corpus_feed(args.trace)
     cache = None if args.no_cache else ResultCache.from_env()
@@ -586,7 +576,6 @@ def _cmd_serve(args) -> int:
         spool=args.spool,
         executor=JobExecutor(cache=cache),
         name=args.name,
-        batch=args.batch,
     )
     role = "worker" if args.worker else "serving"
 
@@ -1006,11 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--queue-size", type=int, default=256, metavar="N",
         help="queued-job bound before 429 backpressure (default 256)",
-    )
-    serve_parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="max queued jobs one worker drains into a single batched "
-        "execution (default REPRO_POOL_BATCH, else 8)",
     )
     serve_parser.add_argument(
         "--spool", default=None, metavar="DIR",

@@ -342,3 +342,32 @@ EIGHT_WIDE = MachineConfig(
     lsq_size=64,
     fu=FunctionalUnitPool(int_alu=8, fp_alu=4, int_mult=4, fp_mult=4, mem_ports=4),
 )
+
+
+def machine_from_flags(
+    width: int = 4,
+    scheduler: str = SchedulerModel.BASE.value,
+    regfile: str = RegFileModel.BASE.value,
+    half_rename: bool = False,
+    half_bypass: bool = False,
+    predictor: bool = True,
+    backend: str = "python",
+) -> MachineConfig:
+    """The machine the CLI's machine flags and a serve spec's fields describe."""
+    config = FOUR_WIDE if width == 4 else EIGHT_WIDE
+    techniques: dict = {}
+    if scheduler != SchedulerModel.BASE.value:
+        techniques["scheduler"] = SchedulerModel(scheduler)
+    if regfile != RegFileModel.BASE.value:
+        techniques["regfile"] = RegFileModel(regfile)
+    if half_rename:
+        techniques["rename"] = RenameModel.HALF_PORTS
+    if half_bypass:
+        techniques["bypass"] = BypassModel.HALF
+    if not predictor:
+        techniques["predictor_entries"] = None
+    if techniques:
+        config = config.with_techniques(**techniques)
+    if backend != config.backend:
+        config = dataclasses.replace(config, backend=backend)
+    return config

@@ -12,7 +12,7 @@ inference-style service (docs/SERVING.md):
   restarted server resume pending jobs;
 * :mod:`repro.serve.executor` — spec execution on worker threads through
   the shared :class:`~repro.analysis.runner.ExperimentRunner` machinery
-  (memo, disk cache, process-local singleflight);
+  (memo, then the shared store and its claim);
 * :mod:`repro.serve.frontend` — the one asyncio HTTP job front end both
   server roles share: admission with 429 + ``Retry-After``
   backpressure, long-poll, cancel, ``/metrics``, spool recovery and the

@@ -6,9 +6,10 @@ routes them onto the existing analysis machinery:
 * ``run`` jobs go through :class:`~repro.analysis.runner.ExperimentRunner`
   — one runner per (insts, warmup) pair, all sharing a single on-disk
   :class:`~repro.analysis.cache.ResultCache` — so served results ride the
-  same memo → disk-cache → compute chain as the offline CLI, and the
-  runner's process-local singleflight keeps concurrent worker threads
-  from duplicating a simulation the serve-level coalescer missed.
+  same memo → disk-cache → compute chain as the offline CLI.  Below the
+  front end's coalescing, the store claim is the only dedupe: it keeps
+  worker threads and worker processes alike from simulating one
+  fingerprint twice.
   The result payload is the **versioned stats export**
   (:func:`repro.obs.export.build_stats_export`) — byte-identical to what
   ``repro export-stats`` writes for the same inputs.
@@ -17,9 +18,10 @@ routes them onto the existing analysis machinery:
   requested configuration matrix.
 * ``trace`` jobs replay a binary tracefile (:mod:`repro.trace`) — full
   runs produce the same versioned stats export as ``run`` jobs; sampled
-  runs produce the SimPoint-style sampling report.  Decoded feeds are
-  memoized per content hash, so many jobs against one trace decode it
-  once per worker process.
+  runs produce the SimPoint-style sampling report.  They run inline on
+  the worker thread, never on the pool.  Decoded feeds are memoized per
+  content hash, so many jobs against one trace decode it once per
+  worker process.
 """
 
 from __future__ import annotations

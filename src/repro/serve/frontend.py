@@ -36,7 +36,6 @@ import time
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.analysis.parallel import env_int
 from repro.obs.registry import MetricsRegistry
 from repro.serve.jobs import Job, JobTable, SpoolJournal
 from repro.serve.protocol import (
@@ -53,9 +52,8 @@ _LONGPOLL_SLICE_S = 0.25
 _JSON_HEADERS = "Content-Type: application/json\r\n"
 
 
-def default_batch() -> int:
-    """Max jobs one batched execution or dispatch carries (REPRO_POOL_BATCH)."""
-    return max(1, env_int("REPRO_POOL_BATCH", 8))
+#: Max jobs one batched execution (or one router→worker POST) carries.
+BATCH = 8
 
 
 class _HttpError(Exception):
@@ -170,14 +168,11 @@ class JobFrontEnd:
         queue_size: int,
         spool: Path | str | None = None,
         registry: MetricsRegistry | None = None,
-        batch: int | None = None,
     ):
         self.host = host
         self.port = port
         self.queue_size = queue_size
-        #: batched dispatch: how many jobs one execution (or one
-        #: router→worker POST) carries.
-        self.batch = batch if batch is not None else default_batch()
+        self.batch = BATCH
         self.registry = registry if registry is not None else MetricsRegistry()
         self.table = JobTable()
         self.journal = SpoolJournal(spool) if spool is not None else None

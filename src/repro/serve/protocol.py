@@ -40,13 +40,10 @@ from repro.analysis.runner import SHADOW_SIZES
 from repro.errors import ReproError
 from repro.pipeline.config import (
     BACKENDS,
-    EIGHT_WIDE,
-    FOUR_WIDE,
-    BypassModel,
     MachineConfig,
     RegFileModel,
-    RenameModel,
     SchedulerModel,
+    machine_from_flags,
 )
 from repro.pipeline.processor import TIMING_MODEL_VERSION
 from repro.trace.sampling import (
@@ -108,23 +105,10 @@ def _enum_value(payload: dict, key: str, enum_cls, default) -> str:
 
 def _machine_config(spec) -> MachineConfig:
     """Build the machine a run/trace spec describes (CLI flag semantics)."""
-    config = FOUR_WIDE if spec.width == 4 else EIGHT_WIDE
-    techniques: dict = {}
-    if spec.scheduler != SchedulerModel.BASE.value:
-        techniques["scheduler"] = SchedulerModel(spec.scheduler)
-    if spec.regfile != RegFileModel.BASE.value:
-        techniques["regfile"] = RegFileModel(spec.regfile)
-    if spec.half_rename:
-        techniques["rename"] = RenameModel.HALF_PORTS
-    if spec.half_bypass:
-        techniques["bypass"] = BypassModel.HALF
-    if not spec.predictor:
-        techniques["predictor_entries"] = None
-    if techniques:
-        config = config.with_techniques(**techniques)
-    if spec.backend != config.backend:
-        config = dataclasses.replace(config, backend=spec.backend)
-    return config
+    return machine_from_flags(
+        spec.width, spec.scheduler, spec.regfile, spec.half_rename,
+        spec.half_bypass, spec.predictor, spec.backend,
+    )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ behind ``repro serve`` (and each ``repro serve --worker`` in a cluster);
 the front end owns the HTTP API, admission, coalescing, the spool and the
 drain.  What this module adds is how an admitted primary executes: a
 priority queue of primaries (higher ``priority`` first, FIFO within one)
-and N worker tasks.  A worker that wakes up drains up to ``batch`` queued
-jobs and runs them as one
+and N worker tasks.  A worker that wakes up drains up to
+:data:`~repro.serve.frontend.BATCH` (8) queued jobs and runs them as one
 :meth:`~repro.serve.executor.JobExecutor.execute_batch` call on a thread
 (``asyncio.to_thread``), so one warm-pool fan-out amortizes over every job
 that was waiting.  Its queue depth counts primaries queued but not yet
@@ -52,9 +52,8 @@ class ServeServer(JobFrontEnd):
         executor: JobExecutor | None = None,
         registry: MetricsRegistry | None = None,
         name: str | None = None,
-        batch: int | None = None,
     ):
-        super().__init__(host, port, queue_size, spool, registry, batch)
+        super().__init__(host, port, queue_size, spool, registry)
         #: worker identity, reported on /healthz (cluster diagnostics)
         self.name = name
         self.workers = workers

@@ -12,8 +12,9 @@ sequence; there is nothing to reseed).
 Full runs reuse the :class:`~repro.analysis.cache.ResultCache` record
 format unchanged.  Sampled runs produce a *report* (weights, per-sample
 IPCs, coverage) rather than a ``SimulationResult``, so they are published
-to the same store as a distinct self-checksummed record kind.  Both go
-through the store's one claim protocol
+to the same store as a distinct record kind; the store stamps and checks
+every record's fingerprint and checksum.  Both go through the store's
+one claim protocol
 (:meth:`~repro.analysis.store.ResultStore.get_or_compute`): among
 processes sharing the store, exactly one simulates a given fingerprint,
 the rest wait for its blob.
@@ -21,7 +22,7 @@ the rest wait for its blob.
 
 from __future__ import annotations
 
-from repro.analysis.cache import ResultCache, fingerprint, record_checksum
+from repro.analysis.cache import ResultCache, fingerprint
 from repro.fastsim import make_processor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
@@ -77,8 +78,11 @@ def run_full(
 
     Cached under the inputs :func:`trace_fingerprint` digests.
     ``config.backend`` must already be materialized (call
-    ``apply_backend`` at the boundary).
+    ``apply_backend`` at the boundary).  *insts* must be positive: the
+    key of ``insts=None`` (the whole trace) is 0.
     """
+    if insts is not None and insts < 1:
+        raise ValueError(f"insts must be >= 1 or None (the whole trace), got {insts}")
 
     def simulate() -> SimulationResult:
         processor = make_processor(
@@ -165,21 +169,14 @@ def run_sampled(
         )
         record = {
             "kind": "trace-sampled",
-            "fingerprint": digest,
             "model_version": TIMING_MODEL_VERSION,
             "report": report,
         }
-        record["checksum"] = record_checksum(record)
         return report, record
 
     def decode(record: dict) -> dict | None:
-        if (
-            record.get("kind") == "trace-sampled"
-            and record.get("fingerprint") == digest
-            and record.get("checksum") == record_checksum(record)
-        ):
-            return record["report"]
-        return None  # corrupt/foreign record: recompute
+        # A foreign or damaged record is a miss: recompute.
+        return record.get("report") if record.get("kind") == "trace-sampled" else None
 
     if cache is None:
         return simulate()[0]

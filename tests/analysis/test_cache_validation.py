@@ -10,12 +10,8 @@ any mismatch.
 
 import json
 
-from repro.analysis.cache import (
-    CACHE_FORMAT_VERSION,
-    ResultCache,
-    fingerprint,
-    record_checksum,
-)
+from repro.analysis.cache import CACHE_FORMAT_VERSION, ResultCache, fingerprint
+from repro.analysis.store import record_checksum
 from repro.pipeline.config import FOUR_WIDE
 from repro.pipeline.processor import Processor
 from repro.workloads.profiles import get_profile

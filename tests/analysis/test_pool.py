@@ -24,7 +24,7 @@ import repro.analysis.pool as pool_mod
 import repro.analysis.runner as runner_mod
 from repro.analysis.cache import ResultCache, serialize_result
 from repro.analysis.parallel import Job, execute_job
-from repro.analysis.pool import TraceJob, WorkerCrashError, WorkerPool
+from repro.analysis.pool import WorkerCrashError, WorkerPool
 from repro.analysis.runner import ExperimentRunner
 from repro.errors import ConfigurationError
 from repro.fastsim import available_backends
@@ -92,31 +92,6 @@ class TestOrderAndParity:
         assert [serialize_result(r) for r in results] == [
             serialize_result(r) for r in inline
         ]
-
-    def test_trace_jobs_share_a_decoded_feed(self):
-        from repro.trace import load_corpus_feed
-
-        feed = load_corpus_feed("vector_sum_80k")
-        jobs = [
-            TraceJob("vector_sum_80k", feed.content_hash, FOUR_WIDE, 2_000, 500)
-            for _ in range(4)
-        ]
-        instance = WorkerPool(1, idle_s=0)  # one worker -> one decode
-        try:
-            results = instance.run(jobs)
-            metrics = instance.registry.as_dict()
-        finally:
-            instance.close()
-        from repro.fastsim import make_processor
-
-        expected = serialize_result(
-            make_processor(feed, FOUR_WIDE, backend=FOUR_WIDE.backend).run(
-                max_insts=2_000, warmup=500
-            )
-        )
-        assert [serialize_result(r) for r in results] == [expected] * 4
-        assert metrics["pool.feed_loads"] == 1
-        assert metrics["pool.feed_memo_hits"] == 3
 
 
 class TestExceptions:

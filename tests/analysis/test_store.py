@@ -3,26 +3,29 @@
 The store is the durability substrate of the cluster serving tier
 (docs/SERVING.md, "Cluster mode"): atomic first-writer-wins publication,
 checksum-verified reads with quarantine of torn blobs, and cross-process
-claims that keep two processes from simulating one fingerprint.
+claims that keep two threads or processes from simulating one
+fingerprint.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.analysis import runner as runner_mod
-from repro.analysis.cache import ResultCache, record_checksum
+from repro.analysis.cache import ResultCache, serialize_result
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.store import (
     QUARANTINE_DIR,
     DirectoryStore,
     MemoryStore,
     StoreClaim,
+    record_checksum,
 )
 from repro.pipeline.config import FOUR_WIDE
 from repro.serve.executor import JobExecutor
@@ -232,6 +235,47 @@ class TestClaimProtocol:
         )
         assert value == "mine"
         assert time.monotonic() - started < 1.0
+
+
+class TestRunnerCoalescing:
+    """Threads sharing one runner: the store claim is the only dedupe."""
+
+    def test_concurrent_result_calls_simulate_once(self, tmp_path):
+        runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=ResultCache(tmp_path))
+        start = threading.Barrier(6, timeout=30)
+        results = []
+        errors = []
+
+        def call():
+            try:
+                start.wait()
+                results.append(runner.result("gzip", FOUR_WIDE, seed=3))
+            except Exception as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not errors
+        assert len(results) == 6
+        assert runner.metrics.get("runner.simulated").value == 1
+        records = [serialize_result(result) for result in results]
+        assert all(record == records[0] for record in records)
+
+    def test_distinct_seeds_still_simulate_separately(self):
+        runner = ExperimentRunner(insts=80, warmup=40, cache=False)
+        first = runner.result("gzip", FOUR_WIDE, seed=1)
+        second = runner.result("gzip", FOUR_WIDE, seed=2)
+        assert first is not second
+        assert runner.metrics.get("runner.simulated").value == 2
 
 
 class _PublishOnClaim(MemoryStore):

@@ -10,6 +10,7 @@ the same documents the one-at-a-time path produced.
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.serve import frontend
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_batch_with_ids
@@ -55,11 +56,10 @@ class TestExecuteBatch:
 
 
 class TestBatchedDrain:
-    def test_one_worker_drains_the_queue_in_batches(self, tmp_path):
+    def test_one_worker_drains_the_queue_in_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(frontend, "BATCH", 5)
         executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
-        with BackgroundServer(
-            port=0, workers=1, batch=5, executor=executor
-        ) as background:
+        with BackgroundServer(port=0, workers=1, executor=executor) as background:
             client = ServeClient(background.base_url)
             receipts = client.submit([tiny_run(seed=seed) for seed in range(12)])
             for receipt in receipts:
@@ -79,9 +79,7 @@ class TestBatchedDrain:
     def test_batch_with_a_poison_job_settles_everyone(self, tmp_path):
         executor = JobExecutor(cache=ResultCache(tmp_path / "cache"))
         _poison(executor, "gcc")
-        with BackgroundServer(
-            port=0, workers=1, batch=8, executor=executor
-        ) as background:
+        with BackgroundServer(port=0, workers=1, executor=executor) as background:
             client = ServeClient(background.base_url)
             receipts = client.submit(
                 [tiny_run(seed=1), tiny_run("gcc"), tiny_run(seed=2)]

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.serve import frontend
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.executor import JobExecutor
 from repro.serve.server import BackgroundServer
@@ -28,12 +29,13 @@ def _executor(tmp_path) -> JobExecutor:
 
 
 class TestWaitResume:
-    def test_wait_survives_a_restart_with_the_original_id(self, tmp_path):
+    def test_wait_survives_a_restart_with_the_original_id(self, tmp_path, monkeypatch):
         spool = tmp_path / "spool"
-        # batch=1: a worker must not drain the second job into the first
+        # BATCH = 1: a worker must not drain the second job into the first
         # one's batch, or nothing is left queued across the restart.
+        monkeypatch.setattr(frontend, "BATCH", 1)
         first = BackgroundServer(
-            port=0, workers=1, spool=spool, executor=_executor(tmp_path), batch=1
+            port=0, workers=1, spool=spool, executor=_executor(tmp_path)
         )
         first.start()
         port = first.port

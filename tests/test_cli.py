@@ -171,6 +171,19 @@ class TestTraceFiles:
         document = json.loads(report.read_text())
         assert document["weighted_ipc"] > 0 and document["samples"]
 
+    def test_zero_insts_is_refused_and_leaves_the_store_empty(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--insts 0`` used to publish a 0-instruction result under the
+        whole-trace key, which the next whole-trace run then served."""
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        assert main(["trace", "run", "vector_sum_80k", "--insts", "0"]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--insts" in err
+        assert not list(store.rglob("*.json"))
+
     def test_unknown_trace_is_one_line_error(self, capsys):
         assert main(["trace", "info", "no_such_trace"]) == 1
         err = capsys.readouterr().err

@@ -111,6 +111,15 @@ class TestCachedRuns:
         # the same wire spec.
         assert cache.backend.get(trace_fingerprint(feed.content_hash, FOUR_WIDE)) is not None
 
+    def test_run_full_refuses_a_non_positive_budget(self, tmp_path):
+        """``insts=0`` shares the whole-trace key, so it must never run."""
+        source = tmp_path / "t.hpt"
+        capture_kernel("vector_sum", source, n=400)
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="insts"):
+            run_full(TraceFeed(source), FOUR_WIDE, insts=0, cache=cache)
+        assert cache.backend.fingerprints() == []
+
     def test_cache_is_shared_across_paths(self, tmp_path):
         source = tmp_path / "t.hpt"
         capture_kernel("vector_sum", source, n=400)
