@@ -24,10 +24,11 @@ def test_speed_processor_cycle_loop(benchmark, backend):
     """Cycle-loop cost per 2k-instruction run, one row per backend.
 
     Times ``run()`` alone, symmetrically for every backend: the stream is
-    pre-materialized into a :class:`ReplayFeed` with the decode cache
-    warmed, and the processor is constructed in the per-round setup —
-    construction (branch-predictor table init) is not the cycle loop.
-    Baselines: ``results/speed_baseline.txt``.
+    pre-materialized into a :class:`ReplayFeed`, and the processor is
+    constructed in the per-round setup — construction (branch-predictor
+    table init) is not the cycle loop.  The native row's timed region
+    includes the chunked ingest (int64 column encoding) of the ops it
+    fetches.  Baselines: ``results/speed_baseline.txt``.
     """
     if backend == "native" and not native_available():
         pytest.skip(
@@ -36,7 +37,6 @@ def test_speed_processor_cycle_loop(benchmark, backend):
         )
     workload = SyntheticWorkload(get_profile("gzip"), seed=3)
     feed = ReplayFeed.from_stream(workload, 2_600)
-    feed.columns()  # decode outside the timed region
     fresh = {}
 
     def setup():

@@ -29,9 +29,10 @@ keeps the workers *alive* instead:
   so its ``recv`` sees EOF.
 
 The pool size defaults to :func:`~repro.analysis.parallel.default_jobs`
-(``REPRO_JOBS``, else the CPU count); the constructor arguments override
-every default.  The pool runs :class:`~repro.analysis.parallel.Job`
-values only; trace replays run inline in their caller.
+(``REPRO_JOBS``, else the CPU count).  A pool reads :data:`CHUNK_MS`,
+:data:`IDLE_S` and :data:`RETRIES` when it is constructed.  The pool runs
+:class:`~repro.analysis.parallel.Job` values only; trace replays run
+inline in their caller.
 
 The pool publishes its own :class:`~repro.obs.registry.MetricsRegistry`
 (``pool.*`` names) which the serve ``/metrics`` endpoint and the
@@ -175,18 +176,11 @@ class WorkerPool:
     oversubscribe the workers.  All public entry points are thread-safe.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        chunk_ms: float | None = None,
-        idle_s: float | None = None,
-        retries: int | None = None,
-    ):
+    def __init__(self, workers: int | None = None):
         self.size = max(1, workers or default_jobs())
-        self.chunk_ms = chunk_ms if chunk_ms is not None else CHUNK_MS
-        self.idle_s = idle_s if idle_s is not None else IDLE_S
-        self.retries = retries if retries is not None else RETRIES
+        self.chunk_ms = CHUNK_MS
+        self.idle_s = IDLE_S
+        self.retries = RETRIES
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         # fork (where available) hands workers the parent's already-warm

@@ -28,11 +28,12 @@
  *   warmup_cb(stats24)
  *                  flush the 24 window accumulators + reset_window()
  *   ingest_cb()    -> None when the feed is drained, else a tuple of 12
- *                  equal-length columns for the next chunk of ops
+ *                  equal-length int64 buffers (the decode columns) for
+ *                  the next chunk of ops; every feed arrives this way
  *
- * The bimodal predictor table is read in place (PyList_GET_ITEM on the
- * live ``_table`` list) so predictor updates made inside pair_cb are
- * visible to later dispatches, same as in the reference.
+ * The last-arrival predictor's ``_table`` list is read in place
+ * (PyList_GET_ITEM on the live list) so predictor updates made inside
+ * pair_cb are visible to later dispatches, same as in the reference.
  *
  * Store-to-load forwarding (8-byte line -> newest in-LSQ store) is a
  * backward scan of the LSQ ring: only stores still resident in the LSQ
@@ -295,11 +296,10 @@ typedef struct {
     Py_ssize_t cap;
 
     /* per-tag decode columns + stamped config tables */
-    const int64_t *ocls, *pc, *ctrl, *load, *store, *nop, *dest, *ndeps,
+    int64_t *ocls, *pc, *ctrl, *load, *store, *nop, *dest, *ndeps,
         *dep0, *dep1, *addr, *faddr;
     int64_t *rkey, *latv, *poolv, *npipe;
-    Py_ssize_t n_cols;  /* ops with columns available */
-    int cols_owned;     /* generator mode: columns are C-grown arrays */
+    Py_ssize_t n_cols;  /* ops ingested so far */
 
     /* config scalars */
     int64_t width, ruu_size, lsq_size, front_depth, exec_offset,
@@ -309,7 +309,7 @@ typedef struct {
         fast_now_only, non_selective, half_rename, half_bypass;
     int64_t fu_counts[5];
 
-    /* per-opclass tables (for generator-mode stamping) */
+    /* per-opclass tables (stamped per tag at ingest) */
     const int64_t *tab_rank, *tab_pool, *tab_npipe, *tab_lat;
     Py_ssize_t n_opclass;
 
@@ -602,7 +602,7 @@ process_kill(Ctx *c, int64_t rt, int64_t kep, int64_t win_s, int64_t win_e,
     }
 }
 
-/* ---------------- per-tag array growth (generator feeds) ---------------- */
+/* ---------------- per-tag array growth ---------------- */
 
 static int64_t *
 grow_i64(int64_t *p, Py_ssize_t old_n, Py_ssize_t new_n, int64_t fill)
@@ -618,21 +618,19 @@ grow_i64(int64_t *p, Py_ssize_t old_n, Py_ssize_t new_n, int64_t fill)
     return np;
 }
 
-/* Grow every per-tag state array (and, in generator mode, the column
- * arrays) so that tags < need are addressable, filling each array with
- * its default value. */
+/* Grow every per-tag state and column array so that tags < need are
+ * addressable, filling each array with its default value.  Capacity
+ * starts at CHUNK and doubles, so a long feed pays a logarithmic number
+ * of reallocs. */
 static int
 ensure_cap(Ctx *c, Py_ssize_t need)
 {
     if (need <= c->cap) {
         return 0;
     }
-    Py_ssize_t nc = c->cap;
-    if (nc < CHUNK) {
-        nc = 0;
-    }
+    Py_ssize_t nc = c->cap ? c->cap : CHUNK;
     while (nc < need) {
-        nc += CHUNK;
+        nc *= 2;
     }
 #define GROW1(field, fill)                                          \
     do {                                                            \
@@ -685,30 +683,18 @@ ensure_cap(Ctx *c, Py_ssize_t need)
                (size_t)(nc - c->cap) * sizeof(Vec));
         c->cons = ncons;
     }
-    if (c->cols_owned) {
-#define GROWC(field)                                                \
-    do {                                                            \
-        int64_t *np_ = grow_i64((int64_t *)c->field, c->cap, nc,    \
-                                0);                                 \
-        if (np_ == NULL) {                                          \
-            return -1;                                              \
-        }                                                           \
-        c->field = np_;                                             \
-    } while (0)
-        GROWC(ocls);
-        GROWC(pc);
-        GROWC(ctrl);
-        GROWC(load);
-        GROWC(store);
-        GROWC(nop);
-        GROWC(dest);
-        GROWC(ndeps);
-        GROWC(dep0);
-        GROWC(dep1);
-        GROWC(addr);
-        GROWC(faddr);
-#undef GROWC
-    }
+    GROW1(ocls, 0);
+    GROW1(pc, 0);
+    GROW1(ctrl, 0);
+    GROW1(load, 0);
+    GROW1(store, 0);
+    GROW1(nop, 0);
+    GROW1(dest, 0);
+    GROW1(ndeps, 0);
+    GROW1(dep0, 0);
+    GROW1(dep1, 0);
+    GROW1(addr, 0);
+    GROW1(faddr, 0);
     GROW1(rkey, 0);
     GROW1(latv, 0);
     GROW1(poolv, 0);
@@ -720,8 +706,8 @@ ensure_cap(Ctx *c, Py_ssize_t need)
 }
 
 /* Pull the next chunk of decode columns from the wrapper's ingest
- * callback (generator feeds).  Returns the number of ops appended, 0 on
- * feed exhaustion, -1 on error. */
+ * callback.  Returns the number of ops appended, 0 on feed exhaustion,
+ * -1 on error. */
 static Py_ssize_t
 ingest_chunk(Ctx *c)
 {
@@ -739,20 +725,21 @@ ingest_chunk(Ctx *c)
                         "ingest callback must return None or a 12-tuple");
         return -1;
     }
-    PyObject *seqs[12] = {NULL};
+    Py_buffer bufs[12];
     Py_ssize_t n = -1;
-    int k;
+    int nbufs = 0, k;
     for (k = 0; k < 12; k++) {
-        seqs[k] = PySequence_Fast(PyTuple_GET_ITEM(r, k),
-                                  "ingest column must be a sequence");
-        if (seqs[k] == NULL) {
-            while (--k >= 0) {
-                Py_DECREF(seqs[k]);
-            }
-            Py_DECREF(r);
-            return -1;
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(r, k), &bufs[k],
+                               PyBUF_SIMPLE)) {
+            goto fail;
         }
-        Py_ssize_t ln = PySequence_Fast_GET_SIZE(seqs[k]);
+        nbufs++;
+        if (bufs[k].len % (Py_ssize_t)sizeof(int64_t)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "ingest column must hold int64 items");
+            goto fail;
+        }
+        Py_ssize_t ln = bufs[k].len / (Py_ssize_t)sizeof(int64_t);
         if (n == -1) {
             n = ln;
         }
@@ -762,35 +749,19 @@ ingest_chunk(Ctx *c)
             goto fail;
         }
     }
-    if (n == 0) {
-        for (k = 0; k < 12; k++) {
-            Py_DECREF(seqs[k]);
+    if (n > 0) {
+        if (ensure_cap(c, c->n_cols + n)) {
+            PyErr_NoMemory();
+            goto fail;
         }
-        Py_DECREF(r);
-        return 0;
-    }
-    if (ensure_cap(c, c->n_cols + n)) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    {
         int64_t *cols[12] = {
-            (int64_t *)c->ocls, (int64_t *)c->pc, (int64_t *)c->ctrl,
-            (int64_t *)c->load, (int64_t *)c->store, (int64_t *)c->nop,
-            (int64_t *)c->dest, (int64_t *)c->ndeps, (int64_t *)c->dep0,
-            (int64_t *)c->dep1, (int64_t *)c->addr, (int64_t *)c->faddr,
+            c->ocls, c->pc, c->ctrl, c->load, c->store, c->nop,
+            c->dest, c->ndeps, c->dep0, c->dep1, c->addr, c->faddr,
         };
         Py_ssize_t i;
         for (k = 0; k < 12; k++) {
-            PyObject **items = PySequence_Fast_ITEMS(seqs[k]);
-            int64_t *dst = cols[k] + c->n_cols;
-            for (i = 0; i < n; i++) {
-                int64_t v = (int64_t)PyLong_AsLongLong(items[i]);
-                if (v == -1 && PyErr_Occurred()) {
-                    goto fail;
-                }
-                dst[i] = v;
-            }
+            memcpy(cols[k] + c->n_cols, bufs[k].buf,
+                   (size_t)n * sizeof(int64_t));
         }
         for (i = 0; i < n; i++) {
             int64_t t = c->n_cols + i;
@@ -805,16 +776,16 @@ ingest_chunk(Ctx *c)
             c->poolv[t] = c->tab_pool[oc];
             c->npipe[t] = c->tab_npipe[oc];
         }
+        c->n_cols += n;
     }
-    c->n_cols += n;
-    for (k = 0; k < 12; k++) {
-        Py_DECREF(seqs[k]);
+    for (k = 0; k < nbufs; k++) {
+        PyBuffer_Release(&bufs[k]);
     }
     Py_DECREF(r);
     return n;
 fail:
-    for (k = 0; k < 12; k++) {
-        Py_XDECREF(seqs[k]);
+    for (k = 0; k < nbufs; k++) {
+        PyBuffer_Release(&bufs[k]);
     }
     Py_DECREF(r);
     return -1;
@@ -873,10 +844,10 @@ cmp_i64(const void *a, const void *b)
 static PyObject *
 native_run(PyObject *self, PyObject *args)
 {
-    PyObject *scalars, *fu_obj, *geom, *tables, *p_tab, *cols, *cbs;
+    PyObject *scalars, *fu_obj, *geom, *tables, *p_tab, *cbs;
     long long max_insts_ll, warmup_ll;
-    if (!PyArg_ParseTuple(args, "OOOOOOOLL", &scalars, &fu_obj, &geom,
-                          &tables, &p_tab, &cols, &cbs, &max_insts_ll,
+    if (!PyArg_ParseTuple(args, "OOOOOOLL", &scalars, &fu_obj, &geom,
+                          &tables, &p_tab, &cbs, &max_insts_ll,
                           &warmup_ll)) {
         return NULL;
     }
@@ -884,14 +855,11 @@ native_run(PyObject *self, PyObject *args)
     Ctx cx;
     memset(&cx, 0, sizeof cx);
     Ctx *c = &cx;
-    Py_buffer bufs[12];
-    int nbufs = 0;
     int64_t *tab_alloc[4] = {NULL, NULL, NULL, NULL};
     PyObject *result = NULL;
     int status = 0;       /* 0 ok / 1 watchdog / 2 ring-horizon */
     int64_t head_tag = -1;
     int64_t num_arch = 0;
-    Py_ssize_t n_pre = 0;
     int k;
 
     /* -- scalars ------------------------------------------------- */
@@ -1001,73 +969,10 @@ native_run(PyObject *self, PyObject *args)
         c->n_opclass = n0;
     }
 
-    /* -- decode columns ------------------------------------------- */
-    if (cols != Py_None) {
-        if (!PyTuple_Check(cols) || PyTuple_GET_SIZE(cols) != 12) {
-            PyErr_SetString(PyExc_TypeError,
-                            "columns must be None or a 12-tuple");
-            goto cleanup;
-        }
-        for (k = 0; k < 12; k++) {
-            if (PyObject_GetBuffer(PyTuple_GET_ITEM(cols, k), &bufs[k],
-                                   PyBUF_SIMPLE)) {
-                goto cleanup;
-            }
-            nbufs++;
-            if (bufs[k].len % 8) {
-                PyErr_SetString(PyExc_ValueError,
-                                "column buffer must hold int64 items");
-                goto cleanup;
-            }
-            Py_ssize_t ln = bufs[k].len / 8;
-            if (k == 0) {
-                n_pre = ln;
-            }
-            else if (ln != n_pre) {
-                PyErr_SetString(PyExc_ValueError,
-                                "column buffers disagree on length");
-                goto cleanup;
-            }
-        }
-        c->ocls = (const int64_t *)bufs[0].buf;
-        c->pc = (const int64_t *)bufs[1].buf;
-        c->ctrl = (const int64_t *)bufs[2].buf;
-        c->load = (const int64_t *)bufs[3].buf;
-        c->store = (const int64_t *)bufs[4].buf;
-        c->nop = (const int64_t *)bufs[5].buf;
-        c->dest = (const int64_t *)bufs[6].buf;
-        c->ndeps = (const int64_t *)bufs[7].buf;
-        c->dep0 = (const int64_t *)bufs[8].buf;
-        c->dep1 = (const int64_t *)bufs[9].buf;
-        c->addr = (const int64_t *)bufs[10].buf;
-        c->faddr = (const int64_t *)bufs[11].buf;
-        c->n_cols = n_pre;
-        c->cols_owned = 0;
-    }
-    else {
-        c->cols_owned = 1;
-        c->n_cols = 0;
-    }
-
-    /* -- per-tag state + stamped tables --------------------------- */
-    if (ensure_cap(c, n_pre > 0 ? n_pre : CHUNK)) {
+    /* -- per-tag state (columns arrive through ingest_chunk) ------ */
+    if (ensure_cap(c, CHUNK)) {
         PyErr_NoMemory();
         goto cleanup;
-    }
-    {
-        Py_ssize_t t;
-        for (t = 0; t < n_pre; t++) {
-            int64_t oc = c->ocls[t];
-            if (oc < 0 || oc >= (int64_t)c->n_opclass) {
-                PyErr_SetString(PyExc_ValueError,
-                                "op class index out of range");
-                goto cleanup;
-            }
-            c->rkey[t] = (c->tab_rank[oc] << KEY_SHIFT) | t;
-            c->latv[t] = c->tab_lat[oc];
-            c->poolv[t] = c->tab_pool[oc];
-            c->npipe[t] = c->tab_npipe[oc];
-        }
     }
 
     /* -- event rings, machine state ------------------------------- */
@@ -1108,7 +1013,6 @@ native_run(PyObject *self, PyObject *args)
         const int64_t warmup = (int64_t)warmup_ll;
         const int64_t budget = max_insts + warmup;
         int measured_started = warmup == 0;
-        int decoded = n_pre > 0;
         int64_t now = 0;
 
         for (;;) {
@@ -1770,14 +1674,9 @@ native_run(PyObject *self, PyObject *args)
                     if (t == -1) {
                         t = (int64_t)c->n_tags;
                         if (t < (int64_t)c->n_cols) {
-                            /* columns already decoded: ingest is free */
+                            /* columns already ingested */
                             c->n_tags = (Py_ssize_t)(t + 1);
                             c->pending_tag = t;
-                        }
-                        else if (decoded) {
-                            c->feed_done = 1;
-                            c->fetch_resume = NEVER;
-                            break;
                         }
                         else {
                             Py_ssize_t got = ingest_chunk(c);
@@ -2071,20 +1970,18 @@ cleanup:
             }
             free(c->cons);
         }
-        if (c->cols_owned) {
-            free((void *)c->ocls);
-            free((void *)c->pc);
-            free((void *)c->ctrl);
-            free((void *)c->load);
-            free((void *)c->store);
-            free((void *)c->nop);
-            free((void *)c->dest);
-            free((void *)c->ndeps);
-            free((void *)c->dep0);
-            free((void *)c->dep1);
-            free((void *)c->addr);
-            free((void *)c->faddr);
-        }
+        free(c->ocls);
+        free(c->pc);
+        free(c->ctrl);
+        free(c->load);
+        free(c->store);
+        free(c->nop);
+        free(c->dest);
+        free(c->ndeps);
+        free(c->dep0);
+        free(c->dep1);
+        free(c->addr);
+        free(c->faddr);
         free(c->rkey);
         free(c->latv);
         free(c->poolv);
@@ -2130,9 +2027,6 @@ cleanup:
         for (k = 0; k < 4; k++) {
             free(tab_alloc[k]);
         }
-        for (k = 0; k < nbufs; k++) {
-            PyBuffer_Release(&bufs[k]);
-        }
     }
     return result;
 }
@@ -2162,7 +2056,7 @@ PyInit__native(void)
     }
     /* Bumped whenever the run() wire protocol changes; the wrapper
      * refuses to drive a stale prebuilt artifact. */
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 1)) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2)) {
         Py_DECREF(m);
         return NULL;
     }

@@ -22,15 +22,17 @@ SimStats wakeup-order tracker — through five cold-path callbacks:
     Flush the C stat accumulators into SimStats at the warmup boundary
     and reset the measurement window.
 ``ingest()``
-    Pull the next chunk of a generator feed; returns ``None`` when
-    drained, else a 12-tuple of int64 columns.  A chunk holds what the
-    run can still use (the instruction budget not yet pulled plus the
-    in-flight window), at least one fetch group and at most ``_CHUNK``
-    ops, so a short run builds few ops it never fetches.
+    Pull the next chunk of the feed; returns ``None`` when drained, else
+    a 12-tuple of int64 ``array('q')`` columns.  Every feed (generator or
+    materialized list) arrives this way.  A chunk holds what the run can
+    still use (the instruction budget not yet pulled plus the in-flight
+    window), at least one fetch group and at most ``_CHUNK`` ops, so a
+    short run encodes (and, for a generator, builds) few ops it never
+    fetches.
 
-The bimodal predictor *table* is read in place by the C loop (via the
-list object), so ``pair`` updates are visible to later dispatches exactly
-as in the reference.  Everything on the hot path stays in C; the
+The last-arrival predictor's ``_table`` list is read in place by the C
+loop, so ``pair`` updates are visible to later dispatches exactly as in
+the reference.  Everything on the hot path stays in C; the
 callbacks fire only for control instructions, recorded wakeup pairs, the
 single warmup boundary and the ingest chunks.
 """
@@ -65,7 +67,6 @@ from repro.pipeline.config import (
 from repro.pipeline.fu import is_non_pipelined, pool_index
 from repro.pipeline.processor import _WATCHDOG_CYCLES, SimulationResult
 from repro.pipeline.stats import SimStats
-from repro.workloads.feed import decode_columns
 
 try:  # pragma: no cover - exercised via native_available()
     from repro.fastsim import _native
@@ -74,7 +75,7 @@ except ImportError:  # pragma: no cover - no compiled artifact present
 
 #: The wire protocol this wrapper speaks; a prebuilt _native.so from a
 #: different revision is refused rather than driven wrong.
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _RANK_BY_IDX = tuple(0 if c in PRIORITY_CLASSES else 1 for c in OpClass)
 _POOL_BY_IDX = tuple(
@@ -97,27 +98,12 @@ def native_available() -> bool:
     )
 
 
-def _encode_columns(pcs, ctrls, loads, stores, nops, ocls, dests, deps,
-                    addrs, pc_address):
-    """Pack decoded python columns into the 12 int64 buffers C reads."""
-    dest = array("q", [-1 if d is None else d for d in dests])
-    ndeps = array("q", [len(d) for d in deps])
-    dep0 = array("q", [d[0] if d else -1 for d in deps])
-    dep1 = array("q", [d[1] if len(d) > 1 else -1 for d in deps])
-    addr = array("q", [0 if a is None else a for a in addrs])
-    if pc_address is not None:
-        faddr = array("q", [pc_address(pc) for pc in pcs])
-    else:
-        faddr = array("q", [pc * 4 for pc in pcs])
-    return (
-        array("q", ocls), array("q", pcs), array("q", ctrls),
-        array("q", loads), array("q", stores), array("q", nops),
-        dest, ndeps, dep0, dep1, addr, faddr,
-    )
-
-
 class NativeProcessor:
-    """Compiled-cycle-loop twin of :class:`Processor` (one run per instance)."""
+    """Compiled-cycle-loop twin of :class:`Processor` (one run per instance).
+
+    Build it through :func:`repro.fastsim.make_processor`, which refuses a
+    missing extension and the python-only features before constructing one.
+    """
 
     backend_name = "native"
 
@@ -127,16 +113,6 @@ class NativeProcessor:
         config: MachineConfig,
         shadow_sizes: tuple[int, ...] | None = None,
     ):
-        if not native_available():
-            raise ConfigurationError(
-                "backend 'native' needs the compiled extension; build it "
-                "with pip install -e .[native] (requires a C compiler)"
-            )
-        if config.use_dependence_matrix:
-            raise ConfigurationError(
-                "backend 'native' does not support the dependence-matrix "
-                "cross-check; use the python backend for this run"
-            )
         self.config = config
         self.feed = feed
         self.stats = SimStats()
@@ -262,27 +238,9 @@ class NativeProcessor:
             _RANK_BY_IDX, _POOL_BY_IDX, _NONPIPE_BY_IDX, self._lat_by_idx,
         )
 
-        # ---- decode columns ------------------------------------------
-        feed_ops = getattr(self.feed, "ops", None)
-        get_columns = getattr(self.feed, "columns", None)
-        if type(feed_ops) is list:
-            ops_l = feed_ops
-            cols = get_columns() if callable(get_columns) else None
-            if cols is None:
-                cols = decode_columns(ops_l)
-            native_cols = cols.get("native_cols")
-            if native_cols is None:
-                native_cols = _encode_columns(
-                    cols["pc"], cols["ctrl"], cols["load"], cols["store"],
-                    cols["nop"], cols["ocls"], cols["dest"], cols["deps"],
-                    cols["addr"], pc_address,
-                )
-                cols["native_cols"] = native_cols  # memoize w/ decode cache
-            feed_iter = None
-        else:
-            ops_l = []
-            native_cols = None
-            feed_iter = iter(self.feed)
+        # ---- feed: every op reaches C through ingest_cb ---------------
+        ops_l = []
+        feed_iter = iter(self.feed)
 
         # ---- cold-path callbacks -------------------------------------
         predictions: dict[int, object] = {}
@@ -350,23 +308,31 @@ class NativeProcessor:
                         f"numbers (got {op.seq}, expected {base + i})"
                     )
             ops_l.extend(chunk)
-            return _encode_columns(
-                [op.pc for op in chunk],
-                [1 if op.is_control else 0 for op in chunk],
-                [1 if op.is_load else 0 for op in chunk],
-                [1 if op.is_store else 0 for op in chunk],
-                [1 if op.is_eliminated_nop else 0 for op in chunk],
-                [op.op_class.idx for op in chunk],
-                [op.dest for op in chunk],
-                [op.sched_deps for op in chunk],
-                [op.mem_addr for op in chunk],
-                pc_address,
+            deps = [op.sched_deps for op in chunk]
+            pcs = [op.pc for op in chunk]
+            if pc_address is None:
+                faddr = [pc * 4 for pc in pcs]
+            else:
+                faddr = [pc_address(pc) for pc in pcs]
+            return (
+                array("q", [op.op_class.idx for op in chunk]),
+                array("q", pcs),
+                array("q", [op.is_control for op in chunk]),
+                array("q", [op.is_load for op in chunk]),
+                array("q", [op.is_store for op in chunk]),
+                array("q", [op.is_eliminated_nop for op in chunk]),
+                array("q", [-1 if op.dest is None else op.dest for op in chunk]),
+                array("q", [len(d) for d in deps]),
+                array("q", [d[0] if d else -1 for d in deps]),
+                array("q", [d[1] if len(d) > 1 else -1 for d in deps]),
+                array("q", [op.mem_addr or 0 for op in chunk]),
+                array("q", faddr),
             )
 
         # ---- run the compiled loop -----------------------------------
         status, now_c, total_committed, head_tag, s24, m12, sel4 = (
             _native.run(
-                scalars, fu_counts, geom, tables, p_tab, native_cols,
+                scalars, fu_counts, geom, tables, p_tab,
                 (predict_cb, resolve_cb, pair_cb, warmup_cb, ingest_cb),
                 max_insts, warmup,
             )

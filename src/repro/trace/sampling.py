@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.fastsim import make_processor
 from repro.isa.opcodes import OPCODE_BY_NAME
 from repro.pipeline.config import MachineConfig
-from repro.trace.feed import TraceFeed, _reseq
+from repro.trace.feed import TraceFeed
 from repro.workloads.feed import ReplayFeed
 from repro.workloads.trace import DynOp
 
@@ -357,4 +357,23 @@ def _window_feed(feed: TraceFeed, warming: list[DynOp], start: int, end: int):
     window = [_reseq(op, seq) for seq, op in enumerate(merged)]
     return ReplayFeed(
         window, name=f"{feed.name}[{start}:{end}]", pc_address=feed.pc_address
+    )
+
+
+def _reseq(op: DynOp, seq: int) -> DynOp:
+    return DynOp(
+        seq=seq,
+        pc=op.pc,
+        opcode=op.opcode,
+        op_class=op.op_class,
+        dest=op.dest,
+        srcs=op.srcs,
+        sched_deps=op.sched_deps,
+        store_data_reg=op.store_data_reg,
+        mem_addr=op.mem_addr,
+        taken=op.taken,
+        next_pc=op.next_pc,
+        static_target=op.static_target,
+        is_two_source_format=op.is_two_source_format,
+        is_eliminated_nop=op.is_eliminated_nop,
     )

@@ -65,42 +65,14 @@ def collect_stream(stream: Iterable[DynOp], limit: int) -> list[DynOp]:
     return list(itertools.islice(iter(stream), limit))
 
 
-def decode_columns(ops: list[DynOp]) -> dict:
-    """Decode static per-instruction facts into flat parallel columns.
-
-    The native backend indexes every per-instruction array by the dense
-    instruction tag, which equals the op's position in the stream — hence
-    the density check.  Booleans are stored as 0/1 ints so the hot loop
-    avoids attribute lookups and bool boxing; ``deps`` keeps references to
-    the original ``sched_deps`` tuples.
-    """
-    for i, op in enumerate(ops):
-        if op.seq != i:
-            raise ValueError(
-                "decode_columns needs dense program-order seq numbers "
-                f"(got {op.seq} at position {i})"
-            )
-    return {
-        "ocls": [op.op_class.idx for op in ops],
-        "pc": [op.pc for op in ops],
-        "ctrl": [1 if op.is_control else 0 for op in ops],
-        "load": [1 if op.is_load else 0 for op in ops],
-        "store": [1 if op.is_store else 0 for op in ops],
-        "nop": [1 if op.is_eliminated_nop else 0 for op in ops],
-        "dest": [op.dest for op in ops],
-        "deps": [op.sched_deps for op in ops],
-        "addr": [op.mem_addr for op in ops],
-    }
-
-
 class ReplayFeed:
-    """Reusable pre-materialized stream with a decode cache.
+    """Reusable pre-materialized stream.
 
     Wraps a list of :class:`DynOp` in program order.  Iterating replays the
-    list, so any backend accepts it like a regular stream; the native
-    backend additionally recognizes the materialized ``ops`` list and the
-    :meth:`columns` decode cache, making this the "decode once, simulate
-    many" feed for benchmarks, sweeps and serve traffic.
+    list, so every backend consumes it exactly like a generator feed (the
+    native backend encodes only the ops its run fetches); materializing
+    once makes this the "build once, simulate many" feed for benchmarks,
+    sweeps and sampled windows.
 
     ``pc_address`` must be forwarded from the source feed when that feed
     defines one (the instruction-cache access pattern depends on it).
@@ -111,7 +83,6 @@ class ReplayFeed:
         self.name = name
         if pc_address is not None:
             self.pc_address = pc_address
-        self._columns: dict | None = None
 
     @classmethod
     def from_stream(
@@ -133,12 +104,6 @@ class ReplayFeed:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def columns(self) -> dict:
-        """Flat decoded columns (see :func:`decode_columns`), cached."""
-        if self._columns is None:
-            self._columns = decode_columns(self.ops)
-        return self._columns
 
 
 @dataclass

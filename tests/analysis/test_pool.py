@@ -35,9 +35,10 @@ WARMUP = 150
 
 
 @pytest.fixture
-def pool():
+def pool(monkeypatch):
     """A private 2-worker pool (the global singleton stays untouched)."""
-    instance = WorkerPool(2, idle_s=0)
+    monkeypatch.setattr(pool_mod, "IDLE_S", 0)
+    instance = WorkerPool(2)
     yield instance
     instance.close()
 
@@ -144,12 +145,14 @@ class TestCrashRecovery:
         # The timer may lose the race on a fast box; the parity assertion
         # above is the contract either way.
 
-    def test_unrecoverable_crash_fails_only_its_chunk(self):
-        instance = WorkerPool(1, idle_s=0, retries=0)
+    def test_unrecoverable_crash_fails_only_its_chunk(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "IDLE_S", 0)
+        monkeypatch.setattr(pool_mod, "RETRIES", 0)
+        instance = WorkerPool(1)
         try:
             instance.run(_jobs(1))
             os.kill(instance.worker_pids()[0], signal.SIGKILL)
-            # retries=0: the chunk that died is not requeued — its job
+            # RETRIES = 0: the chunk that died is not requeued — its job
             # fails loudly instead of silently vanishing...
             (outcome,) = instance.submit(_jobs(1))
             assert not outcome.ok and isinstance(outcome.error, WorkerCrashError)
@@ -164,10 +167,12 @@ class TestCrashRecovery:
 #: Owns a warm 2-worker pool, prints the worker pids, then waits to be killed.
 _POOL_OWNER = f"""
 import time
+import repro.analysis.pool as pool_mod
 from repro.analysis.parallel import Job
 from repro.analysis.pool import WorkerPool
 from repro.pipeline.config import FOUR_WIDE
-pool = WorkerPool(2, idle_s=0)
+pool_mod.IDLE_S = 0
+pool = WorkerPool(2)
 pool.run([Job("gzip", FOUR_WIDE, seed, {INSTS}, {WARMUP}) for seed in range(2)])
 print(*pool.worker_pids(), flush=True)
 time.sleep(120)
@@ -211,8 +216,9 @@ class TestLifecycle:
                     os.kill(pid, signal.SIGKILL)
         assert orphans == []
 
-    def test_lazy_start_and_idle_reap(self):
-        instance = WorkerPool(2, idle_s=0.2)
+    def test_lazy_start_and_idle_reap(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "IDLE_S", 0.2)
+        instance = WorkerPool(2)
         try:
             assert not instance.started  # lazy: no dispatch, no processes
             instance.run(_jobs(2))

@@ -98,7 +98,7 @@ def test_parity_with_warmup_and_shadow_bank(backend):
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
 def test_emulator_feed_parity(backend):
-    """The generator ingest path (no decoded columns) is also bit-exact."""
+    """A generator feed (an emulator run) is bit-exact too."""
     _require_native()
     program = kernel_program("pointer_chase")
     _assert_parity(
@@ -107,22 +107,45 @@ def test_emulator_feed_parity(backend):
 
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_replay_feed_decoded_columns_parity(backend):
-    """Pre-decoded ReplayFeed (the fast path) matches the reference too."""
+def test_replay_feed_parity(backend):
+    """A materialized list feed (ReplayFeed) matches the reference too."""
     _require_native()
     workload = SyntheticWorkload(get_profile("vortex"), seed=5)
     feed = ReplayFeed.from_stream(workload, 1_600)
-    feed.columns()
     _assert_parity(lambda: feed_copy(feed), FOUR_WIDE, backend)
 
 
 def feed_copy(feed):
     """Fresh ReplayFeed over the same ops (processors consume feeds once)."""
-    clone = ReplayFeed(
+    return ReplayFeed(
         feed.ops, name=feed.name, pc_address=getattr(feed, "pc_address", None)
     )
-    clone.columns()
-    return clone
+
+
+@pytest.mark.parametrize("backend", _FAST_BACKENDS)
+def test_short_run_encodes_only_what_it_can_fetch(backend):
+    """A list feed streams through chunked ingest like a generator feed.
+
+    A 300 + 150 run on a 20k-op ReplayFeed encodes its budget plus the
+    in-flight window, not the whole list; ``pc_address`` runs once per
+    encoded op, so its call count is the number of ops encoded.
+    """
+    _require_native()
+    workload = SyntheticWorkload(get_profile("gzip"), seed=3)
+    ops = ReplayFeed.from_stream(workload, 20_000).ops
+    encoded = []
+
+    def pc_address(pc):
+        encoded.append(pc)
+        return pc * 4
+
+    feed = ReplayFeed(ops, name="long", pc_address=pc_address)
+    config = FOUR_WIDE
+    processor = make_processor(feed, config, backend=backend)
+    result = processor.run(max_insts=300, warmup=150)
+    assert result.total_committed >= 450
+    in_flight = config.ruu_size + config.width * config.front_depth
+    assert len(encoded) <= 450 + in_flight
 
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)
