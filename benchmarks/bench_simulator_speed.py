@@ -78,10 +78,10 @@ def test_speed_result_cache_hit(benchmark, tmp_path):
     """
     cache = ResultCache(tmp_path)
     job = Job("gzip", FOUR_WIDE, 3, 1_000, 1_000)
-    cache.store("gzip", 3, 1_000, 1_000, FOUR_WIDE, None, execute_job(job))
+    cache.store(job, execute_job(job))
 
     def lookup():
-        return cache.load("gzip", 3, 1_000, 1_000, FOUR_WIDE, None)
+        return cache.load(job)
 
     result = benchmark(lookup)
     assert result is not None and result.total_committed >= 1_000

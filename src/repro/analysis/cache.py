@@ -7,17 +7,20 @@ fingerprint, serializes/deserializes records, and delegates all blob I/O
 to a :class:`~repro.analysis.store.ResultStore` (by default a
 content-addressed :class:`~repro.analysis.store.DirectoryStore` under
 ``results/cache/`` — shareable between processes and, on a shared
-filesystem, between serving-tier workers).  Records are keyed by a
-SHA-256 fingerprint over everything that determines a run's outcome:
+filesystem, between serving-tier workers).  Records are keyed by
+:func:`fingerprint`, a SHA-256 over a :class:`~repro.analysis.parallel.Job`
+— the one key of a simulation — plus the version stamps:
 
 * the **timing-model version stamp**
   (:data:`repro.pipeline.processor.TIMING_MODEL_VERSION`) — bumped whenever
   a code change alters simulated timing, which invalidates every existing
-  record at once;
-* the workload identity (benchmark profile name + seed);
+  record at once — and the record :data:`CACHE_FORMAT_VERSION`;
+* the workload identity (benchmark profile name + seed; for traces, the
+  ``tracefile:<content-hash>`` token, with a sampled run's plan appended);
 * the run lengths (measured instructions, warmup instructions);
-* the **full machine configuration** (``dataclasses.asdict`` of the frozen
-  config, enums flattened to their values) — sweep variants that share a
+* the **full machine configuration** (:func:`config_identity`: the
+  frozen config's ``dataclasses.asdict``, enums flattened to their
+  values, built once per distinct config) — sweep variants that share a
   name but differ in any parameter can never collide;
 * the shadow-predictor sizes, when a shadow bank was attached.
 
@@ -41,12 +44,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
 from collections import Counter
 from pathlib import Path
 
+from repro.analysis.parallel import Job
 from repro.analysis.store import DirectoryStore, ResultStore
 from repro.core.last_arrival import DesignComparisonBank, ShadowPredictorBank
 from repro.pipeline.config import MachineConfig
@@ -59,33 +64,41 @@ from repro.pipeline.stats import STAT_COUNTER_FIELDS, SimStats, WakeupOrderStats
 CACHE_FORMAT_VERSION = 2
 
 
-def _json_default(value):
-    if isinstance(value, enum.Enum):
-        return value.value
-    raise TypeError(f"not JSON-serializable: {value!r}")  # pragma: no cover
+@functools.lru_cache(maxsize=256)
+def config_identity(config: MachineConfig) -> dict:
+    """The config's part of every identity: built once per distinct config.
+
+    ``dataclasses.asdict`` with enums flattened to their values.  The
+    returned dict is shared by every later call for an equal config, so
+    callers must never mutate it (copy it, as the stats export does).
+    """
+    return dataclasses.asdict(config, dict_factory=_plain_fields)
 
 
-def fingerprint(
-    benchmark: str,
-    seed: int,
-    insts: int,
-    warmup: int,
-    config: MachineConfig,
-    shadow_sizes: tuple[int, ...] | None,
-) -> str:
-    """Stable digest identifying one simulation's full input space."""
-    identity = {
-        "model_version": TIMING_MODEL_VERSION,
-        "format_version": CACHE_FORMAT_VERSION,
-        "benchmark": benchmark,
-        "seed": seed,
-        "insts": insts,
-        "warmup": warmup,
-        "shadow_sizes": list(shadow_sizes) if shadow_sizes else None,
-        "config": dataclasses.asdict(config),
-    }
-    payload = json.dumps(identity, sort_keys=True, default=_json_default)
+def _plain_fields(items: list[tuple[str, object]]) -> dict:
+    return {key: value.value if isinstance(value, enum.Enum) else value for key, value in items}
+
+
+def _digest(identity: dict) -> str:
+    """SHA-256 of *identity* as sorted-key JSON: every fingerprint's rule."""
+    payload = json.dumps(identity, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fingerprint(job: Job) -> str:
+    """Stable digest identifying one simulation's full input space."""
+    return _digest(
+        {
+            "model_version": TIMING_MODEL_VERSION,
+            "format_version": CACHE_FORMAT_VERSION,
+            "benchmark": job.benchmark,
+            "seed": job.seed,
+            "insts": job.insts,
+            "warmup": job.warmup,
+            "shadow_sizes": list(job.shadow_sizes) if job.shadow_sizes else None,
+            "config": config_identity(job.config),
+        }
+    )
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +218,8 @@ def cache_enabled() -> bool:
 class ResultCache:
     """Simulation records keyed by input fingerprint, on a ResultStore.
 
-    The domain adapter between the analysis layer (benchmark, seed,
-    config, run lengths) and the content-addressed blob store.  All the
+    The domain adapter between the analysis layer (a :class:`Job` per
+    run) and the content-addressed blob store.  All the
     durability guarantees — atomic publication, checksum-verified reads,
     quarantine of torn blobs, cross-process claims — live in the store;
     this class owns fingerprinting and (de)serialization plus the
@@ -239,60 +252,39 @@ class ResultCache:
         return getattr(self.backend, "root", None)
 
     # ------------------------------------------------------------------
-    def load(
-        self,
-        benchmark: str,
-        seed: int,
-        insts: int,
-        warmup: int,
-        config: MachineConfig,
-        shadow_sizes: tuple[int, ...] | None,
-    ) -> SimulationResult | None:
-        """Return the cached result for these inputs, or None on a miss."""
-        digest = fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes)
-        record = self.backend.get(digest)
+    def load(self, job: Job) -> SimulationResult | None:
+        """Return the cached result for *job*, or None on a miss."""
+        record = self.backend.get(fingerprint(job))
         result = None if record is None else self._decode(record)
         self._count(result is not None)
         return result
 
-    def lookup_or_claim(self, *run) -> tuple:
+    def lookup_or_claim(self, job: Job) -> tuple:
         """Non-blocking: ``(result, None)`` on a hit, ``(None, claim)`` when
         this caller must simulate and :meth:`store` before releasing the
-        claim, ``(None, None)`` while another caller simulates.  *run*
-        is the six inputs :meth:`load` takes."""
-        result, claim = self.backend.lookup_or_claim(fingerprint(*run), self._decode)
+        claim, ``(None, None)`` while another caller simulates."""
+        result, claim = self.backend.lookup_or_claim(fingerprint(job), self._decode)
         self._count(result is not None)
         return result, claim
 
-    def get_or_compute(self, compute, *run) -> SimulationResult:
-        """The cached result for *run*, else ``compute()``'s, published
+    def get_or_compute(self, job: Job, compute) -> SimulationResult:
+        """The cached result for *job*, else ``compute()``'s, published
         under the store claim (waits while another process holds it)."""
-        digest = fingerprint(*run)
         computed = []
 
         def compute_record() -> tuple[SimulationResult, dict]:
             computed.append(compute())
             self.stores += 1
-            return computed[0], self._record(run, computed[0])
+            return computed[0], self._record(job, computed[0])
 
-        result = self.backend.get_or_compute(digest, compute_record, self._decode)
+        result = self.backend.get_or_compute(fingerprint(job), compute_record, self._decode)
         self._count(not computed)
         return result
 
-    def store(
-        self,
-        benchmark: str,
-        seed: int,
-        insts: int,
-        warmup: int,
-        config: MachineConfig,
-        shadow_sizes: tuple[int, ...] | None,
-        result: SimulationResult,
-    ) -> Path | None:
+    def store(self, job: Job, result: SimulationResult) -> Path | None:
         """Publish one result; returns the blob path for directory stores."""
-        run = (benchmark, seed, insts, warmup, config, shadow_sizes)
-        digest = fingerprint(*run)
-        self.backend.put(digest, self._record(run, result))
+        digest = fingerprint(job)
+        self.backend.put(digest, self._record(job, result))
         self.stores += 1
         if isinstance(self.backend, DirectoryStore):
             return self.backend._blob_path(digest)
@@ -319,9 +311,14 @@ class ResultCache:
             return None
 
     @staticmethod
-    def _record(run: tuple, result: SimulationResult) -> dict:
-        """The bare record for *run*; the store adds the envelope."""
+    def _record(job: Job, result: SimulationResult) -> dict:
+        """The bare record for *job*; the store adds the envelope."""
         record = serialize_result(result)
-        record["benchmark"], record["seed"], record["insts"], record["warmup"] = run[:4]
-        record["model_version"] = TIMING_MODEL_VERSION
+        record.update(
+            benchmark=job.benchmark,
+            seed=job.seed,
+            insts=job.insts,
+            warmup=job.warmup,
+            model_version=TIMING_MODEL_VERSION,
+        )
         return record

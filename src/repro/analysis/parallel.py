@@ -53,7 +53,16 @@ def default_jobs() -> int:
 
 @dataclass(frozen=True)
 class Job:
-    """One independent simulation: workload identity + machine + lengths."""
+    """One simulation's key: workload identity + machine + lengths.
+
+    The result cache fingerprints it (:func:`repro.analysis.cache.fingerprint`),
+    the runner memoizes on it and :func:`execute_job` runs it.
+    ``benchmark`` is a profile name for jobs that reach
+    :func:`execute_job`; keys that never do may carry a trace token
+    instead (:func:`repro.trace.run.trace_job`, whose ``insts=0`` means
+    the whole trace, and :func:`repro.trace.run.sampled_job`, whose token
+    also spells the sampling plan).
+    """
 
     benchmark: str
     config: MachineConfig

@@ -285,8 +285,10 @@ class WorkerPool:
                         self._workers
                         and time.monotonic() - self._last_used >= self.idle_s
                     ):
-                        self._stop_workers()
+                        # Counted first: `started` reads False once the
+                        # workers are gone, and a reader may look then.
                         self.registry.counter("pool.idle_reaps").inc()
+                        self._stop_workers()
                 finally:
                     self._lock.release()
 

@@ -46,11 +46,6 @@ from repro.workloads.synthetic import SyntheticWorkload
 SHADOW_SIZES = (128, 512, 1024, 4096)
 
 
-def _cache_inputs(job: Job) -> tuple:
-    """*job*'s inputs in :class:`ResultCache` argument order."""
-    return (job.benchmark, job.seed, job.insts, job.warmup, job.config, job.shadow_sizes)
-
-
 class ExperimentRunner:
     """Runs and memoizes benchmark simulations.
 
@@ -88,7 +83,7 @@ class ExperimentRunner:
         else:
             self.cache = cache
         self._workloads: dict[tuple[str, int], SyntheticWorkload] = {}
-        self._results: dict[tuple, SimulationResult] = {}
+        self._results: dict[Job, SimulationResult] = {}
         #: harness-level observability: where results came from, what was
         #: exported.  Published on every serve (cheap — per result, not
         #: per cycle); read via ``runner.metrics.as_dict()``.
@@ -102,15 +97,25 @@ class ExperimentRunner:
         return self._workloads[key]
 
     # ------------------------------------------------------------------
-    def _key(self, benchmark: str, config: MachineConfig, seed: int, shadow: bool) -> tuple:
-        # The whole frozen config, not its name: variant names omit knobs
-        # such as predictor_entries.  That includes config.backend, so a
-        # memo hit returns the result of the backend the caller resolved
-        # to and per-backend baselines stay honest.
-        return (benchmark, seed, config, self.insts, self.warmup, shadow)
+    def _job(
+        self, benchmark: str, config: MachineConfig, seed: int | None, shadow: bool
+    ) -> Job:
+        """The key of one run: memo, cache fingerprint and simulation.
 
-    def _shadow_sizes(self, shadow: bool) -> tuple[int, ...] | None:
-        return SHADOW_SIZES if shadow else None
+        The runner is a backend boundary: REPRO_BACKEND (then the config
+        field) is materialized here.  The key holds the whole frozen
+        config, not its name (variant names omit knobs such as
+        predictor_entries), backend included, so a memo hit returns the
+        result of the backend the caller resolved to.
+        """
+        return Job(
+            benchmark,
+            apply_backend(config),
+            seed if seed is not None else self.seed,
+            self.insts,
+            self.warmup,
+            SHADOW_SIZES if shadow else None,
+        )
 
     def result(
         self,
@@ -125,17 +130,11 @@ class ExperimentRunner:
         the same key simulate once: the store claim makes one of them
         compute and publish while the rest wait for its blob.
         """
-        seed = seed if seed is not None else self.seed
-        # The runner is a backend boundary: REPRO_BACKEND (then the config
-        # field) is materialized here, so the cache fingerprint and memo
-        # key both see the resolved choice.
-        config = apply_backend(config)
-        key = self._key(benchmark, config, seed, shadow)
-        found = self._results.get(key)
+        job = self._job(benchmark, config, seed, shadow)
+        found = self._results.get(job)
         if found is not None:
             self.metrics.counter("runner.memo_hits").inc()
             return found
-        job = Job(benchmark, config, seed, self.insts, self.warmup, self._shadow_sizes(shadow))
         simulated = []
 
         def simulate() -> SimulationResult:
@@ -143,12 +142,10 @@ class ExperimentRunner:
             return self._simulate([job])[0]
 
         # Waits while another thread or process holds the store claim.
-        found = simulate() if self.cache is None else self.cache.get_or_compute(
-            simulate, *_cache_inputs(job)
-        )
+        found = simulate() if self.cache is None else self.cache.get_or_compute(job, simulate)
         if not simulated:
             self.metrics.counter("runner.disk_hits").inc()
-        self._results[key] = found
+        self._results[job] = found
         return found
 
     def _simulate(self, jobs: list[Job], workers: int | None = None) -> list[SimulationResult]:
@@ -176,26 +173,24 @@ class ExperimentRunner:
         deterministic job ordering makes every aggregate identical to a
         serial run.
         """
-        claimed: list[tuple[tuple, Job, object]] = []
-        seen: set[tuple] = set()
+        claimed: list[tuple[Job, object]] = []
+        seen: set[Job] = set()
         elsewhere = 0
-        for benchmark, config, seed, shadow in requests:
-            config = apply_backend(config)
-            key = self._key(benchmark, config, seed, shadow)
-            if key in seen or key in self._results:
+        for request in requests:
+            job = self._job(*request)
+            if job in seen or job in self._results:
                 continue
-            seen.add(key)
-            job = Job(benchmark, config, seed, self.insts, self.warmup, self._shadow_sizes(shadow))
+            seen.add(job)
             claim = None
             if self.cache is not None:
-                found, claim = self.cache.lookup_or_claim(*_cache_inputs(job))
+                found, claim = self.cache.lookup_or_claim(job)
                 if found is not None:
-                    self._results[key] = found
+                    self._results[job] = found
                     continue
                 if claim is None:
                     elsewhere += 1
                     continue
-            claimed.append((key, job, claim))
+            claimed.append((job, claim))
         self.metrics.counter("runner.prefetch_warm_hits").inc(
             len(requests) - len(claimed) - elsewhere
         )
@@ -207,13 +202,13 @@ class ExperimentRunner:
             return 0
         workers = workers if workers is not None else self.jobs
         try:
-            results = self._simulate([job for _, job, _ in claimed], workers)
-            for (key, job, _), result in zip(claimed, results):
-                self._results[key] = result
+            results = self._simulate([job for job, _ in claimed], workers)
+            for (job, _), result in zip(claimed, results):
+                self._results[job] = result
                 if self.cache is not None:
-                    self.cache.store(*_cache_inputs(job), result)
+                    self.cache.store(job, result)
         finally:
-            for _, _, claim in claimed:
+            for _, claim in claimed:
                 if claim is not None:
                     claim.release()
         return len(claimed)
@@ -247,21 +242,11 @@ class ExperimentRunner:
         # for the shared fingerprint (see repro/obs/__init__.py).
         from repro.obs.export import build_stats_export, write_stats_json
 
-        seed = seed if seed is not None else self.seed
-        # Materialize the backend before building the document, so the
-        # export's embedded config and fingerprint describe the run that
-        # actually happened (result() resolves identically).
-        config = apply_backend(config)
-        result = self.result(benchmark, config, shadow=shadow, seed=seed)
-        document = build_stats_export(
-            result,
-            config,
-            benchmark=benchmark,
-            seed=seed,
-            insts=self.insts,
-            warmup=self.warmup,
-            shadow_sizes=self._shadow_sizes(shadow),
-        )
+        # The export's embedded config and fingerprint describe the run
+        # that actually happened: the job carries the resolved backend.
+        job = self._job(benchmark, config, seed, shadow)
+        result = self.result(job.benchmark, job.config, shadow=shadow, seed=job.seed)
+        document = build_stats_export(result, job)
         path = write_stats_json(document, directory)
         self.metrics.counter("runner.exports_written").inc()
         return path

@@ -23,14 +23,13 @@ serial and parallel exports directly.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
+import copy
 import json
 from pathlib import Path
 
-from repro.analysis.cache import fingerprint, serialize_result
+from repro.analysis.cache import config_identity, fingerprint, serialize_result
+from repro.analysis.parallel import Job
 from repro.errors import SimulationError
-from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
 
 #: Bump whenever the export document gains/loses/renames fields.
@@ -49,42 +48,28 @@ _DERIVED_PROPERTIES = (
 
 def build_stats_export(
     result: SimulationResult,
-    config: MachineConfig,
+    job: Job,
     *,
-    benchmark: str,
-    seed: int,
-    insts: int,
-    warmup: int,
-    shadow_sizes: tuple[int, ...] | None = None,
     registry=None,
     profile=None,
 ) -> dict:
-    """Flatten one run to the schema-versioned export document."""
-
-    def plain(value):
-        if isinstance(value, enum.Enum):
-            return value.value
-        if isinstance(value, dict):
-            return {key: plain(inner) for key, inner in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [plain(inner) for inner in value]
-        return value
-
+    """Flatten one run, keyed by its *job*, to the schema-versioned export."""
     stats = result.stats
     document = {
         "schema_version": STATS_SCHEMA_VERSION,
         "timing_model_version": TIMING_MODEL_VERSION,
-        "fingerprint": fingerprint(benchmark, seed, insts, warmup, config, shadow_sizes),
+        "fingerprint": fingerprint(job),
         "run": {
-            "benchmark": benchmark,
-            "seed": seed,
-            "insts": insts,
-            "warmup": warmup,
-            "shadow_sizes": list(shadow_sizes) if shadow_sizes else None,
+            "benchmark": job.benchmark,
+            "seed": job.seed,
+            "insts": job.insts,
+            "warmup": job.warmup,
+            "shadow_sizes": list(job.shadow_sizes) if job.shadow_sizes else None,
             "workload": result.workload_name,
             "config_name": result.config_name,
         },
-        "config": plain(dataclasses.asdict(config)),
+        # A copy: the memoized identity is shared with every fingerprint.
+        "config": copy.deepcopy(config_identity(job.config)),
         "result": serialize_result(result),
         "derived": {
             name: getattr(stats, name) for name in _DERIVED_PROPERTIES

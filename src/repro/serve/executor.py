@@ -113,9 +113,7 @@ class JobExecutor:
             requests = []
             for spec in members:
                 try:
-                    requests.append(
-                        (spec.benchmark, apply_backend(spec.config()), spec.seed, spec.shadow)
-                    )
+                    requests.append((spec.benchmark, spec.config(), spec.seed, spec.shadow))
                 except Exception:  # noqa: BLE001 - surfaced per-spec below
                     pass
             try:
@@ -135,18 +133,9 @@ class JobExecutor:
         # Materialized here (not just inside the runner) so the exported
         # document's config/fingerprint match the run when a server-side
         # REPRO_BACKEND overrides the spec's choice.
-        config = apply_backend(spec.config())
-        result = runner.result(spec.benchmark, config, shadow=spec.shadow, seed=spec.seed)
-        document = build_stats_export(
-            result,
-            config,
-            benchmark=spec.benchmark,
-            seed=spec.seed,
-            insts=spec.insts,
-            warmup=spec.warmup,
-            shadow_sizes=spec.shadow_sizes,
-        )
-        return {"kind": "run", "stats": document}
+        job = spec.job(apply_backend(spec.config()))
+        result = runner.result(job.benchmark, job.config, shadow=spec.shadow, seed=job.seed)
+        return {"kind": "run", "stats": build_stats_export(result, job)}
 
     def _trace_feed(self, spec: TraceSpec):
         """The decoded feed for a trace spec, memoized by content hash."""
@@ -168,8 +157,7 @@ class JobExecutor:
             return self._feeds.setdefault(spec.content_hash, feed)
 
     def _execute_trace(self, spec: TraceSpec) -> dict:
-        from repro.trace import run_full, run_sampled, trace_token
-        from repro.trace.run import TRACE_SEED
+        from repro.trace import run_full, run_sampled
 
         feed = self._trace_feed(spec)
         # Materialized for the same reason as run jobs: the exported
@@ -177,37 +165,10 @@ class JobExecutor:
         # server-side REPRO_BACKEND override.
         config = apply_backend(spec.config())
         if spec.sampled:
-            report = run_sampled(
-                feed,
-                config,
-                interval=spec.interval,
-                k=spec.k,
-                warmup=spec.sample_warmup,
-                dims=spec.dims,
-                seed=spec.sample_seed,
-                warm_caches=spec.warm_caches,
-                shadow_sizes=spec.shadow_sizes,
-                cache=self.cache,
-            )
+            report = run_sampled(feed, config, cache=self.cache, **spec.run_options())
             return {"kind": "trace", "report": report}
-        result = run_full(
-            feed,
-            config,
-            insts=spec.insts,
-            warmup=spec.warmup,
-            shadow_sizes=spec.shadow_sizes,
-            cache=self.cache,
-        )
-        document = build_stats_export(
-            result,
-            config,
-            benchmark=trace_token(spec.content_hash),
-            seed=TRACE_SEED,
-            insts=spec.insts if spec.insts is not None else 0,
-            warmup=spec.warmup,
-            shadow_sizes=spec.shadow_sizes,
-        )
-        return {"kind": "trace", "stats": document}
+        result = run_full(feed, config, cache=self.cache, **spec.run_options())
+        return {"kind": "trace", "stats": build_stats_export(result, spec.job(config))}
 
     def _execute_verify(self, spec: VerifySpec) -> dict:
         # Deferred: the verify stack is needed only by verify jobs.

@@ -30,12 +30,12 @@ on.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 
+from repro.analysis.cache import _digest
 from repro.analysis.cache import fingerprint as cache_fingerprint
+from repro.analysis.parallel import Job
 from repro.analysis.runner import SHADOW_SIZES
 from repro.errors import ReproError
 from repro.pipeline.config import (
@@ -144,11 +144,21 @@ class RunSpec:
     def shadow_sizes(self) -> tuple[int, ...] | None:
         return SHADOW_SIZES if self.shadow else None
 
+    def job(self, config: MachineConfig | None = None) -> Job:
+        """The simulation key; *config* (default :meth:`config`) lets the
+        executor pass the machine with its backend resolved."""
+        return Job(
+            self.benchmark,
+            config if config is not None else self.config(),
+            self.seed,
+            self.insts,
+            self.warmup,
+            self.shadow_sizes,
+        )
+
     def fingerprint(self) -> str:
         """The result-cache digest — the coalescing/idempotency key."""
-        return cache_fingerprint(
-            self.benchmark, self.seed, self.insts, self.warmup, self.config(), self.shadow_sizes
-        )
+        return cache_fingerprint(self.job())
 
     def as_wire(self) -> dict:
         document = dataclasses.asdict(self)
@@ -170,15 +180,15 @@ class VerifySpec:
     kind = "verify"
 
     def fingerprint(self) -> str:
-        identity = {
-            "kind": self.kind,
-            "model_version": TIMING_MODEL_VERSION,
-            "source": self.source,
-            "configs": list(self.configs) if self.configs else None,
-            "budget": self.budget,
-        }
-        payload = json.dumps(identity, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _digest(
+            {
+                "kind": self.kind,
+                "model_version": TIMING_MODEL_VERSION,
+                "source": self.source,
+                "configs": list(self.configs) if self.configs else None,
+                "budget": self.budget,
+            }
+        )
 
     def as_wire(self) -> dict:
         return {
@@ -238,15 +248,10 @@ class TraceSpec:
     def shadow_sizes(self) -> tuple[int, ...] | None:
         return SHADOW_SIZES if self.shadow else None
 
-    def fingerprint(self) -> str:
-        """The result-cache digest — keyed on the trace content hash."""
-        # Deferred: only trace jobs need the trace stack.
-        from repro.trace.run import sampled_fingerprint, trace_fingerprint
-
+    def run_options(self) -> dict:
+        """Keyword arguments of ``run_sampled`` (sampled) or ``run_full``."""
         if self.sampled:
-            return sampled_fingerprint(
-                self.content_hash,
-                self.config(),
+            return dict(
                 interval=self.interval,
                 k=self.k,
                 warmup=self.sample_warmup,
@@ -255,13 +260,21 @@ class TraceSpec:
                 warm_caches=self.warm_caches,
                 shadow_sizes=self.shadow_sizes,
             )
-        return trace_fingerprint(
-            self.content_hash,
-            self.config(),
-            insts=self.insts,
-            warmup=self.warmup,
-            shadow_sizes=self.shadow_sizes,
-        )
+        return dict(insts=self.insts, warmup=self.warmup, shadow_sizes=self.shadow_sizes)
+
+    def job(self, config: MachineConfig | None = None) -> Job:
+        """The simulation key, on the trace content hash; *config*
+        (default :meth:`config`) as for :meth:`RunSpec.job`."""
+        # Deferred: only trace jobs need the trace stack.
+        from repro.trace.run import sampled_job, trace_job
+
+        make = sampled_job if self.sampled else trace_job
+        config = config if config is not None else self.config()
+        return make(self.content_hash, config, **self.run_options())
+
+    def fingerprint(self) -> str:
+        """The result-cache digest — keyed on the trace content hash."""
+        return cache_fingerprint(self.job())
 
     def as_wire(self) -> dict:
         document = dataclasses.asdict(self)
@@ -271,50 +284,33 @@ class TraceSpec:
 
 JobSpec = RunSpec | VerifySpec | TraceSpec
 
-_RUN_KEYS = frozenset(
-    (
-        "kind",
-        "benchmark",
-        "width",
-        "scheduler",
-        "regfile",
-        "half_rename",
-        "half_bypass",
-        "predictor",
-        "seed",
-        "insts",
-        "warmup",
-        "shadow",
-        "priority",
-        "backend",
+#: The wire fields of each job kind: its spec's dataclass fields + "kind".
+_WIRE_KEYS = {
+    spec.kind: frozenset(field.name for field in dataclasses.fields(spec)) | {"kind"}
+    for spec in (RunSpec, VerifySpec, TraceSpec)
+}
+
+
+def _machine_fields(payload: dict) -> dict:
+    """The machine fields run and trace specs share, validated."""
+    width = payload.get("width", 4)
+    _require(width in (4, 8), "width must be 4 or 8")
+    backend = payload.get("backend", "python")
+    _require(
+        backend in BACKENDS,
+        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})",
     )
-)
-_VERIFY_KEYS = frozenset(("kind", "source", "configs", "budget", "priority"))
-_TRACE_KEYS = frozenset(
-    (
-        "kind",
-        "trace",
-        "content_hash",
-        "width",
-        "scheduler",
-        "regfile",
-        "half_rename",
-        "half_bypass",
-        "predictor",
-        "insts",
-        "warmup",
-        "sampled",
-        "interval",
-        "k",
-        "sample_warmup",
-        "dims",
-        "sample_seed",
-        "warm_caches",
-        "shadow",
-        "priority",
-        "backend",
+    return dict(
+        width=width,
+        backend=backend,
+        scheduler=_enum_value(payload, "scheduler", SchedulerModel, SchedulerModel.BASE.value),
+        regfile=_enum_value(payload, "regfile", RegFileModel, RegFileModel.BASE.value),
+        half_rename=_get_bool(payload, "half_rename", False),
+        half_bypass=_get_bool(payload, "half_bypass", False),
+        predictor=_get_bool(payload, "predictor", True),
+        shadow=_get_bool(payload, "shadow", False),
+        priority=_get_int(payload, "priority", 0, minimum=-(10**6)),
     )
-)
 
 
 def _parse_run(payload: dict) -> RunSpec:
@@ -324,27 +320,12 @@ def _parse_run(payload: dict) -> RunSpec:
         benchmark in SPEC_BENCHMARKS,
         f"unknown benchmark {benchmark!r} (known: {', '.join(SPEC_BENCHMARKS)})",
     )
-    width = payload.get("width", 4)
-    _require(width in (4, 8), "width must be 4 or 8")
-    backend = payload.get("backend", "python")
-    _require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})",
-    )
     spec = RunSpec(
         benchmark=benchmark,
-        width=width,
-        scheduler=_enum_value(payload, "scheduler", SchedulerModel, SchedulerModel.BASE.value),
-        regfile=_enum_value(payload, "regfile", RegFileModel, RegFileModel.BASE.value),
-        half_rename=_get_bool(payload, "half_rename", False),
-        half_bypass=_get_bool(payload, "half_bypass", False),
-        predictor=_get_bool(payload, "predictor", True),
+        **_machine_fields(payload),
         seed=_get_int(payload, "seed", 42, minimum=0),
         insts=_get_int(payload, "insts", 15_000),
         warmup=_get_int(payload, "warmup", 20_000, minimum=0),
-        shadow=_get_bool(payload, "shadow", False),
-        priority=_get_int(payload, "priority", 0, minimum=-(10**6)),
-        backend=backend,
     )
     spec.config()  # surface ConfigurationError-shaped problems as 400s
     return spec
@@ -380,13 +361,7 @@ def _parse_verify(payload: dict) -> VerifySpec:
 def _parse_trace(payload: dict) -> TraceSpec:
     trace = payload.get("trace")
     _require(isinstance(trace, str) and bool(trace.strip()), "trace is required")
-    width = payload.get("width", 4)
-    _require(width in (4, 8), "width must be 4 or 8")
-    backend = payload.get("backend", "python")
-    _require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})",
-    )
+    machine = _machine_fields(payload)
     content_hash = payload.get("content_hash")
     if content_hash is None:
         # Deferred: only trace jobs need the trace stack.
@@ -410,12 +385,7 @@ def _parse_trace(payload: dict) -> TraceSpec:
     spec = TraceSpec(
         trace=trace,
         content_hash=content_hash,
-        width=width,
-        scheduler=_enum_value(payload, "scheduler", SchedulerModel, SchedulerModel.BASE.value),
-        regfile=_enum_value(payload, "regfile", RegFileModel, RegFileModel.BASE.value),
-        half_rename=_get_bool(payload, "half_rename", False),
-        half_bypass=_get_bool(payload, "half_bypass", False),
-        predictor=_get_bool(payload, "predictor", True),
+        **machine,
         insts=insts,
         warmup=_get_int(payload, "warmup", 0, minimum=0),
         sampled=_get_bool(payload, "sampled", False),
@@ -425,12 +395,12 @@ def _parse_trace(payload: dict) -> TraceSpec:
         dims=_get_int(payload, "dims", DEFAULT_DIMS),
         sample_seed=_get_int(payload, "sample_seed", DEFAULT_SAMPLE_SEED, minimum=0),
         warm_caches=_get_bool(payload, "warm_caches", True),
-        shadow=_get_bool(payload, "shadow", False),
-        priority=_get_int(payload, "priority", 0, minimum=-(10**6)),
-        backend=backend,
     )
     spec.config()  # surface ConfigurationError-shaped problems as 400s
     return spec
+
+
+_PARSERS = {"run": _parse_run, "verify": _parse_verify, "trace": _parse_trace}
 
 
 def parse_spec(payload: object) -> JobSpec:
@@ -438,19 +408,11 @@ def parse_spec(payload: object) -> JobSpec:
     _require(isinstance(payload, dict), "job spec must be a JSON object")
     assert isinstance(payload, dict)
     kind = payload.get("kind", "run")
-    if kind == "run":
-        unknown = set(payload) - _RUN_KEYS
-        _require(not unknown, f"unknown run-spec field(s): {', '.join(sorted(unknown))}")
-        return _parse_run(payload)
-    if kind == "verify":
-        unknown = set(payload) - _VERIFY_KEYS
-        _require(not unknown, f"unknown verify-spec field(s): {', '.join(sorted(unknown))}")
-        return _parse_verify(payload)
-    if kind == "trace":
-        unknown = set(payload) - _TRACE_KEYS
-        _require(not unknown, f"unknown trace-spec field(s): {', '.join(sorted(unknown))}")
-        return _parse_trace(payload)
-    raise ProtocolError(f"unknown job kind {kind!r} (known: run, verify, trace)")
+    parse = _PARSERS.get(kind) if isinstance(kind, str) else None
+    _require(parse is not None, f"unknown job kind {kind!r} (known: run, verify, trace)")
+    unknown = set(payload) - _WIRE_KEYS[kind]
+    _require(not unknown, f"unknown {kind}-spec field(s): {', '.join(sorted(unknown))}")
+    return parse(payload)
 
 
 #: The form of every id a JobTable issues; pinned ids must match it.

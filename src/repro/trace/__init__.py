@@ -45,12 +45,7 @@ from repro.trace.format import (
     isa_version,
     read_header,
 )
-from repro.trace.run import (
-    run_full,
-    run_sampled,
-    sampled_fingerprint,
-    trace_fingerprint,
-)
+from repro.trace.run import run_full, run_sampled, sampled_job, trace_job
 from repro.trace.sampling import (
     DEFAULT_DIMS,
     DEFAULT_INTERVAL,
@@ -96,9 +91,9 @@ __all__ = [
     "resolve_trace",
     "run_full",
     "run_sampled",
-    "sampled_fingerprint",
+    "sampled_job",
     "simulate_sampled",
-    "trace_fingerprint",
     "trace_info",
+    "trace_job",
     "trace_token",
 ]

@@ -47,10 +47,6 @@ class TraceFeed(ReplayFeed):
     def pc_address(self, pc: int) -> int:
         return pc * INSTRUCTION_BYTES
 
-    def token(self) -> str:
-        """Cache identity for this workload (content hash, not path)."""
-        return trace_token(self.content_hash)
-
 
 def trace_token(content_hash: str) -> str:
     """The benchmark-identity string for a trace workload."""

@@ -23,6 +23,7 @@ the rest wait for its blob.
 from __future__ import annotations
 
 from repro.analysis.cache import ResultCache, fingerprint
+from repro.analysis.parallel import Job
 from repro.fastsim import make_processor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
@@ -37,31 +38,26 @@ from repro.trace.sampling import (
     simulate_sampled,
 )
 
-#: The seed slot of trace fingerprints (a trace has no workload seed).
+#: The seed slot of trace keys (a trace has no workload seed).
 TRACE_SEED = 0
 
 
-def trace_fingerprint(
+def trace_job(
     content_hash: str,
     config: MachineConfig,
     *,
     insts: int | None = None,
     warmup: int = 0,
     shadow_sizes: tuple[int, ...] | None = None,
-) -> str:
-    """Cache fingerprint for a full trace run.
+) -> Job:
+    """The key of a full trace run.
 
-    ``insts=None`` means "the whole trace" and is encoded as 0 — the
-    fingerprint is computable from the wire spec alone, without opening
-    the file to learn its length.
+    ``insts=None`` means "the whole trace" and is encoded as 0 — the key
+    is computable from the wire spec alone, without opening the file to
+    learn its length.
     """
-    return fingerprint(
-        trace_token(content_hash),
-        TRACE_SEED,
-        insts if insts is not None else 0,
-        warmup,
-        config,
-        shadow_sizes,
+    return Job(
+        trace_token(content_hash), config, TRACE_SEED, insts or 0, warmup, shadow_sizes
     )
 
 
@@ -76,10 +72,10 @@ def run_full(
 ) -> SimulationResult:
     """Simulate a trace end to end, through the result cache.
 
-    Cached under the inputs :func:`trace_fingerprint` digests.
-    ``config.backend`` must already be materialized (call
-    ``apply_backend`` at the boundary).  *insts* must be positive: the
-    key of ``insts=None`` (the whole trace) is 0.
+    Cached under :func:`trace_job`'s key.  ``config.backend`` must
+    already be materialized (call ``apply_backend`` at the boundary).
+    *insts* must be positive: the key of ``insts=None`` (the whole
+    trace) is 0.
     """
     if insts is not None and insts < 1:
         raise ValueError(f"insts must be >= 1 or None (the whole trace), got {insts}")
@@ -93,16 +89,16 @@ def run_full(
 
     if cache is None:
         return simulate()
-    return cache.get_or_compute(
-        simulate, trace_token(feed.content_hash), TRACE_SEED, insts or 0, warmup, config,
-        shadow_sizes,
+    job = trace_job(
+        feed.content_hash, config, insts=insts, warmup=warmup, shadow_sizes=shadow_sizes
     )
+    return cache.get_or_compute(job, simulate)
 
 
 # ----------------------------------------------------------------------
 # Sampled runs: report records on the same store
 # ----------------------------------------------------------------------
-def sampled_fingerprint(
+def sampled_job(
     content_hash: str,
     config: MachineConfig,
     *,
@@ -113,20 +109,19 @@ def sampled_fingerprint(
     seed: int = DEFAULT_SAMPLE_SEED,
     warm_caches: bool = True,
     shadow_sizes: tuple[int, ...] | None = None,
-) -> str:
-    """Fingerprint for a sampled run's report record.
+) -> Job:
+    """The key of a sampled run's report record.
 
-    Rides the shared :func:`~repro.analysis.cache.fingerprint` by packing
-    the sampling plan into the workload-identity string (the plan changes
-    the answer, so it must change the key) and the clustering seed into
-    the seed slot.
+    The sampling plan changes the answer, so it is packed into the
+    workload token; the clustering seed takes the seed slot.  The key
+    never reaches :func:`~repro.analysis.parallel.execute_job`.
     """
     token = (
         f"{trace_token(content_hash)}"
         f"#sampled:v{SAMPLING_REPORT_VERSION}:i{interval}:k{k}:w{warmup}:d{dims}"
         f":c{1 if warm_caches else 0}"
     )
-    return fingerprint(token, seed, 0, warmup, config, shadow_sizes)
+    return Job(token, config, seed, 0, warmup, shadow_sizes)
 
 
 def run_sampled(
@@ -143,9 +138,7 @@ def run_sampled(
     cache: ResultCache | None = None,
 ) -> dict:
     """Sampled simulation through the result store (report-record kind)."""
-    digest = sampled_fingerprint(
-        feed.content_hash,
-        config,
+    plan = dict(
         interval=interval,
         k=k,
         warmup=warmup,
@@ -156,17 +149,7 @@ def run_sampled(
     )
 
     def simulate() -> tuple[dict, dict]:
-        report = simulate_sampled(
-            feed,
-            config,
-            interval=interval,
-            k=k,
-            warmup=warmup,
-            dims=dims,
-            seed=seed,
-            warm_caches=warm_caches,
-            shadow_sizes=shadow_sizes,
-        )
+        report = simulate_sampled(feed, config, **plan)
         record = {
             "kind": "trace-sampled",
             "model_version": TIMING_MODEL_VERSION,
@@ -180,4 +163,5 @@ def run_sampled(
 
     if cache is None:
         return simulate()[0]
+    digest = fingerprint(sampled_job(feed.content_hash, config, **plan))
     return cache.backend.get_or_compute(digest, simulate, decode)

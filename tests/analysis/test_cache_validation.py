@@ -11,27 +11,26 @@ any mismatch.
 import json
 
 from repro.analysis.cache import CACHE_FORMAT_VERSION, ResultCache, fingerprint
+from repro.analysis.parallel import Job
 from repro.analysis.store import record_checksum
 from repro.pipeline.config import FOUR_WIDE
 from repro.pipeline.processor import Processor
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
-RUN = ("gzip", 3, 300, 150)  # benchmark, seed, insts, warmup
+JOB = Job("gzip", FOUR_WIDE, 3, 300, 150)
 
 
 def store_one(tmp_path):
-    benchmark, seed, insts, warmup = RUN
-    workload = SyntheticWorkload(get_profile(benchmark), seed=seed)
-    result = Processor(workload, FOUR_WIDE).run(max_insts=insts, warmup=warmup)
+    workload = SyntheticWorkload(get_profile(JOB.benchmark), seed=JOB.seed)
+    result = Processor(workload, FOUR_WIDE).run(max_insts=JOB.insts, warmup=JOB.warmup)
     cache = ResultCache(tmp_path)
-    path = cache.store(benchmark, seed, insts, warmup, FOUR_WIDE, None, result)
+    path = cache.store(JOB, result)
     return cache, path, result
 
 
 def load_one(cache):
-    benchmark, seed, insts, warmup = RUN
-    return cache.load(benchmark, seed, insts, warmup, FOUR_WIDE, None)
+    return cache.load(JOB)
 
 
 class TestRecordChecksum:
@@ -71,12 +70,11 @@ class TestRecordChecksum:
 
     def test_partial_record_with_valid_json_is_a_miss(self, tmp_path):
         """The original hazard: a parseable record missing whole sections."""
-        benchmark, seed, insts, warmup = RUN
         cache, path, _ = store_one(tmp_path)
         record = json.loads(path.read_text())
         del record["order"]  # JSON landed, but only partially materialized
         path.write_text(json.dumps(record, sort_keys=True))
-        assert cache.load(benchmark, seed, insts, warmup, FOUR_WIDE, None) is None
+        assert cache.load(JOB) is None
 
     def test_structurally_broken_record_never_crashes(self, tmp_path):
         """Even with a 'valid' checksum, a malformed record is just a miss."""
@@ -92,12 +90,11 @@ class TestRecordChecksum:
         path.write_text("}{ not json")
         assert load_one(cache) is None
         # Re-store overwrites the broken file and it serves again.
-        benchmark, seed, insts, warmup = RUN
-        cache.store(benchmark, seed, insts, warmup, FOUR_WIDE, None, result)
+        cache.store(JOB, result)
         assert load_one(cache) is not None
 
     def test_format_version_participates_in_fingerprint(self):
         """Bumping the record format invalidates every old record key."""
-        digest = fingerprint(*RUN, FOUR_WIDE, None)
+        digest = fingerprint(JOB)
         assert CACHE_FORMAT_VERSION >= 2
         assert len(digest) == 64

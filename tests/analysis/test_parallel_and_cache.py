@@ -39,8 +39,8 @@ class TestDeterminism:
     def test_cache_round_trip_matches(self, tmp_path):
         cache = ResultCache(tmp_path)
         fresh = execute_job(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP))
-        cache.store("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None, fresh)
-        loaded = cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None)
+        cache.store(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP), fresh)
+        loaded = cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP))
         assert loaded is not None
         assert _signature(loaded) == _signature(fresh)
         assert loaded.stats.replayed == fresh.stats.replayed
@@ -51,8 +51,8 @@ class TestDeterminism:
         fresh = execute_job(
             Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP, shadow_sizes=SHADOW_SIZES)
         )
-        cache.store("gzip", 42, INSTS, WARMUP, FOUR_WIDE, SHADOW_SIZES, fresh)
-        loaded = cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, SHADOW_SIZES)
+        cache.store(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP, SHADOW_SIZES), fresh)
+        loaded = cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP, SHADOW_SIZES))
         assert loaded.stats.shadow_bank.accuracy_table() == (
             fresh.stats.shadow_bank.accuracy_table()
         )
@@ -93,12 +93,12 @@ class TestCacheInvalidation:
     def _store_one(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = execute_job(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP))
-        cache.store("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None, result)
+        cache.store(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP), result)
         return cache
 
     def test_identical_params_hit(self, tmp_path):
         cache = self._store_one(tmp_path)
-        assert cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None) is not None
+        assert cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP)) is not None
         assert cache.hits == 1 and cache.misses == 0
 
     def test_model_version_bump_misses(self, tmp_path, monkeypatch):
@@ -106,7 +106,7 @@ class TestCacheInvalidation:
         monkeypatch.setattr(
             cache_mod, "TIMING_MODEL_VERSION", cache_mod.TIMING_MODEL_VERSION + 1
         )
-        assert cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None) is None
+        assert cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP)) is None
 
     # the parameter is named "bench": pytest-benchmark reserves "benchmark"
     @pytest.mark.parametrize(
@@ -120,24 +120,24 @@ class TestCacheInvalidation:
     )
     def test_changed_run_identity_misses(self, tmp_path, bench, seed, insts, warmup):
         cache = self._store_one(tmp_path)
-        assert cache.load(bench, seed, insts, warmup, FOUR_WIDE, None) is None
+        assert cache.load(Job(bench, FOUR_WIDE, seed, insts, warmup)) is None
 
     def test_changed_config_misses(self, tmp_path):
         cache = self._store_one(tmp_path)
-        assert cache.load("gzip", 42, INSTS, WARMUP, SEQ_WAKEUP, None) is None
+        assert cache.load(Job("gzip", SEQ_WAKEUP, 42, INSTS, WARMUP)) is None
         renamed = dataclasses.replace(FOUR_WIDE, ruu_size=FOUR_WIDE.ruu_size * 2)
-        assert cache.load("gzip", 42, INSTS, WARMUP, renamed, None) is None
+        assert cache.load(Job("gzip", renamed, 42, INSTS, WARMUP)) is None
 
     def test_shadow_request_is_a_distinct_key(self, tmp_path):
         cache = self._store_one(tmp_path)
-        assert cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, SHADOW_SIZES) is None
+        assert cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP, SHADOW_SIZES)) is None
 
     def test_fingerprint_tracks_model_version(self, monkeypatch):
-        before = fingerprint("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None)
+        before = fingerprint(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP))
         monkeypatch.setattr(
             cache_mod, "TIMING_MODEL_VERSION", cache_mod.TIMING_MODEL_VERSION + 1
         )
-        after = fingerprint("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None)
+        after = fingerprint(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP))
         assert before != after
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
@@ -146,7 +146,7 @@ class TestCacheInvalidation:
         assert blobs, "store published no blob"
         for path in blobs:
             path.write_text("{ not json")
-        assert cache.load("gzip", 42, INSTS, WARMUP, FOUR_WIDE, None) is None
+        assert cache.load(Job("gzip", FOUR_WIDE, 42, INSTS, WARMUP)) is None
 
 
 class TestEnvInt:

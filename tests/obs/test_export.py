@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.cache import fingerprint
+from repro.analysis.parallel import Job
 from repro.errors import SimulationError
 from repro.obs.export import (
     STATS_SCHEMA_VERSION,
@@ -20,21 +21,21 @@ from repro.pipeline.stats import STAT_COUNTER_FIELDS
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
-RUN = dict(benchmark="gzip", seed=9, insts=400, warmup=200)
+JOB = Job("gzip", FOUR_WIDE, 9, 400, 200)
 
 
 @pytest.fixture(scope="module")
 def run():
-    workload = SyntheticWorkload(get_profile(RUN["benchmark"]), seed=RUN["seed"])
+    workload = SyntheticWorkload(get_profile(JOB.benchmark), seed=JOB.seed)
     processor = Processor(workload, FOUR_WIDE, profile=True)
-    result = processor.run(max_insts=RUN["insts"], warmup=RUN["warmup"])
+    result = processor.run(max_insts=JOB.insts, warmup=JOB.warmup)
     return processor, result
 
 
 @pytest.fixture(scope="module")
 def document(run):
     processor, result = run
-    return build_stats_export(result, FOUR_WIDE, **RUN)
+    return build_stats_export(result, JOB)
 
 
 class TestSchema:
@@ -43,10 +44,7 @@ class TestSchema:
         assert document["timing_model_version"] == TIMING_MODEL_VERSION
 
     def test_fingerprint_matches_result_cache(self, document):
-        assert document["fingerprint"] == fingerprint(
-            RUN["benchmark"], RUN["seed"], RUN["insts"], RUN["warmup"],
-            FOUR_WIDE, None,
-        )
+        assert document["fingerprint"] == fingerprint(JOB)
 
     def test_run_identity(self, document):
         assert document["run"] == {
@@ -83,11 +81,11 @@ class TestSchema:
         registry = MetricsRegistry()
         processor.publish_metrics(registry)
         document = build_stats_export(
-            result, FOUR_WIDE, registry=registry, profile=processor.profiler, **RUN
+            result, JOB, registry=registry, profile=processor.profiler
         )
         assert document["metrics"]["sim.committed"] == result.stats.committed
         assert document["profile"]["fetch"]["calls"] == processor.now
-        bare = build_stats_export(result, FOUR_WIDE, **RUN)
+        bare = build_stats_export(result, JOB)
         assert "metrics" not in bare and "profile" not in bare
 
 

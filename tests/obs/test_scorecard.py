@@ -2,6 +2,7 @@
 
 import json
 
+from repro.analysis.parallel import Job
 from repro.obs.export import build_stats_export, write_stats_json
 from repro.obs.scorecard import (
     DEFAULT_TOLERANCES,
@@ -14,15 +15,13 @@ from repro.pipeline.processor import Processor
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
-RUN = dict(benchmark="gzip", seed=3, insts=300, warmup=150)
+JOB = Job("gzip", FOUR_WIDE, 3, 300, 150)
 
 
 def make_document():
-    workload = SyntheticWorkload(get_profile(RUN["benchmark"]), seed=RUN["seed"])
-    result = Processor(workload, FOUR_WIDE).run(
-        max_insts=RUN["insts"], warmup=RUN["warmup"]
-    )
-    return build_stats_export(result, FOUR_WIDE, **RUN)
+    workload = SyntheticWorkload(get_profile(JOB.benchmark), seed=JOB.seed)
+    result = Processor(workload, FOUR_WIDE).run(max_insts=JOB.insts, warmup=JOB.warmup)
+    return build_stats_export(result, JOB)
 
 
 def mutate(path, fn):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.cache import fingerprint as cache_fingerprint
+from repro.analysis.parallel import Job
 from repro.analysis.runner import SHADOW_SIZES
 from repro.pipeline.config import FOUR_WIDE, SchedulerModel
 from repro.serve.protocol import (
@@ -64,7 +65,7 @@ class TestFingerprints:
              "warmup": 200, "seed": 9}
         )
         config = FOUR_WIDE.with_techniques(scheduler=SchedulerModel.SEQ_WAKEUP)
-        assert spec.fingerprint() == cache_fingerprint("gzip", 9, 400, 200, config, None)
+        assert spec.fingerprint() == cache_fingerprint(Job("gzip", config, 9, 400, 200))
 
     def test_shadow_changes_fingerprint(self):
         base = parse_spec({"benchmark": "gzip"})
@@ -72,7 +73,7 @@ class TestFingerprints:
         assert base.fingerprint() != shadowed.fingerprint()
         config = base.config()
         assert shadowed.fingerprint() == cache_fingerprint(
-            "gzip", 42, 15_000, 20_000, config, SHADOW_SIZES
+            Job("gzip", config, 42, 15_000, 20_000, SHADOW_SIZES)
         )
 
     def test_priority_does_not_change_fingerprint(self):
@@ -153,7 +154,7 @@ class TestBackendField:
     def test_backend_fingerprint_matches_cache_digest(self, backend):
         spec = parse_spec({"benchmark": "gzip", "backend": backend})
         expected = cache_fingerprint(
-            "gzip", spec.seed, spec.insts, spec.warmup, spec.config(), None
+            Job("gzip", spec.config(), spec.seed, spec.insts, spec.warmup)
         )
         assert spec.fingerprint() == expected
 

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from repro.analysis.cache import ResultCache
+from repro.analysis.cache import ResultCache, fingerprint
 from repro.pipeline.config import FOUR_WIDE
 from repro.trace import run as trace_run
 from repro.trace.capture import capture_kernel
@@ -20,7 +20,7 @@ from repro.trace.corpus import (
 )
 from repro.trace.feed import TraceFeed
 from repro.trace.format import TraceFormatError, read_header
-from repro.trace.run import run_full, run_sampled, sampled_fingerprint, trace_fingerprint
+from repro.trace.run import run_full, run_sampled, sampled_job, trace_job
 
 #: a small sampling plan: a 4k-instruction trace in 1k windows
 SAMPLING = {"interval": 1_000, "k": 2, "warmup": 200}
@@ -70,8 +70,8 @@ class TestContentHashIdentity:
         original = TraceFeed(source)
         moved = TraceFeed(copy)
         assert original.content_hash == moved.content_hash
-        assert trace_fingerprint(original.content_hash, FOUR_WIDE) == trace_fingerprint(
-            moved.content_hash, FOUR_WIDE
+        assert fingerprint(trace_job(original.content_hash, FOUR_WIDE)) == fingerprint(
+            trace_job(moved.content_hash, FOUR_WIDE)
         )
 
     def test_different_content_changes_the_fingerprint(self, tmp_path):
@@ -82,17 +82,17 @@ class TestContentHashIdentity:
         a = TraceFeed(whole).content_hash
         b = TraceFeed(short).content_hash
         assert a != b
-        assert trace_fingerprint(a, FOUR_WIDE) != trace_fingerprint(b, FOUR_WIDE)
+        assert fingerprint(trace_job(a, FOUR_WIDE)) != fingerprint(trace_job(b, FOUR_WIDE))
 
     def test_sampling_plan_changes_the_fingerprint(self, tmp_path):
         path = tmp_path / "t.hpt"
         capture_kernel("fibonacci", path)
         digest = TraceFeed(path).content_hash
-        base = sampled_fingerprint(digest, FOUR_WIDE)
-        assert base != sampled_fingerprint(digest, FOUR_WIDE, k=3)
-        assert base != sampled_fingerprint(digest, FOUR_WIDE, interval=5_000)
-        assert base != sampled_fingerprint(digest, FOUR_WIDE, warm_caches=False)
-        assert base != trace_fingerprint(digest, FOUR_WIDE)
+        base = fingerprint(sampled_job(digest, FOUR_WIDE))
+        assert base != fingerprint(sampled_job(digest, FOUR_WIDE, k=3))
+        assert base != fingerprint(sampled_job(digest, FOUR_WIDE, interval=5_000))
+        assert base != fingerprint(sampled_job(digest, FOUR_WIDE, warm_caches=False))
+        assert base != fingerprint(trace_job(digest, FOUR_WIDE))
 
 
 class TestCachedRuns:
@@ -109,7 +109,8 @@ class TestCachedRuns:
         assert second.ipc == first.ipc
         # Published under the fingerprint the serving tier computes for
         # the same wire spec.
-        assert cache.backend.get(trace_fingerprint(feed.content_hash, FOUR_WIDE)) is not None
+        digest = fingerprint(trace_job(feed.content_hash, FOUR_WIDE))
+        assert cache.backend.get(digest) is not None
 
     def test_run_full_refuses_a_non_positive_budget(self, tmp_path):
         """``insts=0`` shares the whole-trace key, so it must never run."""
@@ -151,7 +152,7 @@ class TestCachedRuns:
         feed = TraceFeed(source)
         cache = ResultCache(tmp_path / "cache")
         first = run_sampled(feed, FOUR_WIDE, cache=cache, **SAMPLING)
-        digest = sampled_fingerprint(feed.content_hash, FOUR_WIDE, **SAMPLING)
+        digest = fingerprint(sampled_job(feed.content_hash, FOUR_WIDE, **SAMPLING))
         blob = tmp_path / "cache" / digest[:2] / f"{digest}.json"
         record = json.loads(blob.read_text())
         record["report"]["weighted_ipc"] = 99.0  # tamper without re-stamping
