@@ -36,8 +36,8 @@ Environment knobs::
     REPRO_CACHE_DIR      cache directory (default <repo>/results/cache)
     REPRO_CLAIM_STALE_S  seconds before an abandoned cross-process claim
                          is broken by the next contender (default 300);
-                         every path that publishes holds one while it
-                         computes, prefetch and batched serve drains too
+                         every batch a caller resolves holds one per miss
+                         it computes (see :meth:`ResultCache.get_or_compute`)
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import hashlib
-import json
 import os
 from collections import Counter
 from pathlib import Path
 
 from repro.analysis.parallel import Job
-from repro.analysis.store import DirectoryStore, ResultStore
+from repro.analysis.store import DirectoryStore, ResultStore, json_digest
 from repro.core.last_arrival import DesignComparisonBank, ShadowPredictorBank
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
@@ -79,15 +77,9 @@ def _plain_fields(items: list[tuple[str, object]]) -> dict:
     return {key: value.value if isinstance(value, enum.Enum) else value for key, value in items}
 
 
-def _digest(identity: dict) -> str:
-    """SHA-256 of *identity* as sorted-key JSON: every fingerprint's rule."""
-    payload = json.dumps(identity, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def fingerprint(job: Job) -> str:
     """Stable digest identifying one simulation's full input space."""
-    return _digest(
+    return json_digest(
         {
             "model_version": TIMING_MODEL_VERSION,
             "format_version": CACHE_FORMAT_VERSION,
@@ -256,30 +248,32 @@ class ResultCache:
         """Return the cached result for *job*, or None on a miss."""
         record = self.backend.get(fingerprint(job))
         result = None if record is None else self._decode(record)
-        self._count(result is not None)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return result
 
-    def lookup_or_claim(self, job: Job) -> tuple:
-        """Non-blocking: ``(result, None)`` on a hit, ``(None, claim)`` when
-        this caller must simulate and :meth:`store` before releasing the
-        claim, ``(None, None)`` while another caller simulates."""
-        result, claim = self.backend.lookup_or_claim(fingerprint(job), self._decode)
-        self._count(result is not None)
-        return result, claim
+    def get_or_compute(self, jobs: list[Job], compute) -> list[SimulationResult]:
+        """The cached result of every job; the misses this caller claims
+        go to one ``compute(claimed_jobs)`` call and are published under
+        the store claim (waits for the misses another process holds)."""
+        computed = 0
 
-    def get_or_compute(self, job: Job, compute) -> SimulationResult:
-        """The cached result for *job*, else ``compute()``'s, published
-        under the store claim (waits while another process holds it)."""
-        computed = []
+        def compute_records(positions: list[int]) -> list[tuple[SimulationResult, dict]]:
+            nonlocal computed
+            claimed = [jobs[position] for position in positions]
+            results = compute(claimed)
+            computed += len(results)
+            return [(result, self._record(job, result)) for job, result in zip(claimed, results)]
 
-        def compute_record() -> tuple[SimulationResult, dict]:
-            computed.append(compute())
-            self.stores += 1
-            return computed[0], self._record(job, computed[0])
-
-        result = self.backend.get_or_compute(fingerprint(job), compute_record, self._decode)
-        self._count(not computed)
-        return result
+        results = self.backend.get_or_compute(
+            [fingerprint(job) for job in jobs], compute_records, self._decode
+        )
+        self.hits += len(jobs) - computed
+        self.misses += computed
+        self.stores += computed
+        return results
 
     def store(self, job: Job, result: SimulationResult) -> Path | None:
         """Publish one result; returns the blob path for directory stores."""
@@ -291,12 +285,6 @@ class ResultCache:
         return None
 
     # ------------------------------------------------------------------
-    def _count(self, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-
     @staticmethod
     def _decode(record: dict) -> SimulationResult | None:
         """The result a published record holds, or None when unusable.

@@ -96,7 +96,7 @@ def run_jobs(jobs: list[Job], workers: int | None = None) -> list[SimulationResu
     that raises re-raises the *first* (submission-order) failure here.
 
     Multi-job dispatches ride the process-wide warm pool — workers stay
-    alive between calls with modules imported and configs memoized, so
+    alive between calls with modules imported, so
     repeat fan-outs skip the ~100 ms spin-up cost.
     """
     if not jobs:

@@ -2,22 +2,20 @@
 
 :func:`repro.analysis.parallel.run_jobs` fans every multi-job dispatch
 out over this pool.  A fresh process pool per call would pay ~100 ms of
-worker spawn + cold module import + full ``MachineConfig`` pickling per
-fan-out, which dwarfs a ~2.4 ms native-backend simulation, so this module
-keeps the workers *alive* instead:
+worker spawn + cold module import per fan-out, which dwarfs a ~2.4 ms
+native-backend simulation, so this module keeps the workers *alive*
+instead:
 
 * **Warm processes.** A :class:`WorkerPool` spawns its workers once
   (lazily, on the first dispatch) and reuses them across every
   subsequent sweep in the process.  Modules are imported and backends
   resolved once per worker lifetime, not once per call.
-* **Compact descriptors.** Workers memoize :class:`~repro.pipeline.
-  config.MachineConfig` values by a pool-assigned integer id, so repeat
-  dispatches ship small tuples — the full config travels only to a
-  worker that has not seen it yet.
 * **Adaptive chunking.** Jobs are packed into chunks sized from the
   measured per-job cost (EWMA, targeting :data:`CHUNK_MS` of work
   per chunk) so one IPC round-trip amortizes over many short
-  simulations while long jobs still spread across workers.
+  simulations while long jobs still spread across workers.  A chunk
+  ships its :class:`~repro.analysis.parallel.Job` values as they are;
+  its pickle stores each config the jobs share once.
 * **Same answers.** Results return in submission order, outputs are
   byte-identical to inline execution (each job runs the exact
   :func:`~repro.analysis.parallel.execute_job` path), and a job that
@@ -47,13 +45,12 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection, get_all_start_methods, get_context
 from typing import Sequence
 
 from repro.analysis.parallel import Job, default_jobs, execute_job
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline.config import MachineConfig
 
 #: Wire-protocol opcodes (parent -> worker and back).
 _OP_CHUNK = "chunk"
@@ -108,15 +105,13 @@ def _decode_error(payload: bytes) -> BaseException:
 def _worker_main(conn, inherited: list) -> None:
     """Long-lived worker loop: receive chunks, run jobs, send outcomes.
 
-    Warm state lives here: ``configs`` maps pool-assigned ids to
-    :class:`MachineConfig` values (shipped once per worker).  *inherited*
-    are the parent-side pipe ends a forked worker holds copies of; closing
-    them leaves the parent as the only holder, so ``recv`` sees EOF when
-    the parent dies and the worker exits instead of outliving it.
+    *inherited* are the parent-side pipe ends a forked worker holds
+    copies of; closing them leaves the parent as the only holder, so
+    ``recv`` sees EOF when the parent dies and the worker exits instead
+    of outliving it.
     """
     for parent_end in inherited:
         parent_end.close()
-    configs: dict[int, MachineConfig] = {}
     while True:
         try:
             message = conn.recv()
@@ -124,14 +119,11 @@ def _worker_main(conn, inherited: list) -> None:
             break
         if message[0] == _OP_EXIT:
             break
-        _, chunk_id, config_delta, tasks = message
-        configs.update(config_delta)
+        _, chunk_id, tasks = message
         results = []
-        for index, benchmark, config_id, seed, insts, warmup, shadow in tasks:
+        for index, job in tasks:
             try:
-                value = execute_job(
-                    Job(benchmark, configs[config_id], seed, insts, warmup, shadow)
-                )
+                value = execute_job(job)
             except KeyboardInterrupt:  # pragma: no cover - interactive only
                 return
             except BaseException as error:  # noqa: BLE001 - transported
@@ -153,18 +145,18 @@ def _worker_main(conn, inherited: list) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class _Worker:
-    """Parent-side handle: process + pipe + which configs it has seen."""
+    """Parent-side handle: process + pipe."""
 
     process: object
     conn: object
-    known_configs: set[int] = field(default_factory=set)
     jobs_done: int = 0
 
 
 @dataclass
 class _Chunk:
     chunk_id: int
-    tasks: list[tuple]
+    #: ``(index, job)`` pairs, *index* the job's submission position
+    tasks: list[tuple[int, Job]]
     retries: int = 0
 
 
@@ -189,7 +181,6 @@ class WorkerPool:
         method = "fork" if "fork" in get_all_start_methods() else "spawn"
         self._context = get_context(method)
         self._workers: list[_Worker] = []
-        self._config_ids: dict[MachineConfig, int] = {}
         self._ewma_job_s: float | None = None
         self._next_chunk_id = 0
         self._last_used = time.monotonic()
@@ -292,25 +283,7 @@ class WorkerPool:
                 finally:
                     self._lock.release()
 
-    # -- job encoding --------------------------------------------------
-    def _config_id(self, config: MachineConfig) -> int:
-        config_id = self._config_ids.get(config)
-        if config_id is None:
-            config_id = len(self._config_ids)
-            self._config_ids[config] = config_id
-        return config_id
-
-    def _descriptor(self, index: int, job: Job) -> tuple:
-        return (
-            index,
-            job.benchmark,
-            self._config_id(job.config),
-            job.seed,
-            job.insts,
-            job.warmup,
-            job.shadow_sizes,
-        )
-
+    # -- dispatch ------------------------------------------------------
     def _chunk_tasks(self, tasks: list[tuple]) -> deque:
         """Pack tasks into chunks sized from the measured per-job cost."""
         count = len(tasks)
@@ -331,21 +304,12 @@ class WorkerPool:
             histogram.observe(len(chunk.tasks))
         return chunks
 
-    # -- dispatch ------------------------------------------------------
     def _send_chunk(self, worker: _Worker, chunk: _Chunk) -> bool:
-        """Ship a chunk (plus any configs the worker lacks); False on crash."""
-        delta: dict[int, MachineConfig] = {}
-        needed = {task[2] for task in chunk.tasks}
-        for config, config_id in self._config_ids.items():
-            if config_id in needed and config_id not in worker.known_configs:
-                delta[config_id] = config
+        """Ship a chunk to *worker*; False when the worker is gone."""
         try:
-            worker.conn.send((_OP_CHUNK, chunk.chunk_id, delta, chunk.tasks))
+            worker.conn.send((_OP_CHUNK, chunk.chunk_id, chunk.tasks))
         except (BrokenPipeError, OSError):
             return False
-        worker.known_configs.update(delta)
-        self.registry.counter("pool.config_ships").inc(len(delta))
-        self.registry.counter("pool.config_ship_skips").inc(len(needed) - len(delta))
         return True
 
     def _handle_crash(
@@ -364,12 +328,12 @@ class WorkerPool:
             chunk.retries += 1
             chunks.appendleft(chunk)
         else:
-            for task in chunk.tasks:
-                outcomes[task[0]] = Outcome(
+            for index, _ in chunk.tasks:
+                outcomes[index] = Outcome(
                     ok=False,
                     error=WorkerCrashError(
                         f"pool worker died {chunk.retries + 1} times running "
-                        f"this chunk (job index {task[0]})"
+                        f"this chunk (job index {index})"
                     ),
                 )
         return replacement
@@ -391,8 +355,7 @@ class WorkerPool:
             reused = sum(1 for w in self._workers if w.jobs_done)
             self._ensure_started()
             outcomes: list[Outcome | None] = [None] * len(jobs)
-            tasks = [self._descriptor(i, job) for i, job in enumerate(jobs)]
-            chunks = self._chunk_tasks(tasks)
+            chunks = self._chunk_tasks(list(enumerate(jobs)))
             self.registry.counter("pool.dispatches").inc()
             self.registry.counter("pool.jobs_dispatched").inc(len(jobs))
             self.registry.counter("pool.chunks_sent").inc(len(chunks))

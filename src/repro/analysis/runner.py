@@ -4,14 +4,15 @@ A full figure regeneration needs up to 8 machine variants × 2 widths × 12
 benchmarks; base-machine results are shared between figures, so results are
 served through three layers: an in-process memo table, a persistent on-disk
 JSON cache (:mod:`repro.analysis.cache`), and — only when both miss — a
-fresh simulation.  Independent misses can be computed in parallel with
-:meth:`ExperimentRunner.prefetch` (:mod:`repro.analysis.parallel`).
-Both paths publish under the store's claim protocol
-(:mod:`repro.analysis.store`), so threads and processes sharing one
-store simulate each fingerprint once: ``result()`` waits for the claim
-holder's blob, ``prefetch()`` claims its misses without blocking and
-leaves the ones claimed elsewhere to ``result()``.  The claim is the only
-dedupe below the memo; with the cache disabled there is none.
+fresh simulation.  Every miss goes through one loop,
+:meth:`ExperimentRunner.resolve`: ``result()`` resolves one job and
+:meth:`ExperimentRunner.prefetch` a batch, whose misses fan out in
+parallel (:mod:`repro.analysis.parallel`).  The loop publishes under the
+store's claim protocol (:mod:`repro.analysis.store`), so threads and
+processes sharing one store simulate each fingerprint once: a caller
+simulates the misses it claims, then waits for the claim holders' blobs.
+The claim is the only dedupe below the memo; with the cache disabled
+there is none.
 See ``docs/PERFORMANCE.md`` for the full picture.  Environment knobs::
 
     REPRO_INSTS      measured instructions per run   (default 15000)
@@ -51,8 +52,9 @@ class ExperimentRunner:
 
     ``result()`` is a thin read-through: in-memory memo first (same-object
     returns within a session), then the on-disk cache, and a simulation
-    only when both miss.  ``prefetch()`` batches the missing runs through
-    the parallel engine so later ``result()`` calls are pure lookups.
+    only when both miss.  ``prefetch()`` resolves a batch the same way,
+    its misses in one parallel fan-out, so later ``result()`` calls are
+    pure lookups.
     """
 
     def __init__(
@@ -135,23 +137,44 @@ class ExperimentRunner:
         if found is not None:
             self.metrics.counter("runner.memo_hits").inc()
             return found
-        simulated = []
-
-        def simulate() -> SimulationResult:
-            simulated.append(job)
-            return self._simulate([job])[0]
-
-        # Waits while another thread or process holds the store claim.
-        found = simulate() if self.cache is None else self.cache.get_or_compute(job, simulate)
+        (found,), simulated = self.resolve([job])
         if not simulated:
             self.metrics.counter("runner.disk_hits").inc()
-        self._results[job] = found
         return found
 
-    def _simulate(self, jobs: list[Job], workers: int | None = None) -> list[SimulationResult]:
-        results = run_jobs(jobs, workers=workers)
-        self.metrics.counter("runner.simulated").inc(len(jobs))
-        return results
+    def resolve(
+        self, jobs: list[Job], workers: int | None = None
+    ) -> tuple[list[SimulationResult], int]:
+        """Every job's result, in order, and the number simulated.
+
+        Jobs missing from the memo are deduped and looked up in the
+        store; the misses this caller claims run in one
+        :func:`~repro.analysis.parallel.run_jobs` fan-out (worker count:
+        explicit *workers*, else the runner's ``jobs``, else
+        ``REPRO_JOBS``/CPU count) and are published before their claims
+        are released.  Misses another thread or process claimed are
+        waited for.  With the cache off, every miss is simulated.  All
+        of them land in the memo.
+        """
+        misses = list(dict.fromkeys(job for job in jobs if job not in self._results))
+        simulated = 0
+
+        def simulate(claimed: list[Job]) -> list[SimulationResult]:
+            nonlocal simulated
+            results = run_jobs(claimed, workers=workers if workers is not None else self.jobs)
+            simulated += len(claimed)
+            self.metrics.counter("runner.simulated").inc(len(claimed))
+            return results
+
+        # A fully warm batch never reaches run_jobs, so the worker pool
+        # is never even created (it starts lazily on first dispatch).
+        if misses:
+            if self.cache is None:
+                results = simulate(misses)
+            else:
+                results = self.cache.get_or_compute(misses, simulate)
+            self._results.update(zip(misses, results))
+        return [self._results[job] for job in jobs], simulated
 
     # ------------------------------------------------------------------
     def prefetch(
@@ -161,57 +184,17 @@ class ExperimentRunner:
     ) -> int:
         """Bulk-resolve ``(benchmark, config, seed, shadow)`` requests.
 
-        Requests already served by the memory or disk layers are skipped;
-        the rest are claimed in the store without blocking, and only the
-        claimed ones fan out over the parallel engine (worker count:
-        explicit *workers*, else the runner's ``jobs``, else
-        ``REPRO_JOBS``/CPU count), are published, and then released.  A
-        miss claimed by another process is left to ``result()``, which
-        waits for its blob.  Returns the number of simulations actually
-        executed.  Results land in both cache layers, so later
-        ``result()`` calls for the same keys are pure lookups — and
-        deterministic job ordering makes every aggregate identical to a
-        serial run.
+        One :meth:`resolve` over the requests: memo and disk hits are
+        skipped, the misses fan out together over the parallel engine,
+        and misses claimed by another process are waited for.  Returns
+        the number of simulations actually executed.  Results land in
+        both cache layers, so later ``result()`` calls for the same keys
+        are pure lookups — and deterministic job ordering makes every
+        aggregate identical to a serial run.
         """
-        claimed: list[tuple[Job, object]] = []
-        seen: set[Job] = set()
-        elsewhere = 0
-        for request in requests:
-            job = self._job(*request)
-            if job in seen or job in self._results:
-                continue
-            seen.add(job)
-            claim = None
-            if self.cache is not None:
-                found, claim = self.cache.lookup_or_claim(job)
-                if found is not None:
-                    self._results[job] = found
-                    continue
-                if claim is None:
-                    elsewhere += 1
-                    continue
-            claimed.append((job, claim))
-        self.metrics.counter("runner.prefetch_warm_hits").inc(
-            len(requests) - len(claimed) - elsewhere
-        )
-        if not claimed:
-            # Fully-warm sweep: every request was a memo or disk hit (or
-            # is being simulated elsewhere), so we never reach run_jobs
-            # and the worker pool is never even created (it starts lazily
-            # on first dispatch).
-            return 0
-        workers = workers if workers is not None else self.jobs
-        try:
-            results = self._simulate([job for job, _ in claimed], workers)
-            for (job, _), result in zip(claimed, results):
-                self._results[job] = result
-                if self.cache is not None:
-                    self.cache.store(job, result)
-        finally:
-            for _, claim in claimed:
-                if claim is not None:
-                    claim.release()
-        return len(claimed)
+        _, simulated = self.resolve([self._job(*request) for request in requests], workers)
+        self.metrics.counter("runner.prefetch_warm_hits").inc(len(requests) - simulated)
+        return simulated
 
     def prefetch_base(self, workers: int | None = None) -> int:
         """Warm every base-machine run the standard figures lean on."""

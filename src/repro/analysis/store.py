@@ -19,13 +19,13 @@ every consumer leans on:
   bit-rotted blob is **quarantined** (moved aside, never deleted — it is
   evidence) and reads as a miss, so the caller recomputes.
 * **One claim protocol.**  ``claim()`` is the cluster-wide singleflight
-  primitive, and this module is its only caller.  ``lookup_or_claim()``
-  is the non-blocking step — get, claim, get again once the claim is
-  won — and ``get_or_compute()`` is the blocking loop built on it: among
-  concurrent threads or processes missing the same fingerprint, one
-  computes and publishes while the rest wait for — or find — its blob.
-  A claim abandoned by a dead process goes stale and is taken over, so a
-  SIGKILLed worker never wedges the fingerprint.
+  primitive, and this module is its only caller.  ``get_or_compute()``
+  resolves a batch of fingerprints by repeating one non-blocking step
+  per missing key — get, claim, get again once the claim is won — so
+  among concurrent threads or processes missing the same fingerprint,
+  one computes and publishes while the rest wait for — or find — its
+  blob.  A claim abandoned by a dead process goes stale and is taken
+  over, so a SIGKILLed worker never wedges the fingerprint.
 
 :class:`DirectoryStore` implements the interface on a plain directory —
 shareable between processes and, via a network filesystem, between
@@ -68,6 +68,13 @@ def _default_claim_stale_s() -> float:
     return DEFAULT_CLAIM_STALE_S
 
 
+def json_digest(value: dict) -> str:
+    """SHA-256 of *value* as sorted-key JSON: the rule of every
+    fingerprint and record checksum."""
+    payload = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def record_checksum(record: dict) -> str:
     """Self-validation digest over a record's canonical JSON payload.
 
@@ -75,9 +82,7 @@ def record_checksum(record: dict) -> str:
     stored digest does not match — truncated write, manual edit, bit rot
     — is quarantined and read as a miss instead of served as a wrong hit.
     """
-    payload = {key: value for key, value in record.items() if key != "checksum"}
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest({key: value for key, value in record.items() if key != "checksum"})
 
 
 def _sealed(fingerprint: str, record: dict) -> dict:
@@ -151,25 +156,46 @@ class ResultStore:
             return value, None
         return None, claim
 
-    def get_or_compute(self, fingerprint: str, compute, decode):
-        """Blocking :meth:`lookup_or_claim` loop; the decoded value.
+    def get_or_compute(self, fingerprints: list[str], compute, decode) -> list:
+        """The decoded value of every fingerprint, computing the misses.
 
-        The claim winner's ``compute()`` returns ``(value, record)``, and
-        *record* is published before the claim is released.  Each wait
-        for another holder lasts a tenth of the stale horizon, so a
-        holder that failed without publishing is noticed soon and a dead
-        one is taken over just after its claim goes stale.
+        Each round runs :meth:`lookup_or_claim` on every key still
+        missing.  ``compute(positions)`` runs once per round for the
+        positions this caller won and returns one ``(value, record)``
+        pair per position; every *record* is published before its claim
+        is released.  Only then does the round wait, a tenth of the
+        stale horizon, for the keys held elsewhere, so no caller waits
+        while it holds a claim.  A holder that failed without publishing
+        is noticed within one round and a dead one is taken over just
+        after its claim goes stale.
         """
-        while True:
-            value, claim = self.lookup_or_claim(fingerprint, decode)
-            if value is not None:
-                return value
-            if claim is not None:
-                with claim:
-                    value, record = compute()
-                    self.put(fingerprint, record)
-                return value
-            self.wait(fingerprint, self._claim_stale_s / 10)
+        values: list = [None] * len(fingerprints)
+        missing = range(len(fingerprints))
+        while missing:
+            claimed: list[tuple[int, StoreClaim]] = []
+            elsewhere = []
+            try:
+                for position in missing:
+                    value, claim = self.lookup_or_claim(fingerprints[position], decode)
+                    if value is not None:
+                        values[position] = value
+                    elif claim is not None:
+                        claimed.append((position, claim))
+                    else:
+                        elsewhere.append(position)
+                if claimed:
+                    positions = [position for position, _ in claimed]
+                    for position, (value, record) in zip(positions, compute(positions)):
+                        self.put(fingerprints[position], record)
+                        values[position] = value
+            finally:
+                for _, claim in claimed:
+                    claim.release()
+            deadline = time.monotonic() + self._claim_stale_s / 10
+            for position in elsewhere:
+                self.wait(fingerprints[position], deadline - time.monotonic())
+            missing = elsewhere
+        return values
 
     def _decoded(self, fingerprint: str, decode):
         record = self.get(fingerprint)

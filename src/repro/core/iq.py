@@ -189,9 +189,6 @@ class IQEntry:
                 return False
         return True
 
-    def pending_operands(self) -> list[Operand]:
-        return [operand for operand in self.operands if not operand.ready]
-
     def reset_for_replay(self, scoreboard_valid) -> None:
         """Return the entry to WAITING after a scheduling replay.
 

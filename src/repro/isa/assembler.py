@@ -66,13 +66,6 @@ class Program:
         """Byte address of the instruction at *index*."""
         return index * INSTRUCTION_BYTES
 
-    def label_of(self, index: int) -> str | None:
-        """Reverse-lookup the label pointing at *index*, if any."""
-        for name, value in self.labels.items():
-            if value == index:
-                return name
-        return None
-
 
 def _strip_comment(line: str) -> str:
     # "#" is reserved for immediates, so comments are ";" or "//" only.

@@ -262,16 +262,6 @@ class MachineConfig:
         )
 
     @property
-    def branch_resolution_offset(self) -> int:
-        """Cycles from a branch's select to its resolution."""
-        return self.exec_offset + self.lat.branch
-
-    @property
-    def mispredict_redirect_penalty(self) -> int:
-        """Fetch-to-queue refill after a mispredict redirect."""
-        return self.front_depth
-
-    @property
     def total_read_ports(self) -> int:
         """Register file read ports implied by the port model."""
         if self.regfile in (RegFileModel.BASE, RegFileModel.EXTRA_STAGE):

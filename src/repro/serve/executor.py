@@ -3,8 +3,9 @@
 Workers hand validated specs to one shared :class:`JobExecutor`, which
 routes them onto the existing analysis machinery:
 
-* ``run`` jobs go through :class:`~repro.analysis.runner.ExperimentRunner`
-  — one runner per (insts, warmup) pair, all sharing a single on-disk
+* ``run`` jobs go through one :class:`~repro.analysis.runner.ExperimentRunner`
+  keyed on :class:`~repro.analysis.parallel.Job` (which carries each
+  spec's run lengths), on the on-disk
   :class:`~repro.analysis.cache.ResultCache` — so served results ride the
   same memo → disk-cache → compute chain as the offline CLI.  Below the
   front end's coalescing, the store claim is the only dedupe: it keeps
@@ -39,43 +40,18 @@ class JobExecutor:
     """Executes job specs; safe to call from multiple worker threads."""
 
     def __init__(self, cache: ResultCache | None | bool = True, jobs: int | None = None):
-        if cache is True:
-            self.cache: ResultCache | None = ResultCache.from_env()
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
-        #: worker processes each runner may use for bulk work — batched
-        #: executions prefetch their cache misses through the warm pool.
-        #: None resolves via REPRO_JOBS / CPU count at dispatch time.
-        self.jobs = jobs
-        self._runners: dict[tuple[int, int], ExperimentRunner] = {}
+        #: serves every run spec; *jobs* worker processes fan out each
+        #: batch's cache misses (None resolves via REPRO_JOBS / CPU count)
+        self.runner = ExperimentRunner(jobs=jobs, cache=cache)
+        self.cache = self.runner.cache
         #: decoded trace feeds, memoized by content hash
         self._feeds: dict[str, object] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def runner_for(self, insts: int, warmup: int) -> ExperimentRunner:
-        """The shared runner serving one (insts, warmup) run-length pair."""
-        key = (insts, warmup)
-        with self._lock:
-            runner = self._runners.get(key)
-            if runner is None:
-                runner = ExperimentRunner(
-                    insts=insts, warmup=warmup, jobs=self.jobs, cache=self.cache
-                )
-                self._runners[key] = runner
-        return runner
-
     def simulated(self) -> int:
         """Total simulations actually executed (not served from a cache)."""
-        with self._lock:
-            runners = list(self._runners.values())
-        total = 0
-        for runner in runners:
-            counter = runner.metrics.get("runner.simulated")
-            total += counter.value if counter is not None else 0
-        return total
+        counter = self.runner.metrics.get("runner.simulated")
+        return counter.value if counter is not None else 0
 
     # ------------------------------------------------------------------
     def execute(self, spec: JobSpec) -> dict:
@@ -96,30 +72,25 @@ class JobExecutor:
         can settle each job individually — one bad spec never poisons
         its batchmates).
 
-        Run-kind specs sharing a run-length pair are bulk-resolved first
-        via :meth:`~repro.analysis.runner.ExperimentRunner.prefetch`, so
-        their cache misses fan out together over the warm worker pool
-        and the per-spec ``execute`` calls below are pure memo lookups
-        plus document builds.  Cache hits never reach the pool, and the
-        prefetch holds the store claim on each miss it simulates: a miss
-        another worker has claimed is waited for in ``execute`` instead
-        of simulated twice.
+        Every run spec's job is resolved first in one
+        :meth:`~repro.analysis.runner.ExperimentRunner.resolve` call, so
+        the batch's cache misses fan out together over the warm worker
+        pool and the per-spec ``execute`` calls below are pure memo
+        lookups plus document builds.  Cache hits never reach the pool,
+        and a miss another worker has claimed is waited for instead of
+        simulated twice.
         """
-        groups: dict[tuple[int, int], list[RunSpec]] = {}
+        jobs = []
         for spec in specs:
             if isinstance(spec, RunSpec):
-                groups.setdefault((spec.insts, spec.warmup), []).append(spec)
-        for (insts, warmup), members in groups.items():
-            requests = []
-            for spec in members:
                 try:
-                    requests.append((spec.benchmark, spec.config(), spec.seed, spec.shadow))
+                    jobs.append(self._job(spec))
                 except Exception:  # noqa: BLE001 - surfaced per-spec below
                     pass
-            try:
-                self.runner_for(insts, warmup).prefetch(requests)
-            except Exception:  # noqa: BLE001 - surfaced per-spec below
-                pass
+        try:
+            self.runner.resolve(jobs)
+        except Exception:  # noqa: BLE001 - surfaced per-spec below
+            pass
         outcomes: list[dict | Exception] = []
         for spec in specs:
             try:
@@ -128,13 +99,16 @@ class JobExecutor:
                 outcomes.append(error)
         return outcomes
 
-    def _execute_run(self, spec: RunSpec) -> dict:
-        runner = self.runner_for(spec.insts, spec.warmup)
+    @staticmethod
+    def _job(spec: RunSpec):
         # Materialized here (not just inside the runner) so the exported
         # document's config/fingerprint match the run when a server-side
         # REPRO_BACKEND overrides the spec's choice.
-        job = spec.job(apply_backend(spec.config()))
-        result = runner.result(job.benchmark, job.config, shadow=spec.shadow, seed=job.seed)
+        return spec.job(apply_backend(spec.config()))
+
+    def _execute_run(self, spec: RunSpec) -> dict:
+        job = self._job(spec)
+        (result,), _ = self.runner.resolve([job])
         return {"kind": "run", "stats": build_stats_export(result, job)}
 
     def _trace_feed(self, spec: TraceSpec):

@@ -413,8 +413,8 @@ class JobFrontEnd:
         # same spec is idempotent, a different spec is a conflict.
         pinned: dict[str, str] = {}
         new_fingerprints: set[str] = set()
-        for spec, job_id in zip(specs, ids):
-            digest = spec.fingerprint()
+        digests = [spec.fingerprint() for spec in specs]
+        for digest, job_id in zip(digests, ids):
             if job_id is not None:
                 held = self.table.jobs.get(job_id)
                 holder = pinned.setdefault(job_id, held.fingerprint if held else digest)
@@ -433,10 +433,10 @@ class JobFrontEnd:
                 {"Retry-After": str(self._retry_after())},
             )
         accepted = []
-        for spec, job_id in zip(specs, ids):
+        for spec, digest, job_id in zip(specs, digests, ids):
             job = self.table.jobs.get(job_id) if job_id is not None else None
             if job is None:
-                job, coalesced = self.table.submit(spec, job_id=job_id)
+                job, coalesced = self.table.submit(spec, job_id=job_id, fingerprint=digest)
                 if self.journal is not None:
                     self.journal.record_submit(job)
                 if coalesced:

@@ -109,17 +109,23 @@ class JobTable:
         self._next_id = max(self._next_id, numeric + 1)
 
     # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec, job_id: str | None = None) -> tuple[Job, bool]:
+    def submit(
+        self, spec: JobSpec, job_id: str | None = None, fingerprint: str | None = None
+    ) -> tuple[Job, bool]:
         """Register one spec; returns ``(job, coalesced)``.
 
         ``coalesced`` is True when the job attached to an active primary
         instead of becoming new work; the caller only enqueues primaries.
+        *fingerprint* is the spec's digest when the caller already holds
+        it (the front end computes it once, for admission).
         """
         if job_id is None:
             job_id = self._new_id()
         else:
             self.reserve_past_id(job_id)
-        job = Job(id=job_id, spec=spec, fingerprint=spec.fingerprint())
+        if fingerprint is None:
+            fingerprint = spec.fingerprint()
+        job = Job(id=job_id, spec=spec, fingerprint=fingerprint)
         self.jobs[job.id] = job
         primary = self._active_by_fp.get(job.fingerprint)
         if primary is not None:

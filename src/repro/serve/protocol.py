@@ -33,10 +33,10 @@ import dataclasses
 import re
 from dataclasses import dataclass
 
-from repro.analysis.cache import _digest
 from repro.analysis.cache import fingerprint as cache_fingerprint
 from repro.analysis.parallel import Job
 from repro.analysis.runner import SHADOW_SIZES
+from repro.analysis.store import json_digest
 from repro.errors import ReproError
 from repro.pipeline.config import (
     BACKENDS,
@@ -180,7 +180,7 @@ class VerifySpec:
     kind = "verify"
 
     def fingerprint(self) -> str:
-        return _digest(
+        return json_digest(
             {
                 "kind": self.kind,
                 "model_version": TIMING_MODEL_VERSION,

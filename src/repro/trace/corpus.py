@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.trace.capture import capture_kernel
 from repro.trace.feed import TraceFeed, trace_info
-from repro.trace.format import TraceFormatError, read_header
+from repro.trace.format import TraceFormatError
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,3 @@ def corpus_listing() -> list[dict]:
             row["missing"] = True
         rows.append(row)
     return rows
-
-
-def verify_corpus_entry(entry: CorpusEntry) -> bool:
-    """Does the on-disk file exist and parse? (Header-level check.)"""
-    path = corpus_path(entry)
-    if not path.is_file():
-        return False
-    try:
-        read_header(path)
-    except TraceFormatError:
-        return False
-    return True

@@ -14,8 +14,8 @@ format unchanged.  Sampled runs produce a *report* (weights, per-sample
 IPCs, coverage) rather than a ``SimulationResult``, so they are published
 to the same store as a distinct record kind; the store stamps and checks
 every record's fingerprint and checksum.  Both go through the store's
-one claim protocol
-(:meth:`~repro.analysis.store.ResultStore.get_or_compute`): among
+one claim protocol, each as a one-key batch of
+:meth:`~repro.analysis.store.ResultStore.get_or_compute`: among
 processes sharing the store, exactly one simulates a given fingerprint,
 the rest wait for its blob.
 """
@@ -92,7 +92,7 @@ def run_full(
     job = trace_job(
         feed.content_hash, config, insts=insts, warmup=warmup, shadow_sizes=shadow_sizes
     )
-    return cache.get_or_compute(job, simulate)
+    return cache.get_or_compute([job], lambda jobs: [simulate()])[0]
 
 
 # ----------------------------------------------------------------------
@@ -164,4 +164,4 @@ def run_sampled(
     if cache is None:
         return simulate()[0]
     digest = fingerprint(sampled_job(feed.content_hash, config, **plan))
-    return cache.backend.get_or_compute(digest, simulate, decode)
+    return cache.backend.get_or_compute([digest], lambda positions: [simulate()], decode)[0]

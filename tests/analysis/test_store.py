@@ -18,7 +18,8 @@ import time
 import pytest
 
 from repro.analysis import runner as runner_mod
-from repro.analysis.cache import ResultCache, serialize_result
+from repro.analysis.cache import ResultCache, fingerprint, serialize_result
+from repro.analysis.parallel import Job
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.store import (
     QUARANTINE_DIR,
@@ -27,6 +28,7 @@ from repro.analysis.store import (
     StoreClaim,
     record_checksum,
 )
+from repro.fastsim import apply_backend
 from repro.pipeline.config import FOUR_WIDE
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_spec
@@ -214,14 +216,14 @@ class TestClaimProtocol:
         store = DirectoryStore(tmp_path)
         claim_file = tmp_path / FP[:2] / f"{FP}.claim"
 
-        def compute():
+        def compute(positions):
             assert claim_file.is_file()  # computed under the claim
-            return "fresh", _record(FP, payload=7)
+            return [("fresh", _record(FP, payload=7))]
 
-        assert store.get_or_compute(FP, compute, lambda record: record["payload"]) == "fresh"
+        assert store.get_or_compute([FP], compute, lambda record: record["payload"]) == ["fresh"]
         assert store.get(FP)["payload"] == 7
         assert not claim_file.exists()
-        assert store.get_or_compute(FP, compute, lambda record: record["payload"]) == 7
+        assert store.get_or_compute([FP], compute, lambda record: record["payload"]) == [7]
 
     def test_waiter_takes_over_a_claim_released_without_publishing(self, tmp_path):
         """A holder whose computation failed releases its claim; a waiter
@@ -231,10 +233,44 @@ class TestClaimProtocol:
         threading.Timer(0.2, holder.release).start()
         started = time.monotonic()
         value = store.get_or_compute(
-            FP, lambda: ("mine", _record(FP)), lambda record: record["payload"]
+            [FP], lambda positions: [("mine", _record(FP))], lambda record: record["payload"]
         )
-        assert value == "mine"
+        assert value == ["mine"]
         assert time.monotonic() - started < 1.0
+
+    def test_batch_publishes_its_claims_before_waiting(self, tmp_path):
+        """One compute call for the keys this caller won; keys held
+        elsewhere are waited for only once its own claims are published
+        and released, so two batches holding each other's keys never
+        stall."""
+        store = DirectoryStore(tmp_path, claim_stale_s=30.0)
+        hit, mine, theirs = (f"{prefix}{FP[2:]}" for prefix in ("a1", "a2", "a3"))
+        store.put(hit, _record(hit, payload=0))
+        holder = store.claim(theirs)
+        calls = []
+
+        def compute(positions):
+            calls.append(positions)
+            return [("computed", _record(mine, payload=2)) for _ in positions]
+
+        def publish_after_mine():
+            # The other holder needs *mine* before it can finish *theirs*.
+            store.wait(mine, timeout=10.0)
+            while (tmp_path / mine[:2] / f"{mine}.claim").exists():
+                time.sleep(0.01)
+            store.put(theirs, _record(theirs, payload=3))
+            holder.release()
+
+        other = threading.Thread(target=publish_after_mine)
+        other.start()
+        started = time.monotonic()
+        values = store.get_or_compute(
+            [hit, mine, theirs], compute, lambda record: record["payload"]
+        )
+        other.join()
+        assert values == [0, "computed", 3]
+        assert calls == [[1]]
+        assert time.monotonic() - started < 3.0
 
 
 class TestRunnerCoalescing:
@@ -269,6 +305,35 @@ class TestRunnerCoalescing:
         assert runner.metrics.get("runner.simulated").value == 1
         records = [serialize_result(result) for result in results]
         assert all(record == records[0] for record in records)
+
+    def test_prefetch_waits_for_a_miss_claimed_elsewhere(self, tmp_path):
+        """prefetch() returns once the claim holder has published, and the
+        result it waited for is in the memo."""
+        store = DirectoryStore(tmp_path, claim_stale_s=30.0)
+        runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=ResultCache(store=store))
+        job = Job("gzip", apply_backend(FOUR_WIDE), runner.seed, INSTS, WARMUP)
+        expected = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=False).result(
+            "gzip", FOUR_WIDE
+        )
+        holder = store.claim(fingerprint(job))
+        published = threading.Event()
+
+        def publish():
+            ResultCache(store=store).store(job, expected)
+            published.set()
+            holder.release()
+
+        timer = threading.Timer(0.3, publish)
+        timer.start()
+        try:
+            assert runner.prefetch([("gzip", FOUR_WIDE, runner.seed, False)]) == 0
+            assert published.is_set()
+        finally:
+            timer.join()
+        served = runner.result("gzip", FOUR_WIDE)
+        assert runner.metrics.get("runner.memo_hits").value == 1
+        assert runner.metrics.get("runner.simulated") is None
+        assert serialize_result(served) == serialize_result(expected)
 
     def test_distinct_seeds_still_simulate_separately(self):
         runner = ExperimentRunner(insts=80, warmup=40, cache=False)

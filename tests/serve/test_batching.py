@@ -10,6 +10,7 @@ the same documents the one-at-a-time path produced.
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.pool import maybe_pool
 from repro.serve import frontend
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
@@ -46,6 +47,26 @@ class TestExecuteBatch:
         expected = [solo.execute(spec) for spec in _specs(payloads)]
         outcomes = batched.execute_batch(_specs(payloads))
         assert outcomes == expected
+
+    def test_one_pool_dispatch_across_run_lengths(self):
+        """Every run spec of a batch fans out together, whatever its lengths."""
+
+        def dispatches():
+            pool = maybe_pool()
+            return pool.registry.as_dict().get("pool.dispatches", 0) if pool else 0
+
+        executor = JobExecutor(cache=False, jobs=2)
+        payloads = [
+            tiny_run(seed=seed, **lengths)
+            for lengths in ({}, {"insts": 240, "warmup": 120})
+            for seed in (1, 2)
+        ]
+        before = dispatches()
+        outcomes = executor.execute_batch(_specs(payloads))
+        assert dispatches() - before == 1
+        assert [outcome["kind"] for outcome in outcomes] == ["run"] * 4
+        assert [outcome["stats"]["run"]["insts"] for outcome in outcomes] == [200, 200, 240, 240]
+        assert executor.simulated() == 4
 
     def test_per_spec_failures_are_isolated(self, fresh_executor):
         _poison(fresh_executor, "gcc")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.protocol import RunSpec
 
 from .conftest import tiny_run
 
@@ -20,6 +21,21 @@ class TestRunJobs:
         assert stats["run"]["benchmark"] == "gzip"
         assert stats["derived"]["ipc"] > 0
         assert stats["fingerprint"] == document["fingerprint"]
+
+    def test_one_digest_per_submitted_spec(self, server, monkeypatch):
+        """Admission's digest is the one the job table keys on."""
+        digests = []
+        fingerprint = RunSpec.fingerprint
+
+        def counting(spec):
+            digests.append(spec)
+            return fingerprint(spec)
+
+        monkeypatch.setattr(RunSpec, "fingerprint", counting)
+        client = ServeClient(server.base_url)
+        (receipt,) = client.submit(tiny_run(seed=11))
+        assert client.wait(receipt["id"], timeout=60, poll=0.5)["status"] == "done"
+        assert len(digests) == 1
 
     def test_identical_jobs_coalesce_distinct_do_not(self, server):
         client = ServeClient(server.base_url)
