@@ -7,7 +7,8 @@ End to end, from source, with no committed fixtures trusted blindly:
    with the checked-in file (capture determinism / corpus drift);
 2. replays a committed trace through python and, when the extension is
    built, native, and asserts the serialized statistics are
-   byte-identical;
+   byte-identical, then samples the same trace on each backend and
+   asserts the sampling reports are equal once ``backend`` is dropped;
 3. captures the uncommitted 1M-instruction scale trace
    (``vector_sum_1m``) and proves the acceptance bound: SimPoint-style
    sampled simulation touches <= 10% of the instructions while landing
@@ -80,8 +81,16 @@ def main() -> None:
         print(f"full replay [{backend}]: IPC {result.ipc:.4f}")
     if len(set(blobs.values())) != 1:
         fail("serialized stats differ across backends")
+    reports = {}
+    for backend in summary["backends"]:
+        report = simulate_sampled(feed, apply_backend(FOUR_WIDE, backend))
+        report.pop("backend")
+        reports[backend] = json.dumps(report, sort_keys=True)
+        print(f"sampled replay [{backend}]: weighted IPC {report['weighted_ipc']:.4f}")
+    if len(set(reports.values())) != 1:
+        fail("sampling reports differ across backends")
     summary["parity"] = {"trace": PARITY_TRACE, "insts": len(feed.ops)}
-    print(f"cross-backend parity: {len(blobs)} backend(s) byte-identical")
+    print(f"cross-backend parity: {len(blobs)} backend(s) byte-identical, full and sampled")
 
     # -- 3. the acceptance bound at 1M-instruction scale ----------------
     backend = summary["backends"][-1]  # native when built, else python

@@ -78,11 +78,17 @@ def _plain_fields(items: list[tuple[str, object]]) -> dict:
 
 
 def fingerprint(job: Job) -> str:
-    """Stable digest identifying one simulation's full input space."""
+    """Stable digest identifying one simulation's full input space,
+    memoized per distinct job (a served run's lookup and export share it)."""
+    return _job_digest(job, TIMING_MODEL_VERSION, CACHE_FORMAT_VERSION)
+
+
+@functools.lru_cache(maxsize=1024)
+def _job_digest(job: Job, model_version: int, format_version: int) -> str:
     return json_digest(
         {
-            "model_version": TIMING_MODEL_VERSION,
-            "format_version": CACHE_FORMAT_VERSION,
+            "model_version": model_version,
+            "format_version": format_version,
             "benchmark": job.benchmark,
             "seed": job.seed,
             "insts": job.insts,
@@ -182,8 +188,9 @@ def deserialize_result(record: dict) -> SimulationResult:
 # ----------------------------------------------------------------------
 # Disk store
 # ----------------------------------------------------------------------
-def _repo_root() -> Path:
-    """Walk up from this file to the directory holding pyproject.toml."""
+def repo_root() -> Path:
+    """Walk up from this file to the directory holding pyproject.toml
+    (the working directory when there is none)."""
     here = Path(__file__).resolve()
     for parent in here.parents:
         if (parent / "pyproject.toml").is_file():
@@ -195,7 +202,7 @@ def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR", "")
     if env:
         return Path(env)
-    return _repo_root() / "results" / "cache"
+    return repo_root() / "results" / "cache"
 
 
 def cache_enabled() -> bool:

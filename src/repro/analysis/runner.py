@@ -46,6 +46,12 @@ from repro.workloads.synthetic import SyntheticWorkload
 #: Figure 7's shadow predictor table sizes.
 SHADOW_SIZES = (128, 512, 1024, 4096)
 
+#: Default run of one benchmark: measured and warmup instructions and the
+#: first workload seed (the runner, served run jobs and the CLI).
+DEFAULT_INSTS = 15_000
+DEFAULT_WARMUP = 20_000
+DEFAULT_SEED = 42
+
 
 class ExperimentRunner:
     """Runs and memoizes benchmark simulations.
@@ -67,9 +73,9 @@ class ExperimentRunner:
         jobs: int | None = None,
         cache: ResultCache | None | bool = True,
     ):
-        self.insts = insts if insts is not None else env_int("REPRO_INSTS", 15_000)
-        self.warmup = warmup if warmup is not None else env_int("REPRO_WARMUP", 20_000)
-        self.seed = seed if seed is not None else env_int("REPRO_SEED", 42)
+        self.insts = insts if insts is not None else env_int("REPRO_INSTS", DEFAULT_INSTS)
+        self.warmup = warmup if warmup is not None else env_int("REPRO_WARMUP", DEFAULT_WARMUP)
+        self.seed = seed if seed is not None else env_int("REPRO_SEED", DEFAULT_SEED)
         count = num_seeds if num_seeds is not None else env_int("REPRO_SEEDS", 2)
         self.seeds = tuple(self.seed + index for index in range(max(1, count)))
         if benchmarks is None:

@@ -38,7 +38,7 @@ import sys
 import repro
 from repro.analysis import experiments as experiment_defs
 from repro.analysis.report import render
-from repro.analysis.runner import ExperimentRunner
+from repro.analysis.runner import DEFAULT_INSTS, DEFAULT_SEED, DEFAULT_WARMUP, ExperimentRunner
 from repro.obs.chrometrace import write_chrome_trace
 from repro.obs.scorecard import (
     DEFAULT_TOLERANCES,
@@ -55,6 +55,7 @@ from repro.errors import ReproError
 from repro.fastsim import BACKENDS, apply_backend, make_processor
 from repro.pipeline.pipetrace import render_pipetrace
 from repro.pipeline.processor import Processor
+from repro.trace import sampling
 from repro.workloads.feed import EmulatorFeed
 from repro.workloads.kernels import KERNELS, kernel_program
 from repro.workloads.profiles import SPEC_BENCHMARKS, get_profile
@@ -521,8 +522,8 @@ def _run_spec_from_args(args, benchmark: str) -> dict:
     """Wire-level run spec from submit's machine/run flags."""
     spec = {"kind": "run", "benchmark": benchmark, "width": args.width,
             "seed": args.seed, "priority": args.priority,
-            "insts": args.insts if args.insts is not None else 15_000,
-            "warmup": args.warmup if args.warmup is not None else 20_000}
+            "insts": args.insts if args.insts is not None else DEFAULT_INSTS,
+            "warmup": args.warmup if args.warmup is not None else DEFAULT_WARMUP}
     return _machine_spec_fields(args, spec)
 
 
@@ -732,9 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="simulate a synthetic benchmark")
     run_parser.add_argument("benchmark", choices=SPEC_BENCHMARKS)
-    run_parser.add_argument("--insts", type=int, default=15_000)
-    run_parser.add_argument("--warmup", type=int, default=20_000)
-    run_parser.add_argument("--seed", type=int, default=42)
+    run_parser.add_argument("--insts", type=int, default=DEFAULT_INSTS)
+    run_parser.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
+    run_parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run_parser.add_argument(
         "--profile", action="store_true",
         help="wall-time the pipeline stages and print the breakdown",
@@ -855,11 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampled", action="store_true",
         help="SimPoint-style sampled simulation (docs/TRACES.md)",
     )
-    trace_run.add_argument("--interval", type=int, default=10_000)
-    trace_run.add_argument("--k", type=int, default=8)
-    trace_run.add_argument("--sample-warmup", type=int, default=2_000)
-    trace_run.add_argument("--dims", type=int, default=32)
-    trace_run.add_argument("--sample-seed", type=int, default=1)
+    trace_run.add_argument("--interval", type=int, default=sampling.DEFAULT_INTERVAL)
+    trace_run.add_argument("--k", type=int, default=sampling.DEFAULT_K)
+    trace_run.add_argument("--sample-warmup", type=int, default=sampling.DEFAULT_SAMPLE_WARMUP)
+    trace_run.add_argument("--dims", type=int, default=sampling.DEFAULT_DIMS)
+    trace_run.add_argument("--sample-seed", type=int, default=sampling.DEFAULT_SAMPLE_SEED)
     trace_run.add_argument(
         "--no-warm-caches", action="store_true",
         help="skip cache-state reconstruction before sample windows",
@@ -1049,13 +1050,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--insts", type=int, default=None,
-        help="instruction budget (default: 15000; --trace: the whole trace)",
+        help=f"instruction budget (default: {DEFAULT_INSTS}; --trace: the whole trace)",
     )
     submit_parser.add_argument(
         "--warmup", type=int, default=None,
-        help="warmup instructions (default: 20000; --trace: 0)",
+        help=f"warmup instructions (default: {DEFAULT_WARMUP}; --trace: 0)",
     )
-    submit_parser.add_argument("--seed", type=int, default=42)
+    submit_parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     submit_parser.add_argument("--shadow", action="store_true")
     submit_parser.add_argument(
         "--backend", default=None, choices=BACKENDS,

@@ -19,6 +19,11 @@ from __future__ import annotations
 _EMPTY: list = []
 
 
+def ring_size(horizon: int) -> int:
+    """Bucket count of a ring for *horizon*: a power of two, at least 8."""
+    return 1 << max(3, (max(1, horizon) - 1).bit_length())
+
+
 class EventRing:
     """Cycle-indexed event buckets for a monotonically advancing clock.
 
@@ -32,7 +37,7 @@ class EventRing:
     __slots__ = ("_mask", "_size", "_buckets", "_overflow")
 
     def __init__(self, horizon: int):
-        size = 1 << max(3, (max(1, horizon) - 1).bit_length())
+        size = ring_size(horizon)
         self._mask = size - 1
         self._size = size
         self._buckets: list[list] = [[] for _ in range(size)]

@@ -43,6 +43,7 @@ from array import array
 from itertools import islice
 from time import perf_counter
 
+from repro.core.event_ring import ring_size
 from repro.core.iq import PRIORITY_CLASSES
 from repro.core.last_arrival import (
     DesignComparisonBank,
@@ -181,18 +182,6 @@ class NativeProcessor:
         sequential_rf = config.regfile is RegFileModel.SEQUENTIAL
         crossbar_rf = config.regfile is RegFileModel.CROSSBAR
         mem_cfg = config.mem
-        horizon = (
-            config.lat.agen
-            + mem_cfg.dl1_latency
-            + mem_cfg.l2_latency
-            + mem_cfg.memory_latency
-            + config.lat.worst_case
-            + config.exec_offset
-            + config.load_spec_window
-            + config.tag_elim_detect_delay
-            + 8
-        )
-        ring_size = 1 << max(3, (max(1, horizon) - 1).bit_length())
         scalars = (
             config.width,
             config.ruu_size,
@@ -212,7 +201,7 @@ class NativeProcessor:
             1 if config.rename is RenameModel.HALF_PORTS else 0,
             1 if config.bypass is BypassModel.HALF else 0,
             _WATCHDOG_CYCLES,
-            ring_size,
+            ring_size(config.event_horizon),
             NUM_ARCH_REGS,
             p_mask,
             p_mid,
@@ -301,12 +290,6 @@ class NativeProcessor:
             chunk = list(islice(feed_iter, size))
             if not chunk:
                 return None
-            for i, op in enumerate(chunk):
-                if op.seq != base + i:
-                    raise SimulationError(
-                        "native backend needs dense program-order seq "
-                        f"numbers (got {op.seq}, expected {base + i})"
-                    )
             ops_l.extend(chunk)
             deps = [op.sched_deps for op in chunk]
             pcs = [op.pc for op in chunk]

@@ -262,6 +262,17 @@ class MachineConfig:
         )
 
     @property
+    def event_horizon(self) -> int:
+        """Event-ring horizon of both backends: the worst memory round trip
+        plus the longest execution latency and the pipeline offsets."""
+        mem = self.mem
+        return (
+            self.lat.agen + mem.dl1_latency + mem.l2_latency + mem.memory_latency
+            + self.lat.worst_case + self.exec_offset + self.load_spec_window
+            + self.tag_elim_detect_delay + 8
+        )
+
+    @property
     def total_read_ports(self) -> int:
         """Register file read ports implied by the port model."""
         if self.regfile in (RegFileModel.BASE, RegFileModel.EXTRA_STAGE):

@@ -122,6 +122,7 @@ class Processor:
         "_predictions",
         "_feed_iter",
         "_next_op",
+        "_next_tag",
         "_feed_done",
         "_fetch_stalled_until",
         "_fetch_blocked_on",
@@ -189,34 +190,22 @@ class Processor:
         self.now = 0
         self._rename: dict[int, int | None] = {}
         self._ready: dict[int, IQEntry] = {}
-        self._frontend: deque[tuple[int, DynOp]] = deque()  # (arrive_cycle, op)
+        # (arrive_cycle, tag, op); the tag is the op's fetch-order number
+        self._frontend: deque[tuple[int, int, DynOp]] = deque()
         self._predictions: dict[int, object] = {}
 
         self._feed_iter = iter(feed)
         self._next_op: DynOp | None = None
+        self._next_tag = 0
         self._feed_done = False
         self._fetch_stalled_until = 0
         self._fetch_blocked_on: int | None = None
         self._last_fetch_line = -1
         self._pc_address = getattr(feed, "pc_address", lambda pc: pc * 4)
 
-        # Event calendars: one ring bucket per future cycle.  The horizon
-        # bounds the farthest schedulable event (worst memory round trip
-        # plus the longest execution latency and pipeline offsets); events
-        # beyond it — possible only with extreme custom latencies — spill
-        # into the rings' overflow dicts.
-        mem = config.mem
-        horizon = (
-            config.lat.agen
-            + mem.dl1_latency
-            + mem.l2_latency
-            + mem.memory_latency
-            + config.lat.worst_case
-            + config.exec_offset
-            + config.load_spec_window
-            + config.tag_elim_detect_delay
-            + 8
-        )
+        # Event calendars: one ring bucket per future cycle up to the
+        # config's event horizon; later events spill into overflow dicts.
+        horizon = config.event_horizon
         self._broadcasts = EventRing(horizon)
         self._slow_wakeups = EventRing(horizon)
         self._completions = EventRing(horizon)
@@ -232,7 +221,8 @@ class Processor:
         self._matrix_depth = config.exec_offset + config.load_spec_window + 2
         self._active_kill_bit: tuple[int, int] | None = None
         self.matrix_mismatches = 0
-        #: per-seq timing trace (tests and debugging): seq -> event dict
+        #: per-instruction timing trace (tests and debugging), keyed by
+        #: fetch-order tag: tag -> event dict
         self.trace: dict[int, dict] | None = {} if record_schedule else None
         #: per-stage wall-time profiler; built (and the phase methods
         #: wrapped) only when asked for, so the default loop pays nothing.
@@ -264,7 +254,7 @@ class Processor:
         self._assumed_load_latency = config.assumed_load_latency
         self._load_spec_window = config.load_spec_window
         self._tag_elim_detect = config.tag_elim_detect_delay
-        self._dl1_latency = mem.dl1_latency
+        self._dl1_latency = config.mem.dl1_latency
         self._pop_kills = self._kills.pop
         self._pop_slow_wakeups = self._slow_wakeups.pop
         self._pop_broadcasts = self._broadcasts.pop
@@ -742,7 +732,7 @@ class Processor:
         # per dispatch slot; a 2-source instruction consumes two tokens.
         rename_tokens = width if self._half_rename else None
         while frontend and frontend[0][0] <= now and dispatched < width:
-            arrive, op = frontend[0]
+            arrive, tag, op = frontend[0]
             if rob.full:
                 break
             if (op.is_load or op.is_store) and lsq.full:
@@ -754,12 +744,11 @@ class Processor:
                     break
                 rename_tokens -= needed
             frontend.popleft()
-            self._insert(op)
+            self._insert(op, tag)
             dispatched += 1
 
-    def _insert(self, op: DynOp) -> None:
+    def _insert(self, op: DynOp, tag: int) -> None:
         now = self.now
-        tag = op.seq
         if op.is_eliminated_nop:
             entry = IQEntry(op, tag, [], insert_cycle=now)
             entry.state = EntryState.COMPLETED
@@ -880,26 +869,28 @@ class Processor:
             self._next_op = None
             stats.fetched += 1
             fetched += 1
-            frontend_append((arrive, op))
-            if op.is_control and self._fetch_control(op):
+            tag = self._next_tag
+            self._next_tag = tag + 1
+            frontend_append((arrive, tag, op))
+            if op.is_control and self._fetch_control(op, tag):
                 return
             op = None
 
-    def _fetch_control(self, op: DynOp) -> bool:
+    def _fetch_control(self, op: DynOp, tag: int) -> bool:
         """Predict a control instruction; return True if fetch must stop."""
         prediction = self.branch_unit.predict(op.pc, op.opcode, op.static_target)
-        self._predictions[op.seq] = prediction
+        self._predictions[tag] = prediction
         predicted_next = prediction.next_pc(op.pc + 1)
         if predicted_next != op.next_pc:
             # Misprediction: fetch stalls until the branch resolves.
-            self._fetch_blocked_on = op.seq
+            self._fetch_blocked_on = tag
             return True
         # Correct prediction: fetch stops at the first taken branch.
         return bool(prediction.predicted_taken)
 
     def _resolve_branch(self, entry: IQEntry) -> None:
         op = entry.op
-        prediction = self._predictions.pop(op.seq, None)
+        prediction = self._predictions.pop(entry.tag, None)
         if prediction is None:
             return
         self.stats.branches += 1
@@ -908,7 +899,7 @@ class Processor:
         )
         if mispredicted:
             self.stats.branch_mispredicts += 1
-        if self._fetch_blocked_on == op.seq:
+        if self._fetch_blocked_on == entry.tag:
             self._fetch_blocked_on = None
             self._fetch_stalled_until = max(self._fetch_stalled_until, self.now + 1)
             self._last_fetch_line = -1

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.analysis.cache import fingerprint as cache_fingerprint
 from repro.analysis.parallel import Job
-from repro.analysis.runner import SHADOW_SIZES
+from repro.analysis.runner import DEFAULT_INSTS, DEFAULT_SEED, DEFAULT_WARMUP, SHADOW_SIZES
 from repro.analysis.store import json_digest
 from repro.errors import ReproError
 from repro.pipeline.config import (
@@ -122,9 +122,9 @@ class RunSpec:
     half_rename: bool = False
     half_bypass: bool = False
     predictor: bool = True
-    seed: int = 42
-    insts: int = 15_000
-    warmup: int = 20_000
+    seed: int = DEFAULT_SEED
+    insts: int = DEFAULT_INSTS
+    warmup: int = DEFAULT_WARMUP
     shadow: bool = False
     priority: int = 0
     #: cycle-loop backend the job asks for ("python"/"native"); part of
@@ -323,9 +323,9 @@ def _parse_run(payload: dict) -> RunSpec:
     spec = RunSpec(
         benchmark=benchmark,
         **_machine_fields(payload),
-        seed=_get_int(payload, "seed", 42, minimum=0),
-        insts=_get_int(payload, "insts", 15_000),
-        warmup=_get_int(payload, "warmup", 20_000, minimum=0),
+        seed=_get_int(payload, "seed", DEFAULT_SEED, minimum=0),
+        insts=_get_int(payload, "insts", DEFAULT_INSTS),
+        warmup=_get_int(payload, "warmup", DEFAULT_WARMUP, minimum=0),
     )
     spec.config()  # surface ConfigurationError-shaped problems as 400s
     return spec

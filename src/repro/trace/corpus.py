@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.cache import repo_root
 from repro.trace.capture import capture_kernel
 from repro.trace.feed import TraceFeed, trace_info
 from repro.trace.format import TraceFormatError
@@ -73,20 +74,12 @@ CORPUS: tuple[CorpusEntry, ...] = (
 CORPUS_BY_NAME: dict[str, CorpusEntry] = {entry.name: entry for entry in CORPUS}
 
 
-def _repo_root() -> Path:
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "pyproject.toml").is_file():
-            return parent
-    return Path.cwd()
-
-
 def corpus_dir() -> Path:
     """Where corpus tracefiles live (``REPRO_TRACE_DIR`` overrides)."""
     env = os.environ.get("REPRO_TRACE_DIR", "")
     if env:
         return Path(env)
-    return _repo_root() / "workloads" / "traces"
+    return repo_root() / "workloads" / "traces"
 
 
 def corpus_path(entry: CorpusEntry | str) -> Path:

@@ -242,7 +242,7 @@ def warming_ops(
     load = OPCODE_BY_NAME["LDQ"]
     return [
         DynOp(
-            seq=0,  # re-sequenced when the window is assembled
+            seq=0,  # a stand-in: it has no place in the trace's order
             pc=pcs[line],
             opcode="LDQ",
             op_class=load.op_class,
@@ -352,28 +352,13 @@ def simulate_sampled(
 
 
 def _window_feed(feed: TraceFeed, warming: list[DynOp], start: int, end: int):
-    """One representative window: warming loads + the re-sequenced slice."""
-    merged = warming + feed.ops[max(0, start) : end]
-    window = [_reseq(op, seq) for seq, op in enumerate(merged)]
+    """One representative window: warming loads + the trace slice.
+
+    The ops keep their trace ``seq`` (the warming loads have 0): the
+    processors number what they fetch, so nothing is copied.
+    """
     return ReplayFeed(
-        window, name=f"{feed.name}[{start}:{end}]", pc_address=feed.pc_address
-    )
-
-
-def _reseq(op: DynOp, seq: int) -> DynOp:
-    return DynOp(
-        seq=seq,
-        pc=op.pc,
-        opcode=op.opcode,
-        op_class=op.op_class,
-        dest=op.dest,
-        srcs=op.srcs,
-        sched_deps=op.sched_deps,
-        store_data_reg=op.store_data_reg,
-        mem_addr=op.mem_addr,
-        taken=op.taken,
-        next_pc=op.next_pc,
-        static_target=op.static_target,
-        is_two_source_format=op.is_two_source_format,
-        is_eliminated_nop=op.is_eliminated_nop,
+        warming + feed.ops[max(0, start) : end],
+        name=f"{feed.name}[{start}:{end}]",
+        pc_address=feed.pc_address,
     )

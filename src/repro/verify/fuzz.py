@@ -24,6 +24,7 @@ elimination — each under non-selective and selective recovery.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +44,7 @@ from repro.fastsim import (
     make_processor,
     native_available,
 )
-from repro.isa.assembler import assemble
+from repro.isa.assembler import Program, assemble
 from repro.isa.emulator import Emulator
 from repro.pipeline.config import (
     FOUR_WIDE,
@@ -183,6 +184,15 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=1)
+def _golden_run(source: str, budget: int) -> tuple[Program, int]:
+    """The assembled program and its dynamic instruction count on the
+    golden emulator; one entry serves a program's whole config matrix."""
+    program = assemble(source)
+    steps = Emulator(program).run(max_steps=budget)
+    return program, steps - 1  # run() counts the HALT step; the feed excludes it
+
+
 def check_source(
     source: str, config: MachineConfig, budget: int = DEFAULT_BUDGET
 ) -> FuzzFailure | None:
@@ -193,11 +203,7 @@ def check_source(
     program itself (not the pipeline) is broken, which callers treat as
     either a generator bug (fuzzing) or an invalid shrink candidate.
     """
-    program = assemble(source)
-    golden = Emulator(program)
-    steps = golden.run(max_steps=budget)
-    dynamic = steps - 1  # run() counts the HALT step; the feed excludes it
-
+    program, dynamic = _golden_run(source, budget)
     processor = Processor(EmulatorFeed(program), config, check=True)
 
     def failure(kind: str, message: str) -> FuzzFailure:
@@ -300,11 +306,7 @@ def check_source_cross_backend(
     long as all backends deadlock at the same cycle; any other asymmetry
     is a ``backend-divergence`` failure naming the first differing leaf.
     """
-    program = assemble(source)
-    golden = Emulator(program)
-    steps = golden.run(max_steps=budget)
-    dynamic = steps - 1
-
+    program, dynamic = _golden_run(source, budget)
     exports: dict[str, str] = {}
     for backend in backends:
         processor = make_processor(

@@ -21,7 +21,10 @@ class DynOp:
     """One dynamic instruction instance.
 
     Attributes:
-        seq: dynamic sequence number (program order).
+        seq: the feed's record of program order (dynamic sequence
+            number).  Timing never reads it: each processor numbers the
+            ops it fetches.  The commit-order invariant and lockstep
+            messages quote it.
         pc: static instruction id.
         opcode: opcode mnemonic (e.g. ``"ADD"``).
         op_class: :class:`~repro.isa.opcodes.OpClass` of the operation.

@@ -9,6 +9,7 @@ the same documents the one-at-a-time path produced.
 
 import pytest
 
+from repro.analysis import cache as cache_mod
 from repro.analysis.cache import ResultCache
 from repro.analysis.pool import maybe_pool
 from repro.serve import frontend
@@ -67,6 +68,21 @@ class TestExecuteBatch:
         assert [outcome["kind"] for outcome in outcomes] == ["run"] * 4
         assert [outcome["stats"]["run"]["insts"] for outcome in outcomes] == [200, 200, 240, 240]
         assert executor.simulated() == 4
+
+    def test_one_identity_digest_per_fresh_run(self, fresh_executor, monkeypatch):
+        """The store lookup and the stats export share one SHA-256."""
+        digests = []
+        original = cache_mod.json_digest
+
+        def counting(value):
+            digests.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cache_mod, "json_digest", counting)
+        # A seed no other test uses: the digest memo is process-wide.
+        (outcome,) = fresh_executor.execute_batch(_specs([tiny_run(seed=918_273)]))
+        assert outcome["kind"] == "run"
+        assert len(digests) == 1
 
     def test_per_spec_failures_are_isolated(self, fresh_executor):
         _poison(fresh_executor, "gcc")

@@ -1,11 +1,13 @@
 """SimPoint-style sampling: profiling, clustering, warming, accuracy."""
 
+import copy
 import json
 
 import pytest
 
+from repro.analysis.cache import serialize_result
 from repro.errors import ConfigurationError
-from repro.fastsim import apply_backend, available_backends
+from repro.fastsim import apply_backend, available_backends, make_processor
 from repro.pipeline.config import FOUR_WIDE
 from repro.trace.capture import capture_kernel
 from repro.trace.feed import TraceFeed
@@ -18,7 +20,7 @@ from repro.trace.sampling import (
     simulate_sampled,
     warming_ops,
 )
-from repro.workloads.feed import EmulatorFeed
+from repro.workloads.feed import EmulatorFeed, ReplayFeed
 from repro.workloads.kernels import kernel_program
 from repro.workloads.trace import DynOp
 
@@ -154,3 +156,59 @@ class TestSampledAccuracy:
         )
         assert sum(s["weight"] for s in report["samples"]) == pytest.approx(1.0)
         assert report["content_hash"] == trace.content_hash
+
+
+@pytest.fixture(scope="module")
+def probe_trace(tmp_path_factory):
+    """A small captured trace with random data access and branches."""
+    path = tmp_path_factory.mktemp("traces") / "probe.hpt"
+    capture_kernel("hash_probe", path, n=1_500)
+    return TraceFeed(path)
+
+
+class TestWindowFeeds:
+    """A sample window is a plain slice: the processors number what they
+    fetch, so the ops' own ``seq`` values never reach timing."""
+
+    @staticmethod
+    def resequenced(ops):
+        copies = []
+        for seq, op in enumerate(ops):
+            clone = copy.copy(op)
+            clone.seq = seq
+            copies.append(clone)
+        return copies
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_slice_matches_resequenced_window(self, probe_trace, backend):
+        ops = probe_trace.ops
+        start, end, warm = 6_000, 9_000, 1_000
+        warming = warming_ops(ops, start - warm, 64, 4_096)
+        assert warming and all(op.seq == 0 for op in warming)
+        window = warming + ops[start - warm : end]
+        assert window[len(warming)] is ops[start - warm]
+        config = apply_backend(FOUR_WIDE, backend)
+        results = []
+        for feed_ops in (window, self.resequenced(window)):
+            processor = make_processor(ReplayFeed(feed_ops), config, backend=backend)
+            result = processor.run(max_insts=end - start, warmup=warm + len(warming))
+            results.append(serialize_result(result))
+        assert results[0] == results[1]
+
+
+class TestSampledCrossBackendParity:
+    def test_reports_equal_on_every_backend(self, probe_trace):
+        reports = []
+        for backend in available_backends():
+            report = simulate_sampled(
+                probe_trace,
+                apply_backend(FOUR_WIDE, backend),
+                interval=2_000,
+                k=4,
+                warmup=500,
+            )
+            assert report["backend"] == backend
+            report.pop("backend")
+            reports.append(report)
+        assert len(reports[0]["samples"]) > 1
+        assert all(report == reports[0] for report in reports)

@@ -71,6 +71,22 @@ class TestRunFuzz:
         # ... and the program checked is exactly the one that seed makes.
         assert check_source(source, config[0]) is None
 
+    def test_each_program_is_assembled_once_per_matrix(self, monkeypatch):
+        from repro.verify import fuzz
+
+        calls = []
+        original = fuzz.assemble
+
+        def counting(source):
+            calls.append(source)
+            return original(source)
+
+        monkeypatch.setattr(fuzz, "assemble", counting)
+        fuzz._golden_run.cache_clear()
+        report = run_fuzz(programs=2, seed=29)
+        assert report.ok and report.checked == 2 * 8
+        assert len(calls) == 2
+
     def test_progress_callback(self):
         seen = []
         run_fuzz(programs=2, seed=5, configs=config_matrix(["base+nonsel"]),
