@@ -2,14 +2,16 @@
 
 Every finished :class:`~repro.pipeline.processor.SimulationResult` can be
 stored as one small JSON record and replayed in a later session without
-re-simulating.  The cache is a thin domain adapter: it computes the
-fingerprint, serializes/deserializes records, and delegates all blob I/O
-to a :class:`~repro.analysis.store.ResultStore` (by default a
-content-addressed :class:`~repro.analysis.store.DirectoryStore` under
+re-simulating; so can a sampled trace run's report.  :class:`ResultCache`
+is the only code that keys and encodes those records: it computes the
+fingerprint, encodes and decodes both record kinds, and delegates all
+blob I/O to a content-addressed
+:class:`~repro.analysis.store.DirectoryStore` (by default under
 ``results/cache/`` — shareable between processes and, on a shared
-filesystem, between serving-tier workers).  Records are keyed by
-:func:`fingerprint`, a SHA-256 over a :class:`~repro.analysis.parallel.Job`
-— the one key of a simulation — plus the version stamps:
+filesystem, between serving-tier workers).  Its callers hand it a
+:class:`~repro.analysis.parallel.Job` and a compute function.  Records
+are keyed by :func:`fingerprint`, a SHA-256 over the job — the one key
+of a simulation — plus the version stamps:
 
 * the **timing-model version stamp**
   (:data:`repro.pipeline.processor.TIMING_MODEL_VERSION`) — bumped whenever
@@ -50,7 +52,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.analysis.parallel import Job
-from repro.analysis.store import DirectoryStore, ResultStore, json_digest
+from repro.analysis.store import DirectoryStore, json_digest
 from repro.core.last_arrival import DesignComparisonBank, ShadowPredictorBank
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
@@ -215,30 +217,24 @@ def cache_enabled() -> bool:
 
 
 class ResultCache:
-    """Simulation records keyed by input fingerprint, on a ResultStore.
+    """Simulation records keyed by input fingerprint, on a DirectoryStore.
 
-    The domain adapter between the analysis layer (a :class:`Job` per
-    run) and the content-addressed blob store.  All the
-    durability guarantees — atomic publication, checksum-verified reads,
-    quarantine of torn blobs, cross-process claims — live in the store;
-    this class owns fingerprinting and (de)serialization plus the
-    hit/miss accounting the runner's metrics surface.
+    The one encoder between the analysis layer (a :class:`Job` per run)
+    and the content-addressed blob store: it computes every fingerprint
+    and encodes and decodes both record kinds it publishes — a run's
+    result record (:func:`serialize_result` plus the job's identity
+    fields) and a sampled trace run's report record.  All the durability
+    guarantees — atomic publication, checksum-verified reads, quarantine
+    of torn blobs, cross-process claims — live in the store.  ``hits``
+    counts the results and reports served from it (``repro prefetch``
+    prints it).
     """
 
-    def __init__(
-        self,
-        directory: Path | str | None = None,
-        store: ResultStore | None = None,
-    ):
-        if store is not None:
-            self.backend = store
-        else:
-            self.backend = DirectoryStore(
-                Path(directory) if directory is not None else default_cache_dir()
-            )
+    def __init__(self, directory: Path | str | None = None):
+        self.backend = DirectoryStore(
+            directory if directory is not None else default_cache_dir()
+        )
         self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     @classmethod
     def from_env(cls) -> "ResultCache | None":
@@ -246,74 +242,83 @@ class ResultCache:
         return cls() if cache_enabled() else None
 
     @property
-    def directory(self) -> Path | None:
-        """The backing directory, when the store has one (diagnostics)."""
-        return getattr(self.backend, "root", None)
+    def directory(self) -> Path:
+        """The store's root directory."""
+        return self.backend.root
 
     # ------------------------------------------------------------------
     def load(self, job: Job) -> SimulationResult | None:
         """Return the cached result for *job*, or None on a miss."""
         record = self.backend.get(fingerprint(job))
-        result = None if record is None else self._decode(record)
-        if result is None:
-            self.misses += 1
-        else:
+        result = None if record is None else _decode_result(record)
+        if result is not None:
             self.hits += 1
         return result
+
+    def store(self, job: Job, result: SimulationResult) -> Path:
+        """Publish one result; returns its blob path."""
+        digest = fingerprint(job)
+        self.backend.put(digest, _result_record(job, result))
+        return self.backend._blob_path(digest)
 
     def get_or_compute(self, jobs: list[Job], compute) -> list[SimulationResult]:
         """The cached result of every job; the misses this caller claims
         go to one ``compute(claimed_jobs)`` call and are published under
         the store claim (waits for the misses another process holds)."""
+        return self._resolve(jobs, compute, _result_record, _decode_result)
+
+    def sampled_report(self, job: Job, compute) -> dict:
+        """The sampled-run report stored under *job*, else ``compute()``'s,
+        published under the store claim."""
+        return self._resolve([job], lambda jobs: [compute()], _report_record, _decode_report)[0]
+
+    def _resolve(self, jobs: list[Job], compute, encode, decode) -> list:
         computed = 0
 
-        def compute_records(positions: list[int]) -> list[tuple[SimulationResult, dict]]:
+        def compute_records(positions: list[int]) -> list[tuple[object, dict]]:
             nonlocal computed
             claimed = [jobs[position] for position in positions]
-            results = compute(claimed)
-            computed += len(results)
-            return [(result, self._record(job, result)) for job, result in zip(claimed, results)]
+            values = compute(claimed)
+            computed += len(values)
+            return [(value, encode(job, value)) for job, value in zip(claimed, values)]
 
-        results = self.backend.get_or_compute(
-            [fingerprint(job) for job in jobs], compute_records, self._decode
+        values = self.backend.get_or_compute(
+            [fingerprint(job) for job in jobs], compute_records, decode
         )
         self.hits += len(jobs) - computed
-        self.misses += computed
-        self.stores += computed
-        return results
+        return values
 
-    def store(self, job: Job, result: SimulationResult) -> Path | None:
-        """Publish one result; returns the blob path for directory stores."""
-        digest = fingerprint(job)
-        self.backend.put(digest, self._record(job, result))
-        self.stores += 1
-        if isinstance(self.backend, DirectoryStore):
-            return self.backend._blob_path(digest)
+
+# ----------------------------------------------------------------------
+# The two record kinds.  A decoder maps a record the store verified to
+# its value, or to None when the record is unusable: one that passed the
+# fingerprint and checksum checks but is structurally damaged or of the
+# other kind is a miss too — never let a cache file crash a run.
+# ----------------------------------------------------------------------
+def _result_record(job: Job, result: SimulationResult) -> dict:
+    """The bare result record for *job*; the store adds the envelope."""
+    record = serialize_result(result)
+    record.update(
+        benchmark=job.benchmark,
+        seed=job.seed,
+        insts=job.insts,
+        warmup=job.warmup,
+        model_version=TIMING_MODEL_VERSION,
+    )
+    return record
+
+
+def _decode_result(record: dict) -> SimulationResult | None:
+    try:
+        return deserialize_result(record)
+    except (KeyError, TypeError, ValueError):
         return None
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _decode(record: dict) -> SimulationResult | None:
-        """The result a published record holds, or None when unusable.
 
-        The store has already matched the record's fingerprint and
-        checksum; a record that passed those checks but is structurally
-        damaged is a miss too — never let a cache file crash a run.
-        """
-        try:
-            return deserialize_result(record)
-        except (KeyError, TypeError, ValueError):
-            return None
+def _report_record(job: Job, report: dict) -> dict:
+    """The bare record of a sampled trace run's report."""
+    return {"kind": "trace-sampled", "model_version": TIMING_MODEL_VERSION, "report": report}
 
-    @staticmethod
-    def _record(job: Job, result: SimulationResult) -> dict:
-        """The bare record for *job*; the store adds the envelope."""
-        record = serialize_result(result)
-        record.update(
-            benchmark=job.benchmark,
-            seed=job.seed,
-            insts=job.insts,
-            warmup=job.warmup,
-            model_version=TIMING_MODEL_VERSION,
-        )
-        return record
+
+def _decode_report(record: dict) -> dict | None:
+    return record.get("report") if record.get("kind") == "trace-sampled" else None

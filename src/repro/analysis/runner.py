@@ -148,26 +148,23 @@ class ExperimentRunner:
             self.metrics.counter("runner.disk_hits").inc()
         return found
 
-    def resolve(
-        self, jobs: list[Job], workers: int | None = None
-    ) -> tuple[list[SimulationResult], int]:
+    def resolve(self, jobs: list[Job]) -> tuple[list[SimulationResult], int]:
         """Every job's result, in order, and the number simulated.
 
         Jobs missing from the memo are deduped and looked up in the
         store; the misses this caller claims run in one
         :func:`~repro.analysis.parallel.run_jobs` fan-out (worker count:
-        explicit *workers*, else the runner's ``jobs``, else
-        ``REPRO_JOBS``/CPU count) and are published before their claims
-        are released.  Misses another thread or process claimed are
-        waited for.  With the cache off, every miss is simulated.  All
-        of them land in the memo.
+        the runner's ``jobs``, else ``REPRO_JOBS``/CPU count) and are
+        published before their claims are released.  Misses another
+        thread or process claimed are waited for.  With the cache off,
+        every miss is simulated.  All of them land in the memo.
         """
         misses = list(dict.fromkeys(job for job in jobs if job not in self._results))
         simulated = 0
 
         def simulate(claimed: list[Job]) -> list[SimulationResult]:
             nonlocal simulated
-            results = run_jobs(claimed, workers=workers if workers is not None else self.jobs)
+            results = run_jobs(claimed, workers=self.jobs)
             simulated += len(claimed)
             self.metrics.counter("runner.simulated").inc(len(claimed))
             return results
@@ -183,11 +180,7 @@ class ExperimentRunner:
         return [self._results[job] for job in jobs], simulated
 
     # ------------------------------------------------------------------
-    def prefetch(
-        self,
-        requests: list[tuple[str, MachineConfig, int, bool]],
-        workers: int | None = None,
-    ) -> int:
+    def prefetch(self, requests: list[tuple[str, MachineConfig, int, bool]]) -> int:
         """Bulk-resolve ``(benchmark, config, seed, shadow)`` requests.
 
         One :meth:`resolve` over the requests: memo and disk hits are
@@ -198,11 +191,11 @@ class ExperimentRunner:
         are pure lookups — and deterministic job ordering makes every
         aggregate identical to a serial run.
         """
-        _, simulated = self.resolve([self._job(*request) for request in requests], workers)
+        _, simulated = self.resolve([self._job(*request) for request in requests])
         self.metrics.counter("runner.prefetch_warm_hits").inc(len(requests) - simulated)
         return simulated
 
-    def prefetch_base(self, workers: int | None = None) -> int:
+    def prefetch_base(self) -> int:
         """Warm every base-machine run the standard figures lean on."""
         requests: list[tuple[str, MachineConfig, int, bool]] = []
         for benchmark in self.benchmarks:
@@ -211,7 +204,7 @@ class ExperimentRunner:
                 requests.append((benchmark, EIGHT_WIDE, seed, False))
             # Figure 7 / Table 3 read the shadow bank of the first seed.
             requests.append((benchmark, FOUR_WIDE, self.seed, True))
-        return self.prefetch(requests, workers=workers)
+        return self.prefetch(requests)
 
     # ------------------------------------------------------------------
     def export_run(
@@ -245,7 +238,6 @@ class ExperimentRunner:
         directory: Path | str,
         configs: tuple[MachineConfig, ...] | list[MachineConfig] | None = None,
         seeds: tuple[int, ...] | None = None,
-        workers: int | None = None,
     ) -> list[Path]:
         """Export every (benchmark, config, seed) combination's manifest.
 
@@ -262,7 +254,7 @@ class ExperimentRunner:
             for config in configs
             for seed in seeds
         ]
-        self.prefetch(requests, workers=workers)
+        self.prefetch(requests)
         return [
             self.export_run(benchmark, config, directory, seed=seed)
             for benchmark, config, seed, _ in requests

@@ -1,9 +1,10 @@
 """Shared content-addressed result store: fingerprint -> published blob.
 
 This is the storage layer underneath the result cache, the experiment
-runner and the serving tier.  A *store* maps a SHA-256 fingerprint (the
-same digest :func:`repro.analysis.cache.fingerprint` computes) to one
-immutable JSON *blob* — the serialized simulation record.  The contract
+runner and the serving tier.  :class:`DirectoryStore` maps a SHA-256
+fingerprint (the digest :func:`repro.analysis.cache.fingerprint`
+computes) to one immutable JSON *blob* — a record the cache encoded.
+The store never interprets a record beyond its envelope; the contract
 every consumer leans on:
 
 * **One envelope.**  ``put()`` stamps the record's ``fingerprint`` and
@@ -19,22 +20,24 @@ every consumer leans on:
   bit-rotted blob is **quarantined** (moved aside, never deleted — it is
   evidence) and reads as a miss, so the caller recomputes.
 * **One claim protocol.**  ``claim()`` is the cluster-wide singleflight
-  primitive, and this module is its only caller.  ``get_or_compute()``
+  primitive, and this class is its only caller.  ``get_or_compute()``
   resolves a batch of fingerprints by repeating one non-blocking step
-  per missing key — get, claim, get again once the claim is won — so
-  among concurrent threads or processes missing the same fingerprint,
-  one computes and publishes while the rest wait for — or find — its
-  blob.  A claim abandoned by a dead process goes stale and is taken
-  over, so a SIGKILLed worker never wedges the fingerprint.
+  per missing key (:meth:`DirectoryStore.lookup_or_claim`: get, claim,
+  get again once the claim is won), so among concurrent threads or
+  processes missing the same fingerprint, one computes and publishes
+  while the rest ``wait()`` for — or find — its blob.  A claim abandoned
+  by a dead process goes stale after ``REPRO_CLAIM_STALE_S`` seconds
+  (default 300) and is taken over, so a SIGKILLed worker never wedges
+  the fingerprint.
 
-:class:`DirectoryStore` implements the interface on a plain directory —
-shareable between processes and, via a network filesystem, between
-nodes.  Blobs live at ``<root>/<fp[:2]>/<fp>.json`` (sharded so a
-million records do not share one directory); quarantined blobs move to
-``<root>/quarantine/``; claims are ``O_EXCL`` lock files next to the
-blob.  The serving tier points every worker at one store directory,
-which is what keeps coalescing correct cluster-wide without any
-cross-worker locking (see docs/SERVING.md).
+The store is a plain directory — shareable between processes and, via a
+network filesystem, between nodes.  Blobs live at
+``<root>/<fp[:2]>/<fp>.json`` (sharded so a million records do not share
+one directory); quarantined blobs move to ``<root>/quarantine/``; claims
+are ``O_EXCL`` lock files next to the blob.  The serving tier points
+every worker at one store directory, which is what keeps coalescing
+correct cluster-wide without any cross-worker locking (see
+docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ QUARANTINE_DIR = "quarantine"
 
 #: A claim older than this is presumed abandoned (holder died) and is
 #: broken by the next contender.  Generous: one simulation is seconds.
-#: Override with REPRO_CLAIM_STALE_S (cluster smoke tests shrink it so a
-#: SIGKILLed worker's claim is taken over within seconds).
+#: Override with REPRO_CLAIM_STALE_S, read when a store is built (cluster
+#: smoke tests shrink it so a SIGKILLed worker's claim is taken over
+#: within seconds).
 DEFAULT_CLAIM_STALE_S = 300.0
 
 
@@ -94,45 +98,142 @@ def _sealed(fingerprint: str, record: dict) -> dict:
     return record
 
 
-class ResultStore:
-    """Interface every result-store implementation satisfies.
+class StoreClaim:
+    """A held compute claim (its lock file); ``release()`` is idempotent."""
 
-    Consumers (:class:`~repro.analysis.cache.ResultCache`, the serving
-    tier) program against this surface only.
-    """
+    def __init__(self, path: Path):
+        self._path: Path | None = path
 
+    def release(self) -> None:
+        if self._path is None:
+            return
+        try:
+            os.unlink(self._path)
+        except OSError:
+            pass
+        self._path = None
+
+
+class DirectoryStore:
+    """Content-addressed blobs on a (shareable) directory tree."""
+
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
+        self._claim_stale_s = _default_claim_stale_s()
+        self.published = 0
+        self.duplicate_publishes = 0
+        self.quarantined = 0
+
+    # ------------------------------------------------------------------
+    def _blob_path(self, fingerprint: str) -> Path:
+        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+
+    def _claim_path(self, fingerprint: str) -> Path:
+        return self.root / fingerprint[:2] / f"{fingerprint}.claim"
+
+    def _quarantine(self, fingerprint: str, path: Path) -> None:
+        """Move a bad blob aside so the slot reads empty (recompute)."""
+        target_dir = self.root / QUARANTINE_DIR
+        target = target_dir / f"{fingerprint}.{time.time_ns()}.json"
+        try:
+            target_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, target)
+            self.quarantined += 1
+        except OSError:
+            # Racing quarantiners/republishers: losing the rename is fine,
+            # the slot is being handled either way.
+            pass
+
+    # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> dict | None:
         """The verified record for *fingerprint*, or None."""
-        raise NotImplementedError
+        path = self._blob_path(fingerprint)
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            self._quarantine(fingerprint, path)
+            return None
+        if (
+            not isinstance(record, dict)
+            or record.get("fingerprint") != fingerprint
+            or record.get("checksum") != record_checksum(record)
+        ):
+            self._quarantine(fingerprint, path)
+            return None
+        return record
 
     def put(self, fingerprint: str, record: dict) -> bool:
         """Publish *record*, stamped with the envelope, atomically;
         False if already published."""
-        raise NotImplementedError
+        record = _sealed(fingerprint, record)
+        path = self._blob_path(fingerprint)
+        if path.is_file():
+            self.duplicate_publishes += 1
+            return False
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(record, handle, sort_keys=True)
+            os.replace(temp_name, path)
+        except BaseException:
+            try:
+                os.unlink(temp_name)
+            except OSError:
+                pass
+            raise
+        self.published += 1
+        return True
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.get(fingerprint) is not None
 
     def fingerprints(self) -> list[str]:
         """Every published fingerprint (diagnostics, smoke assertions)."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.fingerprints())
+        out = []
+        if not self.root.is_dir():
+            return out
+        for shard in self.root.iterdir():
+            if not shard.is_dir() or shard.name == QUARANTINE_DIR:
+                continue
+            for blob in shard.glob("*.json"):
+                out.append(blob.stem)
+        return sorted(out)
 
     # ------------------------------------------------------------------
-    def claim(self, fingerprint: str) -> "StoreClaim | None":
+    def claim(self, fingerprint: str) -> StoreClaim | None:
         """Try to become the computing process for *fingerprint*.
 
-        Returns a :class:`StoreClaim` to release when the blob is
-        published (or the computation failed), or None when another
-        process holds the claim.  Stores with no cross-process story may
-        always grant the claim.
+        An ``O_EXCL`` lock file: a :class:`StoreClaim` to release once
+        the blob is published (or the computation failed), or None while
+        another process holds a claim younger than the stale horizon.
         """
-        return StoreClaim(None)
-
-    #: a claim older than this is presumed abandoned (see DirectoryStore)
-    _claim_stale_s = DEFAULT_CLAIM_STALE_S
+        path = self._claim_path(fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        while True:
+            try:
+                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                try:
+                    age = time.time() - path.stat().st_mtime
+                except OSError:
+                    continue  # holder released between open and stat: retry
+                if age <= self._claim_stale_s:
+                    return None
+                # The holder is presumed dead (SIGKILL mid-simulation).
+                # Remove the stale claim and contend again.
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+                continue
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {time.time():.3f}\n")
+            return StoreClaim(path)
 
     def lookup_or_claim(self, fingerprint: str, decode) -> tuple:
         """One non-blocking step of the claim protocol: get, claim, get.
@@ -209,161 +310,3 @@ class ResultStore:
             if record is not None or time.monotonic() >= deadline:
                 return record
             time.sleep(0.02)
-
-
-class StoreClaim:
-    """A held compute claim; ``release()`` exactly once (idempotent)."""
-
-    def __init__(self, path: Path | None):
-        self._path = path
-
-    def release(self) -> None:
-        if self._path is None:
-            return
-        try:
-            os.unlink(self._path)
-        except OSError:
-            pass
-        self._path = None
-
-    def __enter__(self) -> "StoreClaim":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-class MemoryStore(ResultStore):
-    """Dict-backed store (tests, cache-disabled fallbacks)."""
-
-    def __init__(self):
-        self._records: dict[str, dict] = {}
-
-    def get(self, fingerprint: str) -> dict | None:
-        return self._records.get(fingerprint)
-
-    def put(self, fingerprint: str, record: dict) -> bool:
-        if fingerprint in self._records:
-            return False
-        self._records[fingerprint] = _sealed(fingerprint, record)
-        return True
-
-    def fingerprints(self) -> list[str]:
-        return sorted(self._records)
-
-
-class DirectoryStore(ResultStore):
-    """Content-addressed blobs on a (shareable) directory tree."""
-
-    def __init__(
-        self,
-        root: Path | str,
-        claim_stale_s: float | None = None,
-    ):
-        self.root = Path(root)
-        self._claim_stale_s = (
-            claim_stale_s if claim_stale_s is not None else _default_claim_stale_s()
-        )
-        #: observability counters (mirrored into runner/serve metrics)
-        self.published = 0
-        self.duplicate_publishes = 0
-        self.quarantined = 0
-
-    # ------------------------------------------------------------------
-    def _blob_path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def _claim_path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.claim"
-
-    def _quarantine(self, fingerprint: str, path: Path) -> None:
-        """Move a bad blob aside so the slot reads empty (recompute)."""
-        target_dir = self.root / QUARANTINE_DIR
-        target = target_dir / f"{fingerprint}.{time.time_ns()}.json"
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            self.quarantined += 1
-        except OSError:
-            # Racing quarantiners/republishers: losing the rename is fine,
-            # the slot is being handled either way.
-            pass
-
-    # ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> dict | None:
-        path = self._blob_path(fingerprint)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(fingerprint, path)
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("fingerprint") != fingerprint
-            or record.get("checksum") != record_checksum(record)
-        ):
-            self._quarantine(fingerprint, path)
-            return None
-        return record
-
-    def put(self, fingerprint: str, record: dict) -> bool:
-        record = _sealed(fingerprint, record)
-        path = self._blob_path(fingerprint)
-        if path.is_file():
-            self.duplicate_publishes += 1
-            return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        self.published += 1
-        return True
-
-    def fingerprints(self) -> list[str]:
-        out = []
-        if not self.root.is_dir():
-            return out
-        for shard in self.root.iterdir():
-            if not shard.is_dir() or shard.name == QUARANTINE_DIR:
-                continue
-            for blob in shard.glob("*.json"):
-                out.append(blob.stem)
-        return sorted(out)
-
-    # ------------------------------------------------------------------
-    def claim(self, fingerprint: str) -> StoreClaim | None:
-        """O_EXCL lock-file claim; breaks claims older than the stale cap."""
-        path = self._claim_path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - path.stat().st_mtime
-                except OSError:
-                    continue  # holder released between open and stat: retry
-                if age <= self._claim_stale_s:
-                    return None
-                # The holder is presumed dead (SIGKILL mid-simulation).
-                # Remove the stale claim and contend again.
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()} {time.time():.3f}\n")
-            return StoreClaim(path)

@@ -215,7 +215,7 @@ def _cmd_export_stats(args) -> int:
         jobs=args.jobs,
         cache=not args.no_cache,
     )
-    paths = runner.export_stats(args.out, configs=(config,), workers=args.jobs)
+    paths = runner.export_stats(args.out, configs=(config,))
     for path in paths:
         print(path)
     return 0

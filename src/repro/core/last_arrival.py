@@ -25,27 +25,15 @@ class OperandSide(enum.IntEnum):
         return OperandSide.RIGHT if self is OperandSide.LEFT else OperandSide.LEFT
 
 
-class StaticLastArrival:
-    """Predictor-less policy: the right operand is assumed last-arriving.
-
-    This is the configuration evaluated in the right bars of Figure 14
-    ("sequential wakeup without a last-arriving predictor").
-    """
-
-    entries = 0
+class AccuracyTally:
+    """Accuracy bookkeeping shared by every last-arriving design (Figure 7,
+    the design comparison and the stats module)."""
 
     def __init__(self):
         self.predictions = 0
         self.correct = 0
 
-    def predict(self, pc: int) -> OperandSide:
-        return OperandSide.RIGHT
-
-    def update(self, pc: int, last_side: OperandSide) -> None:
-        """Static policy: nothing to train."""
-
     def record_outcome(self, predicted: OperandSide, actual: OperandSide) -> None:
-        """Accuracy bookkeeping, shared with the trainable designs."""
         self.predictions += 1
         if predicted is actual:
             self.correct += 1
@@ -55,7 +43,23 @@ class StaticLastArrival:
         return self.correct / self.predictions if self.predictions else 0.0
 
 
-class LastArrivalPredictor:
+class StaticLastArrival(AccuracyTally):
+    """Predictor-less policy: the right operand is assumed last-arriving.
+
+    This is the configuration evaluated in the right bars of Figure 14
+    ("sequential wakeup without a last-arriving predictor").
+    """
+
+    entries = 0
+
+    def predict(self, pc: int) -> OperandSide:
+        return OperandSide.RIGHT
+
+    def update(self, pc: int, last_side: OperandSide) -> None:
+        """Static policy: nothing to train."""
+
+
+class LastArrivalPredictor(AccuracyTally):
     """PC-indexed direct-mapped bimodal last-arriving operand predictor.
 
     Each entry is a 2-bit saturating counter; the upper half of the range
@@ -73,8 +77,7 @@ class LastArrivalPredictor:
         self._max = (1 << bits) - 1
         self._mid = self._max // 2
         self._table = [self._mid + 1] * entries
-        self.predictions = 0
-        self.correct = 0
+        super().__init__()
 
     def predict(self, pc: int) -> OperandSide:
         if self._table[pc & self._mask] > self._mid:
@@ -91,18 +94,8 @@ class LastArrivalPredictor:
         elif value > 0:
             self._table[index] = value - 1
 
-    def record_outcome(self, predicted: OperandSide, actual: OperandSide) -> None:
-        """Accuracy bookkeeping (used by Figure 7 and the stats module)."""
-        self.predictions += 1
-        if predicted is actual:
-            self.correct += 1
 
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
-
-
-class TwoLevelLastArrival:
+class TwoLevelLastArrival(AccuracyTally):
     """Two-level (local-history) last-arriving operand predictor.
 
     One of the "more sophisticated designs" of Section 3.2: a per-PC
@@ -122,8 +115,7 @@ class TwoLevelLastArrival:
         # compare at equal capacity.
         self._pattern = [2] * entries
         self._pattern_mask = entries - 1
-        self.predictions = 0
-        self.correct = 0
+        super().__init__()
 
     def _index(self, pc: int) -> int:
         history = self._histories[pc & self._mask]
@@ -144,17 +136,8 @@ class TwoLevelLastArrival:
             (self._histories[slot] << 1) | int(last_side is OperandSide.RIGHT)
         ) & self._history_mask
 
-    def record_outcome(self, predicted: OperandSide, actual: OperandSide) -> None:
-        self.predictions += 1
-        if predicted is actual:
-            self.correct += 1
 
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
-
-
-class GShareLastArrival:
+class GShareLastArrival(AccuracyTally):
     """Global-history last-arriving predictor (gshare-style).
 
     Another Section 3.2 alternative: recent last-arriving outcomes across
@@ -171,8 +154,7 @@ class GShareLastArrival:
         self._history_mask = (1 << history_bits) - 1
         self._history = 0
         self._table = [2] * entries
-        self.predictions = 0
-        self.correct = 0
+        super().__init__()
 
     def _index(self, pc: int) -> int:
         return (pc ^ self._history) & self._mask
@@ -190,15 +172,6 @@ class GShareLastArrival:
         self._history = (
             (self._history << 1) | int(last_side is OperandSide.RIGHT)
         ) & self._history_mask
-
-    def record_outcome(self, predicted: OperandSide, actual: OperandSide) -> None:
-        self.predictions += 1
-        if predicted is actual:
-            self.correct += 1
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
 
 
 def make_design_comparison(entries: int = 1024) -> dict[str, object]:

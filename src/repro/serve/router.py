@@ -45,11 +45,14 @@ from repro.serve.frontend import BackgroundFrontEnd, JobFrontEnd, read_headers
 from repro.serve.jobs import Job
 from repro.serve.protocol import QUEUED, ProtocolError
 
-#: Router defaults (all overridable per instance).
+#: Admission queue bound (overridable per instance).
 DEFAULT_QUEUE_SIZE = 1024
-DEFAULT_HEALTH_INTERVAL_S = 1.0
-DEFAULT_HEALTH_FAILURES = 3
-#: Long-poll slice a watcher asks its worker for per round trip.
+#: Router tuning, read when a router is constructed: the seconds between
+#: health probes of each worker, the consecutive failed probes that mark
+#: a worker unhealthy, and the long-poll slice a watcher asks its worker
+#: for per round trip.
+HEALTH_INTERVAL_S = 1.0
+HEALTH_FAILURES = 3
 WATCH_POLL_S = 10.0
 
 
@@ -142,14 +145,11 @@ class RouterServer(JobFrontEnd):
         spool: Path | str | None = None,
         registry: MetricsRegistry | None = None,
         queue_size: int = DEFAULT_QUEUE_SIZE,
-        health_interval_s: float = DEFAULT_HEALTH_INTERVAL_S,
-        health_failures: int = DEFAULT_HEALTH_FAILURES,
-        watch_poll_s: float = WATCH_POLL_S,
     ):
         super().__init__(host, port, queue_size, spool, registry)
-        self.health_interval_s = health_interval_s
-        self.health_failures = health_failures
-        self.watch_poll_s = watch_poll_s
+        self.health_interval_s = HEALTH_INTERVAL_S
+        self.health_failures = HEALTH_FAILURES
+        self.watch_poll_s = WATCH_POLL_S
         self.workers: dict[str, WorkerHandle] = {}
         for url in workers:
             self._add_worker(url)

@@ -9,24 +9,25 @@ from a different worker's checkout: the cache key is identical.  The
 ``seed`` slot is pinned to 0 (a trace is already a fixed instruction
 sequence; there is nothing to reseed).
 
-Full runs reuse the :class:`~repro.analysis.cache.ResultCache` record
-format unchanged.  Sampled runs produce a *report* (weights, per-sample
-IPCs, coverage) rather than a ``SimulationResult``, so they are published
-to the same store as a distinct record kind; the store stamps and checks
-every record's fingerprint and checksum.  Both go through the store's
-one claim protocol, each as a one-key batch of
-:meth:`~repro.analysis.store.ResultStore.get_or_compute`: among
+This module only builds the keys (:func:`trace_job`,
+:func:`sampled_job`) and the simulations; the
+:class:`~repro.analysis.cache.ResultCache` fingerprints, encodes and
+publishes.  Full runs are stored as ordinary result records.  Sampled
+runs produce a *report* (weights, per-sample IPCs, coverage) rather than
+a ``SimulationResult``, stored as the cache's distinct report record
+kind.  Both go through the store's one claim protocol
+(:meth:`~repro.analysis.store.DirectoryStore.get_or_compute`): among
 processes sharing the store, exactly one simulates a given fingerprint,
 the rest wait for its blob.
 """
 
 from __future__ import annotations
 
-from repro.analysis.cache import ResultCache, fingerprint
+from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import Job
 from repro.fastsim import make_processor
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
+from repro.pipeline.processor import SimulationResult
 from repro.trace.feed import TraceFeed, trace_token
 from repro.trace.sampling import (
     DEFAULT_DIMS,
@@ -148,20 +149,9 @@ def run_sampled(
         shadow_sizes=shadow_sizes,
     )
 
-    def simulate() -> tuple[dict, dict]:
-        report = simulate_sampled(feed, config, **plan)
-        record = {
-            "kind": "trace-sampled",
-            "model_version": TIMING_MODEL_VERSION,
-            "report": report,
-        }
-        return report, record
-
-    def decode(record: dict) -> dict | None:
-        # A foreign or damaged record is a miss: recompute.
-        return record.get("report") if record.get("kind") == "trace-sampled" else None
+    def simulate() -> dict:
+        return simulate_sampled(feed, config, **plan)
 
     if cache is None:
-        return simulate()[0]
-    digest = fingerprint(sampled_job(feed.content_hash, config, **plan))
-    return cache.backend.get_or_compute([digest], lambda positions: [simulate()], decode)[0]
+        return simulate()
+    return cache.sampled_report(sampled_job(feed.content_hash, config, **plan), simulate)

@@ -52,7 +52,7 @@ class TestRecordChecksum:
         record["counters"]["committed"] += 1  # bit rot / manual edit
         path.write_text(json.dumps(record, sort_keys=True))
         assert load_one(cache) is None
-        assert cache.misses == 1
+        assert cache.hits == 0
 
     def test_missing_checksum_is_a_miss(self, tmp_path):
         """A pre-v2 style record (no checksum field) is never served."""

@@ -1,22 +1,30 @@
-"""One simulation identity: golden fingerprints and the config memo.
+"""One simulation identity: golden fingerprints, blob bytes and the config memo.
 
 Every cached run, served job and stats export is keyed by
 ``fingerprint(job)``.  The digests below are literal: a change that moves
 any of them silently orphans every stored blob, so it must be a
-deliberate version bump that updates this table.
+deliberate version bump that updates this table.  The stored blob files
+are pinned the same way (SHA-256 of the file's bytes): they move only
+with ``TIMING_MODEL_VERSION`` or ``CACHE_FORMAT_VERSION``, as
+``results/ci_baseline/`` does.
 """
 
 import copy
 import dataclasses
+import hashlib
 
 import pytest
 
-from repro.analysis.cache import fingerprint
+from repro.analysis.cache import ResultCache, fingerprint
 from repro.analysis.parallel import Job
+from repro.analysis.runner import ExperimentRunner
 from repro.obs.export import build_stats_export
 from repro.pipeline.config import FOUR_WIDE
 from repro.pipeline.processor import Processor
 from repro.serve.protocol import parse_spec
+from repro.trace.capture import capture_kernel
+from repro.trace.feed import TraceFeed
+from repro.trace.run import run_full, run_sampled, sampled_job, trace_job
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -71,6 +79,51 @@ def test_golden_fingerprint(wire, digest):
     assert spec.fingerprint() == digest
     if wire.get("kind") != "verify":
         assert fingerprint(spec.job()) == digest
+
+
+#: the sampling plan of tests/trace/test_corpus.py
+SAMPLING = {"interval": 1_000, "k": 2, "warmup": 200}
+
+#: SHA-256 of each published blob file
+BLOB_SHA256 = {
+    "gzip": "270b5a2e7a4f44807f01f5a82a0eac2cd5f01d660f5b74184a018cf5b968e35c",
+    "trace-full": "7ae73e8dc10c8b9695a6586eb3d39edbb9af57e8c1c1742043b7c81ba8f2783f",
+    "trace-sampled": "ec4da4f9057378f5b06f6beefcf1b0141fcc33a0d2500943c91b6af219826ce8",
+}
+
+
+class TestBlobBytes:
+    """A refactor of the store or the cache must not move a stored byte."""
+
+    @pytest.fixture(scope="class")
+    def published(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("blobs")
+        cache = ResultCache(root / "store")
+        job = Job("gzip", FOUR_WIDE, 3, 300, 150)
+        runner = ExperimentRunner(insts=300, warmup=150, seed=3, jobs=1, cache=cache)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_BACKEND", raising=False)  # the key holds the backend
+            runner.result(job.benchmark, job.config)
+        source = root / "vector_sum.hpt"
+        capture_kernel("vector_sum", source, n=1_000)
+        feed = TraceFeed(source)
+        run_full(feed, FOUR_WIDE, cache=cache)
+        run_sampled(feed, FOUR_WIDE, cache=cache, **SAMPLING)
+        keys = {
+            "gzip": job,
+            "trace-full": trace_job(feed.content_hash, FOUR_WIDE),
+            "trace-sampled": sampled_job(feed.content_hash, FOUR_WIDE, **SAMPLING),
+        }
+        blobs = {}
+        for name, key in keys.items():
+            digest = fingerprint(key)
+            blob = cache.directory / digest[:2] / f"{digest}.json"
+            blobs[name] = hashlib.sha256(blob.read_bytes()).hexdigest()
+        return blobs
+
+    @pytest.mark.parametrize("name", sorted(BLOB_SHA256))
+    def test_blob_file_bytes_are_pinned(self, published, name):
+        assert published[name] == BLOB_SHA256[name]
 
 
 class TestConfigMemo:

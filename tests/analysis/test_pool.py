@@ -234,9 +234,11 @@ class TestLifecycle:
             instance.close()
 
     def test_warm_prefetch_never_touches_the_pool(self, tmp_path, monkeypatch):
-        runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=ResultCache(tmp_path))
+        runner = ExperimentRunner(
+            insts=INSTS, warmup=WARMUP, jobs=1, cache=ResultCache(tmp_path)
+        )
         requests = [("gzip", FOUR_WIDE, seed, False) for seed in (1, 2, 3)]
-        assert runner.prefetch(requests, workers=1) == 3
+        assert runner.prefetch(requests) == 3
 
         def explode(*args, **kwargs):
             raise AssertionError("fully-warm prefetch reached the fan-out layer")
@@ -245,9 +247,11 @@ class TestLifecycle:
         monkeypatch.setattr(pool_mod, "get_pool", explode)
         # Memo-warm and (after a fresh runner) disk-warm sweeps both skip
         # the parallel engine entirely — the pool is never even created.
-        assert runner.prefetch(requests, workers=4) == 0
-        fresh = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=ResultCache(tmp_path))
-        assert fresh.prefetch(requests, workers=4) == 0
+        assert runner.prefetch(requests) == 0
+        fresh = ExperimentRunner(
+            insts=INSTS, warmup=WARMUP, jobs=4, cache=ResultCache(tmp_path)
+        )
+        assert fresh.prefetch(requests) == 0
         warm = fresh.metrics.get("runner.prefetch_warm_hits")
         assert warm is not None and warm.value == 3
 

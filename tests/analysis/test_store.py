@@ -24,8 +24,6 @@ from repro.analysis.runner import ExperimentRunner
 from repro.analysis.store import (
     QUARANTINE_DIR,
     DirectoryStore,
-    MemoryStore,
-    StoreClaim,
     record_checksum,
 )
 from repro.fastsim import apply_backend
@@ -161,20 +159,16 @@ class TestClaims:
         claim.release()
         claim.release()
 
-    def test_stale_claim_is_broken(self, tmp_path):
+    def test_stale_claim_is_broken(self, tmp_path, monkeypatch):
         """A claim abandoned by a dead holder does not wedge the slot."""
-        holder = DirectoryStore(tmp_path, claim_stale_s=0.05)
+        monkeypatch.setenv("REPRO_CLAIM_STALE_S", "0.05")
+        holder = DirectoryStore(tmp_path)
         assert holder.claim(FP) is not None  # never released: holder "died"
         time.sleep(0.1)
-        contender = DirectoryStore(tmp_path, claim_stale_s=0.05)
+        contender = DirectoryStore(tmp_path)
         taken_over = contender.claim(FP)
         assert taken_over is not None
         taken_over.release()
-
-    def test_memory_store_always_grants(self):
-        store = MemoryStore()
-        first, second = store.claim(FP), store.claim(FP)
-        assert first is not None and second is not None
 
     def test_wait_sees_publication(self, tmp_path):
         store = DirectoryStore(tmp_path)
@@ -225,10 +219,13 @@ class TestClaimProtocol:
         assert not claim_file.exists()
         assert store.get_or_compute([FP], compute, lambda record: record["payload"]) == [7]
 
-    def test_waiter_takes_over_a_claim_released_without_publishing(self, tmp_path):
+    def test_waiter_takes_over_a_claim_released_without_publishing(
+        self, tmp_path, monkeypatch
+    ):
         """A holder whose computation failed releases its claim; a waiter
         notices within a fraction of the stale horizon and computes."""
-        store = DirectoryStore(tmp_path, claim_stale_s=1.0)
+        monkeypatch.setenv("REPRO_CLAIM_STALE_S", "1.0")
+        store = DirectoryStore(tmp_path)
         holder = store.claim(FP)
         threading.Timer(0.2, holder.release).start()
         started = time.monotonic()
@@ -238,12 +235,13 @@ class TestClaimProtocol:
         assert value == ["mine"]
         assert time.monotonic() - started < 1.0
 
-    def test_batch_publishes_its_claims_before_waiting(self, tmp_path):
+    def test_batch_publishes_its_claims_before_waiting(self, tmp_path, monkeypatch):
         """One compute call for the keys this caller won; keys held
         elsewhere are waited for only once its own claims are published
         and released, so two batches holding each other's keys never
         stall."""
-        store = DirectoryStore(tmp_path, claim_stale_s=30.0)
+        monkeypatch.setenv("REPRO_CLAIM_STALE_S", "30")
+        store = DirectoryStore(tmp_path)
         hit, mine, theirs = (f"{prefix}{FP[2:]}" for prefix in ("a1", "a2", "a3"))
         store.put(hit, _record(hit, payload=0))
         holder = store.claim(theirs)
@@ -306,20 +304,21 @@ class TestRunnerCoalescing:
         records = [serialize_result(result) for result in results]
         assert all(record == records[0] for record in records)
 
-    def test_prefetch_waits_for_a_miss_claimed_elsewhere(self, tmp_path):
+    def test_prefetch_waits_for_a_miss_claimed_elsewhere(self, tmp_path, monkeypatch):
         """prefetch() returns once the claim holder has published, and the
         result it waited for is in the memo."""
-        store = DirectoryStore(tmp_path, claim_stale_s=30.0)
-        runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=ResultCache(store=store))
+        monkeypatch.setenv("REPRO_CLAIM_STALE_S", "30")
+        cache = ResultCache(tmp_path)
+        runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=cache)
         job = Job("gzip", apply_backend(FOUR_WIDE), runner.seed, INSTS, WARMUP)
         expected = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=False).result(
             "gzip", FOUR_WIDE
         )
-        holder = store.claim(fingerprint(job))
+        holder = cache.backend.claim(fingerprint(job))
         published = threading.Event()
 
         def publish():
-            ResultCache(store=store).store(job, expected)
+            ResultCache(tmp_path).store(job, expected)
             published.set()
             holder.release()
 
@@ -343,18 +342,25 @@ class TestRunnerCoalescing:
         assert runner.metrics.get("runner.simulated").value == 2
 
 
-class _PublishOnClaim(MemoryStore):
+class _PublishOnClaim(DirectoryStore):
     """A leader that published and released between a caller's miss and
-    its claim: ``claim()`` publishes the pending record, then grants."""
+    its claim: ``claim()`` publishes the leader's record, then contends."""
 
-    def __init__(self, records: dict):
-        super().__init__()
-        self._pending = dict(records)
+    def __init__(self, root, leader: DirectoryStore):
+        super().__init__(root)
+        self._pending = {digest: leader.get(digest) for digest in leader.fingerprints()}
 
     def claim(self, fingerprint):
         if fingerprint in self._pending:
             self.put(fingerprint, self._pending.pop(fingerprint))
-        return StoreClaim(None)
+        return super().claim(fingerprint)
+
+
+def _late_cache(root, leader: ResultCache) -> ResultCache:
+    """A cache on a store the leader's records reach only at claim time."""
+    cache = ResultCache(root)
+    cache.backend = _PublishOnClaim(root, leader.backend)
+    return cache
 
 
 def _forbid(*args, **kwargs):
@@ -366,14 +372,14 @@ class TestClaimWindow:
 
     @pytest.mark.parametrize("entry", ["result", "prefetch"])
     def test_runner_never_simulates_a_record_published_before_its_claim(
-        self, entry, monkeypatch
+        self, entry, tmp_path, monkeypatch
     ):
-        leader = MemoryStore()
-        expected = ExperimentRunner(
-            insts=INSTS, warmup=WARMUP, cache=ResultCache(store=leader)
-        ).result("gzip", FOUR_WIDE)
+        leader = ResultCache(tmp_path / "leader")
+        expected = ExperimentRunner(insts=INSTS, warmup=WARMUP, cache=leader).result(
+            "gzip", FOUR_WIDE
+        )
         runner = ExperimentRunner(
-            insts=INSTS, warmup=WARMUP, cache=ResultCache(store=_PublishOnClaim(leader._records))
+            insts=INSTS, warmup=WARMUP, cache=_late_cache(tmp_path / "store", leader)
         )
         monkeypatch.setattr(runner_mod, "run_jobs", _forbid)
         if entry == "prefetch":
@@ -390,11 +396,9 @@ class TestClaimWindow:
     ):
         source = tmp_path / "t.hpt"
         capture_kernel("vector_sum", source, n=400)
-        leader = MemoryStore()
-        expected = trace_run.run_full(
-            TraceFeed(source), FOUR_WIDE, cache=ResultCache(store=leader)
-        )
-        cache = ResultCache(store=_PublishOnClaim(leader._records))
+        leader = ResultCache(tmp_path / "leader")
+        expected = trace_run.run_full(TraceFeed(source), FOUR_WIDE, cache=leader)
+        cache = _late_cache(tmp_path / "store", leader)
         monkeypatch.setattr(trace_run, "make_processor", _forbid)
         served = trace_run.run_full(TraceFeed(source), FOUR_WIDE, cache=cache)
         assert served.total_cycles == expected.total_cycles
@@ -406,7 +410,9 @@ ENTRY_POINTS = ["result", "prefetch", "execute_batch", "run_full"]
 
 def _run_one(entry, directory, trace, barrier, queue):
     cache = ResultCache(directory)
-    runner = ExperimentRunner(insts=INSTS, warmup=WARMUP, benchmarks=("gzip",), cache=cache)
+    runner = ExperimentRunner(
+        insts=INSTS, warmup=WARMUP, benchmarks=("gzip",), jobs=1, cache=cache
+    )
     if entry == "execute_batch":
         executor = JobExecutor(cache=cache, jobs=1)
         spec = parse_spec({"benchmark": "gzip", "insts": INSTS, "warmup": WARMUP})
@@ -432,7 +438,7 @@ def _run_one(entry, directory, trace, barrier, queue):
         return
     barrier.wait(timeout=60)
     if entry == "prefetch":
-        runner.prefetch([("gzip", FOUR_WIDE, runner.seed, False)], workers=1)
+        runner.prefetch([("gzip", FOUR_WIDE, runner.seed, False)])
     result = runner.result("gzip", FOUR_WIDE)
     counter = runner.metrics.get("runner.simulated")
     queue.put(

@@ -14,10 +14,11 @@ import time
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.serve import router as router_mod
 from repro.serve.client import JobFailed, ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_spec
-from repro.serve.router import RouterServer, BackgroundRouter, WorkerHandle
+from repro.serve.router import BackgroundRouter, RouterServer
 from repro.serve.server import BackgroundServer
 
 from tests.serve.conftest import tiny_run
@@ -83,10 +84,11 @@ class TestPlacement:
             router.workers[url].in_flight = count
         assert router._choose_worker().url == "http://b:2"
 
-    def test_probe_failures_evict_from_ring(self):
+    def test_probe_failures_evict_from_ring(self, monkeypatch):
         """Failed probes leave the worker in the roster, no longer routable."""
         # Point at a port nothing listens on: every probe fails.
-        router = self._router(["http://127.0.0.1:9"], health_failures=2)
+        monkeypatch.setattr(router_mod, "HEALTH_FAILURES", 2)
+        router = self._router(["http://127.0.0.1:9"])
         worker = router.workers["http://127.0.0.1:9"]
         assert worker.routable
         for _ in range(2):
@@ -100,8 +102,11 @@ class TestPlacement:
 # Integration: a real 2-worker cluster behind a router
 # ----------------------------------------------------------------------
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, monkeypatch):
     """(router, client, workers, executors) over one shared store."""
+    monkeypatch.setattr(router_mod, "HEALTH_INTERVAL_S", 0.1)
+    monkeypatch.setattr(router_mod, "HEALTH_FAILURES", 2)
+    monkeypatch.setattr(router_mod, "WATCH_POLL_S", 2.0)
     store = tmp_path / "store"
     executors = [JobExecutor(cache=ResultCache(store)) for _ in range(2)]
     workers = [
@@ -114,9 +119,6 @@ def cluster(tmp_path):
         port=0,
         workers=[worker.base_url for worker in workers],
         spool=tmp_path / "router-spool",
-        health_interval_s=0.1,
-        health_failures=2,
-        watch_poll_s=2.0,
     )
     router.start()
     client = ServeClient(router.base_url, timeout=30.0)
@@ -213,7 +215,7 @@ class TestClusterIntegration:
         # some before dying, which the survivor then found published).
         assert sum(executor.simulated() for executor in executors) <= len(specs)
 
-    def test_router_restart_redispatches_spooled_jobs(self, tmp_path):
+    def test_router_restart_redispatches_spooled_jobs(self, tmp_path, monkeypatch):
         """A router crash/restart resumes pending jobs under original ids."""
         spool = tmp_path / "spool"
         # No workers: accepted jobs starve in the dispatch loop, pending.
@@ -228,9 +230,8 @@ class TestClusterIntegration:
             executor=JobExecutor(cache=ResultCache(tmp_path / "store")),
         )
         worker.start()
-        second = BackgroundRouter(
-            port=0, workers=[worker.base_url], spool=spool, watch_poll_s=2.0
-        )
+        monkeypatch.setattr(router_mod, "WATCH_POLL_S", 2.0)
+        second = BackgroundRouter(port=0, workers=[worker.base_url], spool=spool)
         second.start()
         try:
             assert second.server.recovered == 1
@@ -307,7 +308,7 @@ class TestWorkerProtocolExtensions:
         assert client.healthz()["queue_depth"] == 0
 
     def test_reused_router_id_fails_loudly_instead_of_serving_another_result(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """Two spool-less routers issue the same ids to one worker."""
         worker = BackgroundServer(
@@ -316,12 +317,13 @@ class TestWorkerProtocolExtensions:
             executor=JobExecutor(cache=ResultCache(tmp_path / "store")),
         )
         worker.start()
+        monkeypatch.setattr(router_mod, "WATCH_POLL_S", 2.0)
         try:
-            with BackgroundRouter(port=0, workers=[worker.base_url], watch_poll_s=2.0) as first:
+            with BackgroundRouter(port=0, workers=[worker.base_url]) as first:
                 (gzip,) = ServeClient(first.base_url).submit_and_wait(
                     [tiny_run("gzip", seed=61)], timeout=60.0
                 )
-            with BackgroundRouter(port=0, workers=[worker.base_url], watch_poll_s=2.0) as second:
+            with BackgroundRouter(port=0, workers=[worker.base_url]) as second:
                 client = ServeClient(second.base_url)
                 # One request, so both jobs ride one batched dispatch: the
                 # reused id conflicts, the fresh one must still complete.
@@ -353,7 +355,7 @@ class TestWorkerProtocolExtensions:
 
 
 class TestStealingLive:
-    def test_watermark_zero_spreads_load(self, tmp_path):
+    def test_watermark_zero_spreads_load(self, tmp_path, monkeypatch):
         """Least-in-flight placement spreads distinct jobs over both
         workers, and every job completes."""
         store = tmp_path / "store"
@@ -364,12 +366,9 @@ class TestStealingLive:
         ]
         for worker in workers:
             worker.start()
-        router = BackgroundRouter(
-            port=0,
-            workers=[worker.base_url for worker in workers],
-            health_interval_s=0.1,
-            watch_poll_s=2.0,
-        )
+        monkeypatch.setattr(router_mod, "HEALTH_INTERVAL_S", 0.1)
+        monkeypatch.setattr(router_mod, "WATCH_POLL_S", 2.0)
+        router = BackgroundRouter(port=0, workers=[worker.base_url for worker in workers])
         router.start()
         try:
             client = ServeClient(router.base_url, timeout=30.0)
