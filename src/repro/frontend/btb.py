@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from repro.errors import ConfigurationError
 
@@ -19,16 +19,21 @@ class BranchTargetBuffer:
         self.entries = entries
         self.associativity = associativity
         self._set_mask = num_sets - 1
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
+        # set index -> pc -> target in LRU order, built on first install
+        # (as in repro.memory.cache.Cache); lookups use .get() and never
+        # create a set
+        self._sets: defaultdict[int, OrderedDict[int, int]] = defaultdict(
+            OrderedDict
+        )
         self.lookups = 0
         self.hits = 0
 
     def lookup(self, pc: int) -> int | None:
         """Return the stored target for *pc*, or None on a BTB miss."""
         self.lookups += 1
-        btb_set = self._sets[pc & self._set_mask]
+        btb_set = self._sets.get(pc & self._set_mask)
+        if btb_set is None:
+            return None
         target = btb_set.get(pc)
         if target is not None:
             self.hits += 1

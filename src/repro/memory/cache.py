@@ -2,12 +2,15 @@
 
 The model tracks tags only (no data), which is all a timing simulator needs.
 LRU is implemented with per-set ordered dictionaries: a hit moves the line to
-the MRU position, a fill evicts the LRU line.
+the MRU position, a fill evicts the LRU line.  A set's dictionary is built
+the first time an access lands in it: a short simulation touches a small
+fraction of the sets, and building thousands of empty containers per
+processor costs more than the accesses do.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -71,23 +74,27 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # set index -> lines in LRU order; indexing creates a missing set,
+        # so read-only paths use .get() and never create one
+        self._sets: defaultdict[int, OrderedDict[int, bool]] = defaultdict(
+            OrderedDict
+        )
 
     # ------------------------------------------------------------------
     def line_address(self, addr: int) -> int:
         """Align *addr* down to its cache-line address."""
         return (addr >> self._line_shift) << self._line_shift
 
-    def _locate(self, addr: int) -> tuple[OrderedDict, int]:
+    def _resident(self, addr: int) -> tuple[OrderedDict | None, int]:
+        """The set *addr* maps to (None if never filled) and its tag."""
         line = addr >> self._line_shift
-        return self._sets[line & self._set_mask], line
+        return self._sets.get(line & self._set_mask), line
 
     # ------------------------------------------------------------------
     def access(self, addr: int, write: bool = False) -> bool:
         """Look up *addr*; fill on miss.  Returns True on a hit."""
-        cache_set, tag = self._locate(addr)
+        tag = addr >> self._line_shift
+        cache_set = self._sets[tag & self._set_mask]
         self.stats.accesses += 1
         if tag in cache_set:
             self.stats.hits += 1
@@ -101,18 +108,17 @@ class Cache:
 
     def probe(self, addr: int) -> bool:
         """Check residency of *addr* without updating LRU or statistics."""
-        cache_set, tag = self._locate(addr)
-        return tag in cache_set
+        cache_set, tag = self._resident(addr)
+        return cache_set is not None and tag in cache_set
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding *addr*; returns True if it was present."""
-        cache_set, tag = self._locate(addr)
-        return cache_set.pop(tag, None) is not None
+        cache_set, tag = self._resident(addr)
+        return cache_set is not None and cache_set.pop(tag, None) is not None
 
     def flush(self) -> None:
         """Empty the cache (statistics are preserved)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
 
     # ------------------------------------------------------------------
     def _fill(self, cache_set: OrderedDict, tag: int, dirty: bool) -> None:
@@ -124,7 +130,7 @@ class Cache:
     @property
     def resident_lines(self) -> int:
         """Number of valid lines currently in the cache."""
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         cfg = self.config

@@ -5,10 +5,11 @@ configuration with every verification layer armed:
 
 1. the program is assembled and pre-validated on the functional emulator
    (it must halt within the step budget — generated programs terminate by
-   construction, so a failure here is a generator bug and raises);
+   construction, so a failure here is a generator bug and raises).  That
+   one pass records the program's feed, which every configuration replays;
 2. the timing pipeline runs it with ``Processor(check=True)``: lockstep
-   co-simulation plus the in-pipeline invariant checkers
-   (:mod:`repro.verify.invariants`);
+   co-simulation against a golden emulator of the run's own, plus the
+   in-pipeline invariant checkers (:mod:`repro.verify.invariants`);
 3. the committed instruction count must equal the emulator's dynamic count,
    and the golden emulator must have reached ``HALT``.
 
@@ -25,6 +26,7 @@ elimination — each under non-selective and selective recovery.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +47,6 @@ from repro.fastsim import (
     native_available,
 )
 from repro.isa.assembler import Program, assemble
-from repro.isa.emulator import Emulator
 from repro.pipeline.config import (
     FOUR_WIDE,
     MachineConfig,
@@ -57,7 +58,7 @@ from repro.pipeline.processor import Processor
 from repro.verify.progen import GeneratorKnobs, generate_source
 from repro.verify.reprofile import REPRO_SUFFIX, ReproCase, read_repro, write_repro
 from repro.verify.shrink import shrink_source
-from repro.workloads.feed import EmulatorFeed
+from repro.workloads.feed import EmulatorFeed, ReplayFeed
 
 #: Default functional-emulator step budget per program (a generated
 #: program runs a few hundred dynamic instructions; this is ~100x slack).
@@ -184,13 +185,31 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+class _RecordedFeed(ReplayFeed):
+    """A program's :class:`EmulatorFeed`, emulated once and then replayed.
+
+    It keeps the feed's ``program`` and ``entry``, so a checked
+    :class:`Processor` still builds its own golden emulator and diffs every
+    commit against it: a corrupted recording fails lockstep like a
+    corrupted live feed would.
+    """
+
+    def __init__(self, program: Program, ops: list):
+        super().__init__(ops, name="program")
+        self.program = program
+        self.entry = 0
+
+
 @functools.lru_cache(maxsize=1)
-def _golden_run(source: str, budget: int) -> tuple[Program, int]:
-    """The assembled program and its dynamic instruction count on the
-    golden emulator; one entry serves a program's whole config matrix."""
+def _golden_run(source: str, budget: int) -> _RecordedFeed:
+    """The assembled program's feed, recorded in one emulator pass that
+    must halt within *budget* steps; one entry serves a program's whole
+    config matrix and every backend."""
     program = assemble(source)
-    steps = Emulator(program).run(max_steps=budget)
-    return program, steps - 1  # run() counts the HALT step; the feed excludes it
+    ops = list(itertools.islice(EmulatorFeed(program), max(budget, 0)))
+    if len(ops) >= budget:  # the feed leaves out HALT, which needs a step too
+        raise EmulationError(f"exceeded step budget of {budget}")
+    return _RecordedFeed(program, ops)
 
 
 def check_source(
@@ -203,8 +222,9 @@ def check_source(
     program itself (not the pipeline) is broken, which callers treat as
     either a generator bug (fuzzing) or an invalid shrink candidate.
     """
-    program, dynamic = _golden_run(source, budget)
-    processor = Processor(EmulatorFeed(program), config, check=True)
+    feed = _golden_run(source, budget)
+    dynamic = len(feed)
+    processor = Processor(feed, config, check=True)
 
     def failure(kind: str, message: str) -> FuzzFailure:
         return FuzzFailure(
@@ -298,20 +318,19 @@ def check_source_cross_backend(
 ) -> FuzzFailure | None:
     """Run one program on every backend and diff the stats exports.
 
-    Each backend simulates the same :class:`EmulatorFeed` with no checker
-    attached (only the python backend has one), and the full serialized
+    Each backend replays the same recorded feed with no checker attached
+    (only the python backend has one), and the full serialized
     result — the exact payload the result cache and serve layer persist —
     is compared byte-for-byte as canonical JSON against the first backend
     (the reference).  A watchdog deadlock is a legal *matching* outcome as
     long as all backends deadlock at the same cycle; any other asymmetry
     is a ``backend-divergence`` failure naming the first differing leaf.
     """
-    program, dynamic = _golden_run(source, budget)
+    feed = _golden_run(source, budget)
+    dynamic = len(feed)
     exports: dict[str, str] = {}
     for backend in backends:
-        processor = make_processor(
-            EmulatorFeed(program), config, backend=backend
-        )
+        processor = make_processor(feed, config, backend=backend)
         try:
             result = processor.run(max_insts=dynamic + _COMMIT_SLACK, warmup=0)
         except SimulationError as exc:

@@ -47,6 +47,15 @@ class TestBTB:
         assert btb.lookup(0) == 1
         assert btb.lookup(1) == 2
 
+    def test_sets_are_built_on_first_install(self):
+        btb = BranchTargetBuffer()  # 256 sets
+        assert len(btb._sets) == 0
+        assert btb.lookup(100) is None
+        assert len(btb._sets) == 0
+        btb.install(100, 7)
+        btb.install(101, 8)
+        assert len(btb._sets) == 2
+
 
 class TestRAS:
     def test_push_pop(self):

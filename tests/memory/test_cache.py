@@ -1,5 +1,7 @@
 """Unit and property tests for the set-associative cache model."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,7 +126,88 @@ class TestProbeInvalidateFlush:
         assert cache.line_address(0x105) == 0x100
 
 
+class TestLazySets:
+    def test_fresh_cache_holds_no_sets(self):
+        cache = Cache(CacheConfig("L2", 512 * 1024, 4, 64))  # 2048 sets
+        assert len(cache._sets) == 0
+
+    def test_only_an_access_builds_a_set(self):
+        cache = tiny_cache(assoc=2, sets=4, line=16)
+        assert cache.probe(0x100) is False
+        assert cache.invalidate(0x100) is False
+        assert cache.resident_lines == 0
+        assert len(cache._sets) == 0
+        cache.access(0x100)
+        cache.access(0x110)  # the next set
+        assert len(cache._sets) == 2
+        cache.flush()
+        assert len(cache._sets) == 0
+
+
+class EagerLRU:
+    """Reference model: every set built up front, as a list of tags in
+    LRU order (the cache model before sets were built on first use)."""
+
+    def __init__(self, assoc, sets, line):
+        self.assoc, self.sets, self.line = assoc, sets, line
+        self.lines = [OrderedDict() for _ in range(sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def _locate(self, addr):
+        tag = addr // self.line
+        return self.lines[tag % self.sets], tag
+
+    def access(self, addr, write):
+        lines, tag = self._locate(addr)
+        if tag in lines:
+            self.hits += 1
+            lines.move_to_end(tag)
+            return True
+        self.misses += 1
+        if len(lines) == self.assoc:
+            lines.popitem(last=False)
+            self.evictions += 1
+        lines[tag] = write
+        return False
+
+    def probe(self, addr):
+        lines, tag = self._locate(addr)
+        return tag in lines
+
+    def invalidate(self, addr):
+        lines, tag = self._locate(addr)
+        return lines.pop(tag, None) is not None
+
+    def flush(self):
+        for lines in self.lines:
+            lines.clear()
+
+    @property
+    def resident_lines(self):
+        return sum(len(lines) for lines in self.lines)
+
+
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 0x3FF), st.booleans()),
+    st.tuples(st.sampled_from(["probe", "invalidate"]), st.integers(0, 0x3FF)),
+    st.tuples(st.just("flush")),
+)
+
+
 class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_CACHE_OPS, max_size=300))
+    def test_lazy_sets_match_an_eager_reference(self, ops):
+        cache = tiny_cache(assoc=2, sets=8, line=16)
+        reference = EagerLRU(assoc=2, sets=8, line=16)
+        for name, *args in ops:
+            assert getattr(cache, name)(*args) == getattr(reference, name)(*args)
+            assert cache.resident_lines == reference.resident_lines
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            reference.hits, reference.misses, reference.evictions
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=300))
     def test_occupancy_never_exceeds_capacity(self, addrs):

@@ -87,6 +87,47 @@ class TestRunFuzz:
         assert report.ok and report.checked == 2 * 8
         assert len(calls) == 2
 
+    def test_one_recorded_feed_per_program(self, monkeypatch):
+        # One emulator pass records the feed; each configuration's lockstep
+        # checker still steps a golden emulator of its own.
+        from repro.isa.emulator import Emulator
+        from repro.verify import fuzz
+
+        built = []
+        original = Emulator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Emulator, "__init__", counting)
+        fuzz._golden_run.cache_clear()
+        report = run_fuzz(programs=1, seed=31)
+        assert report.ok and report.checked == 8
+        assert len(built) == 1 + 8
+
+    @pytest.mark.parametrize("field,kind", [
+        ("dest_value", "lockstep-dest-value"),
+        ("next_pc", "lockstep-next-pc"),
+    ])
+    def test_corrupt_recording_fails_every_config(self, field, kind):
+        # Configurations share one recorded feed but not its golden
+        # emulator, so a corrupted recording cannot pass as the truth.
+        from repro.verify import fuzz
+
+        source = generate_source(37)
+        fuzz._golden_run.cache_clear()
+        try:
+            feed = fuzz._golden_run(source, fuzz.DEFAULT_BUDGET)
+            op = next(op for op in feed.ops
+                      if not op.is_control and type(op.dest_value) is int)
+            setattr(op, field, getattr(op, field) + 1)
+            for config in config_matrix():
+                failure = check_source(source, config)
+                assert failure is not None and failure.kind == kind
+        finally:
+            fuzz._golden_run.cache_clear()
+
     def test_progress_callback(self):
         seen = []
         run_fuzz(programs=2, seed=5, configs=config_matrix(["base+nonsel"]),
