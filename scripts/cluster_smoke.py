@@ -14,6 +14,8 @@ SIGKILLs one worker mid-run, and asserts the cluster's core guarantees:
 * byte parity — every unique result served through the cluster is
   byte-identical to what offline ``repro export-stats`` writes for the
   same inputs;
+* answered at admission — resubmitting the sweep's unique specs once
+  more returns every receipt already ``done`` and dispatches nothing;
 * no leaked claims — after the drain, every store claim file left
   behind names the SIGKILLed worker's pid (a leaked claim would stall
   its fingerprint for ``REPRO_CLAIM_STALE_S``);
@@ -232,6 +234,19 @@ def main() -> None:
         if served.read_bytes() != direct.read_bytes():
             fail(f"served stats for {spec.benchmark}/seed={spec.seed} differ from offline export")
     print(f"byte parity verified for all {len(by_fingerprint)} unique results")
+
+    # Answered at admission: every unique spec has a done primary on the
+    # router, so resubmitting them settles each one on the spot and
+    # dispatches nothing to a worker.
+    dispatches = client.metrics()["metrics"].get("router.dispatches", 0)
+    repeats = client.submit([dict(spec) for spec in unique])
+    late = [receipt["id"] for receipt in repeats if receipt["status"] != "done"]
+    if late:
+        fail(f"{len(late)} resubmitted finished specs were not done at submit: {late[:5]}")
+    grown = client.metrics()["metrics"].get("router.dispatches", 0) - dispatches
+    if grown:
+        fail(f"resubmitting finished specs dispatched {grown} jobs to workers")
+    print(f"all {len(repeats)} resubmitted unique specs were done at submit")
 
     # Snapshot router metrics for the CI artifact before draining.
     ARTIFACTS.mkdir(parents=True, exist_ok=True)

@@ -318,10 +318,13 @@ class JobFrontEnd:
         """Finish a primary: fan out, count, time, journal, free its slot."""
         if job.terminal:
             return
-        settled = self.table.finish(job, result=result, error=error)
-        outcome = "completed" if error is None else "failed"
-        self.registry.counter(f"{self.role}.{outcome}").inc(len(settled))
         self._release(job)
+        self._record_settled(self.table.finish(job, result=result, error=error))
+
+    def _record_settled(self, settled: list[Job]) -> None:
+        """Count, time and journal jobs that just finished done or failed."""
+        outcome = "completed" if settled[0].error is None else "failed"
+        self.registry.counter(f"{self.role}.{outcome}").inc(len(settled))
         for done_job in settled:
             latency_ms = int((done_job.finished_at - done_job.submitted_at) * 1000)
             self.registry.histogram(f"{self.role}.job_latency_ms").observe(latency_ms)
@@ -422,7 +425,7 @@ class JobFrontEnd:
                     raise _HttpError(409, f"job id {job_id} is held by a different spec")
                 if held is not None:
                     continue
-            if self.table.active_primary(digest) is None:
+            if self.table.primary(digest) is None:
                 new_fingerprints.add(digest)
         depth = self.queue_depth()
         if depth + len(new_fingerprints) > self.queue_size:
@@ -441,6 +444,8 @@ class JobFrontEnd:
                     self.journal.record_submit(job)
                 if coalesced:
                     self.registry.counter(f"{self.role}.coalesce_hits").inc()
+                    if job.terminal:  # answered from a finished primary
+                        self._record_settled([job])
                 else:
                     self._admit(job)
                 self.registry.counter(f"{self.role}.submitted").inc()

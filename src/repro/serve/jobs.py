@@ -4,9 +4,12 @@ The :class:`JobTable` owns every job the server has seen.  Submission is
 where **singleflight coalescing** happens: a spec whose fingerprint matches
 a job that is still queued or running does not enqueue new work — it
 becomes a *follower* of the active primary, and when the primary finishes
-its result (or error) fans out to every follower.  Followers are free:
-only primaries occupy queue capacity, so resubmitting an in-flight sweep
-never trips backpressure.
+its result (or error) fans out to every follower.  A spec whose
+fingerprint matches a primary that already finished ``done`` is settled on
+the spot with that primary's result; failed and cancelled fingerprints are
+forgotten, so resubmitting them runs them again.  Followers are free:
+only primaries occupy queue capacity, so resubmitting a sweep never trips
+backpressure.
 
 The :class:`SpoolJournal` makes the queue crash-safe.  Every accepted job
 appends a ``submit`` line *before* the server acknowledges it, and every
@@ -79,11 +82,14 @@ class Job:
 
 
 class JobTable:
-    """All jobs by id, plus the fingerprint index driving coalescing."""
+    """All jobs by id, plus the fingerprint indexes driving coalescing."""
 
     def __init__(self, next_id: int = 1):
         self.jobs: dict[str, Job] = {}
         self._active_by_fp: dict[str, Job] = {}
+        #: primaries that finished ``done``: a result is a pure function of
+        #: its fingerprint, so a repeat is answered at submission
+        self._done_by_fp: dict[str, Job] = {}
         self._next_id = next_id
 
     def _new_id(self) -> str:
@@ -114,8 +120,9 @@ class JobTable:
     ) -> tuple[Job, bool]:
         """Register one spec; returns ``(job, coalesced)``.
 
-        ``coalesced`` is True when the job attached to an active primary
-        instead of becoming new work; the caller only enqueues primaries.
+        ``coalesced`` is True when the job attached to an active primary,
+        or was settled ``done`` from a finished one, instead of becoming
+        new work; the caller only enqueues primaries.
         *fingerprint* is the spec's digest when the caller already holds
         it (the front end computes it once, for admission).
         """
@@ -127,11 +134,14 @@ class JobTable:
             fingerprint = spec.fingerprint()
         job = Job(id=job_id, spec=spec, fingerprint=fingerprint)
         self.jobs[job.id] = job
-        primary = self._active_by_fp.get(job.fingerprint)
+        primary = self.primary(job.fingerprint)
         if primary is not None:
             job.coalesced_into = primary.id
-            job.status = primary.status
-            primary.followers.append(job)
+            if primary.terminal:
+                self._settle(job, DONE, primary.result, None)
+            else:
+                job.status = primary.status
+                primary.followers.append(job)
             return job, True
         self._active_by_fp[job.fingerprint] = job
         return job, False
@@ -164,6 +174,8 @@ class JobTable:
             self._settle(follower, status, result, error)
             settled.append(follower)
         self._active_by_fp.pop(job.fingerprint, None)
+        if status == DONE:
+            self._done_by_fp[job.fingerprint] = job
         return settled
 
     def cancel(self, job: Job) -> list[Job]:
@@ -190,8 +202,9 @@ class JobTable:
             key=lambda job: job.id,
         )
 
-    def active_primary(self, fingerprint: str) -> Job | None:
-        return self._active_by_fp.get(fingerprint)
+    def primary(self, fingerprint: str) -> Job | None:
+        """The queued, running or ``done`` primary a repeat coalesces onto."""
+        return self._active_by_fp.get(fingerprint) or self._done_by_fp.get(fingerprint)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ settled.  The design invariants (docs/SERVING.md, "Cluster mode"):
   with the fewest of this router's jobs dispatched and not yet finished
   watching (ties broken by URL).  The router counts that itself, so
   placement never waits on a health probe.  Duplicates need no worker
-  affinity: the front end coalesces in-flight duplicates, and workers
-  share one content-addressed result store (:mod:`repro.analysis.store`)
+  affinity: the front end coalesces duplicates of queued, running and
+  done primaries, and workers share one content-addressed result store (:mod:`repro.analysis.store`)
   whose claims make a second worker wait for — or find — the first
   worker's published blob.
 * **Router-pinned ids.**  Dispatches carry the router's job id in the

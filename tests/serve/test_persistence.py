@@ -1,5 +1,7 @@
 """Queue persistence: journal mechanics and crash/restart recovery."""
 
+import json
+
 from repro.analysis.cache import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
@@ -142,3 +144,29 @@ class TestCrashRestart:
             for job_id in ids:
                 assert client.wait(job_id, timeout=60, poll=1.0)["status"] == "done"
             assert executor.simulated() == 2  # coalescing re-established on recovery
+
+    def test_job_answered_at_admission_is_journaled_done(self, tmp_path):
+        spool = tmp_path / "spool"
+        cache = tmp_path / "cache"
+        first = BackgroundServer(
+            port=0, workers=1, spool=spool,
+            executor=JobExecutor(cache=ResultCache(cache)),
+        )
+        first.start()
+        client = ServeClient(first.base_url)
+        client.submit_and_wait([tiny_run(seed=41)], timeout=60)
+        (answered,) = client.submit(tiny_run(seed=41))
+        assert answered["status"] == "done"
+        first.stop(graceful=False)  # simulated crash: no compaction
+
+        records = [json.loads(line) for line in SpoolJournal(spool).path.read_text().splitlines()]
+        assert [r["op"] for r in records if r.get("id") == answered["id"]] == ["submit", "done"]
+
+        second = BackgroundServer(
+            port=0, workers=0, spool=spool,
+            executor=JobExecutor(cache=ResultCache(cache)),
+        )
+        with second:
+            assert second.server.recovered == 0
+            (fresh,) = ServeClient(second.base_url).submit(tiny_run(seed=42))
+        assert int(fresh["id"].split("-")[1]) > int(answered["id"].split("-")[1])

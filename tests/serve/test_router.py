@@ -153,13 +153,60 @@ class TestClusterIntegration:
                 assert receipt["coalesced_into"] == primary["id"]
         assert sum(executor.simulated() for executor in executors) == 1
 
-    def test_resubmission_after_completion_hits_the_shared_store(self, cluster):
+    def test_resubmitted_done_spec_is_answered_at_admission(self, cluster):
         _router, client, _workers, executors = cluster
-        client.submit_and_wait([tiny_run("gzip", seed=21)], timeout=60.0)
-        # New router job (the first is terminal, so no coalescing) — but
-        # whichever worker receives it finds the published blob.
-        client.submit_and_wait([tiny_run("gzip", seed=21)], timeout=60.0)
+        (first,) = client.submit_and_wait([tiny_run("gzip", seed=21)], timeout=60.0)
+        # The first job finished done, so the repeat coalesces onto it and
+        # is settled with its result before the receipt is written.
+        (receipt,) = client.submit([tiny_run("gzip", seed=21)])
+        assert receipt["status"] == "done" and receipt["coalesced"]
+        assert receipt["coalesced_into"] == first["id"]
+        assert client.wait(receipt["id"], timeout=60.0)["result"] == first["result"]
         assert sum(executor.simulated() for executor in executors) == 1
+
+    def test_repeat_of_a_done_job_never_reaches_a_worker(self, tmp_path, monkeypatch):
+        # One probe round at start-up, then none: every later worker
+        # request would come from the job path.
+        monkeypatch.setattr(router_mod, "HEALTH_INTERVAL_S", 3600.0)
+        store = tmp_path / "store"
+        workers = [
+            BackgroundServer(
+                port=0, workers=1, name=f"w{index}",
+                executor=JobExecutor(cache=ResultCache(store)),
+            )
+            for index in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            with BackgroundRouter(port=0, workers=[w.base_url for w in workers]) as router:
+                deadline = time.monotonic() + 10.0
+                handles = router.server.workers.values()
+                while any(h.name is None for h in handles) and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert all(handle.name for handle in handles)
+
+                def counts():
+                    return (
+                        router.server.registry.counter("router.dispatches").value,
+                        [w.server.registry.counter("serve.http_requests").value
+                         for w in workers],
+                    )
+
+                client = ServeClient(router.base_url, timeout=30.0)
+                (first,) = client.submit_and_wait([tiny_run("mcf", seed=23)], timeout=60.0)
+                before = counts()
+                (receipt,) = client.submit(tiny_run("mcf", seed=23))
+                document = client.job(receipt["id"])
+                assert receipt["status"] == "done"
+                assert receipt["coalesced_into"] == first["id"]
+                assert document["status"] == "done"
+                assert document["result"] == first["result"]
+                assert counts() == before
+                assert before[0] == 1
+        finally:
+            for worker in workers:
+                worker.stop(graceful=True)
 
     def test_router_healthz_and_worker_listing(self, cluster):
         router, client, workers, _executors = cluster

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import JobFailed, ServeClient, ServeError
 from repro.serve.protocol import RunSpec
 
 from .conftest import tiny_run
@@ -69,11 +69,70 @@ class TestRunJobs:
             lambda spec: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         (receipt,) = client.submit(tiny_run("mcf"))
-        from repro.serve.client import JobFailed
-
         with pytest.raises(JobFailed, match="boom"):
             client.wait(receipt["id"], timeout=30, poll=0.5)
         assert client.healthz()["ok"] is True  # worker survived
+
+
+class TestFinishedCoalescing:
+    """A repeat of a fingerprint whose primary finished done is settled at
+    admission; TestFinishedCoalescingRouter reruns every case against the
+    router."""
+
+    role = "serve"
+
+    def test_repeat_of_done_job_is_answered_at_admission(
+        self, front_door, fresh_executor, monkeypatch
+    ):
+        client = ServeClient(front_door(self.role).base_url)
+        (first,) = client.submit(tiny_run(seed=31))
+        primary = client.wait(first["id"], timeout=60, poll=1.0)
+
+        def refuse(specs):
+            raise AssertionError("a finished fingerprint reached the executor")
+
+        monkeypatch.setattr(fresh_executor, "execute_batch", refuse)
+        (receipt,) = client.submit(tiny_run(seed=31))
+        assert receipt["status"] == "done" and receipt["coalesced"]
+        assert receipt["coalesced_into"] == first["id"]
+        document = client.job(receipt["id"])
+        assert document["status"] == "done"
+        assert document["result"] == primary["result"]
+        metrics = client.metrics()["metrics"]
+        assert metrics[f"{self.role}.coalesce_hits"] == 1
+        assert metrics[f"{self.role}.completed"] == 2
+        assert sum(metrics[f"{self.role}.job_latency_ms"].values()) == 2
+
+    def test_failed_fingerprint_runs_again(self, front_door, fresh_executor, monkeypatch):
+        client = ServeClient(front_door(self.role).base_url)
+        execute_batch = fresh_executor.execute_batch
+        monkeypatch.setattr(
+            fresh_executor, "execute_batch",
+            lambda specs: [RuntimeError("transient")] * len(specs),
+        )
+        (failed,) = client.submit(tiny_run(seed=32))
+        with pytest.raises(JobFailed, match="transient"):
+            client.wait(failed["id"], timeout=60, poll=1.0)
+        monkeypatch.setattr(fresh_executor, "execute_batch", execute_batch)
+        (retry,) = client.submit(tiny_run(seed=32))
+        assert not retry["coalesced"]
+        assert client.wait(retry["id"], timeout=60, poll=1.0)["status"] == "done"
+        # The success is remembered; the failure never was.
+        (repeat,) = client.submit(tiny_run(seed=32))
+        assert repeat["status"] == "done"
+        assert repeat["coalesced_into"] == retry["id"]
+
+    def test_cancelled_fingerprint_runs_again(self, front_door):
+        client = ServeClient(front_door(self.role, queued=True).base_url)
+        (first,) = client.submit(tiny_run(seed=33))
+        client.cancel(first["id"])
+        (again,) = client.submit(tiny_run(seed=33))
+        assert not again["coalesced"] and again["status"] == "queued"
+        assert client.healthz()["queue_depth"] == 1
+
+
+class TestFinishedCoalescingRouter(TestFinishedCoalescing):
+    role = "router"
 
 
 class TestVerifyJobs:
