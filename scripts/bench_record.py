@@ -8,7 +8,9 @@ writes one JSON file with, per workload and end-to-end metric, the
 median and quartiles of each side, both scaled to reference host speed
 and raw where perfbench prints the raw value, plus the pair count, the
 number of pairs the change won, ``env/host_speed_factor``, the backend
-and nproc.  Run from the root of the checkout::
+and nproc.  After the pairs, one ``--trace 1`` pass per side adds the
+per-layer rows (raw, as perfbench prints them) under ``layers``.  Run from
+the root of the checkout::
 
     python3 scripts/bench_record.py --out BENCH_<n>.json --workloads serve --pairs 10
     python3 scripts/bench_record.py --out BENCH_<n>.json --workloads regen,trace,fuzz
@@ -107,9 +109,10 @@ def raw_value(run: dict, workload: str, spec: dict, value: float) -> float | Non
     return None
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+               "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if completed.returncode != 0:
         raise RuntimeError(f"{workload} in {checkout} exited {completed.returncode}:\n"
@@ -162,6 +165,18 @@ def summarize(workload: str, runs: dict, end_to_end: list) -> dict:
     }
 
 
+def layer_rows(traced: dict, per_layer: list) -> dict:
+    """Each per-layer metric of one traced pass per side."""
+    return {
+        spec["name"]: {
+            "unit": spec["unit"], "better": spec["better"],
+            **{side: run["result"]["metrics"][spec["name"]]["value"]
+               for side, run in traced.items()},
+        }
+        for spec in per_layer
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -195,9 +210,17 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr, flush=True)
                     runs[side].append(
                         perfbench(checkouts[side], workload, args.seed, seconds))
+            traced = {}
+            for side in ("base", "change"):
+                print(f"{workload} traced pass: {side}", file=sys.stderr, flush=True)
+                traced[side] = perfbench(checkouts[side], workload, args.seed, seconds,
+                                         trace=1)
+            summary = summarize(workload, runs, benchmark["end_to_end"])
+            summary["correct"] = summary["correct"] and all(
+                run["result"]["correct"] for run in traced.values())
             recorded[workload] = {
-                **revisions, "seed": args.seed, "seconds": seconds,
-                **summarize(workload, runs, benchmark["end_to_end"]),
+                **revisions, "seed": args.seed, "seconds": seconds, **summary,
+                "layers": layer_rows(traced, benchmark["per_layer"]),
             }
         args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     finally:

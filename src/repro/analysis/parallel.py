@@ -5,7 +5,10 @@ shadow)`` tuple each — fan out over the persistent warm worker pool
 (:mod:`repro.analysis.pool`).  Results come back **in submission order**
 regardless of which worker finishes first, so anything aggregated from
 them is byte-identical to a serial run; each job is itself deterministic
-(seeded synthetic workloads, no shared state between jobs).
+(seeded synthetic workloads).  Jobs in one process share only read-only
+ops: the built program of a (benchmark, seed) pair and the op prefix its
+stream produced (:func:`~repro.workloads.synthetic.shared_workload`), so
+the configs of one pair that run back to back build and generate once.
 
 Worker count resolution, in priority order:
 
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 from repro.fastsim import make_processor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import SimulationResult
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import shared_workload
 
 
 def env_int(name: str, default: int) -> int:
@@ -81,7 +83,7 @@ def execute_job(job: Job) -> SimulationResult:
     (the runner materializes it before building jobs), so worker
     processes never consult the environment themselves.
     """
-    workload = SyntheticWorkload(get_profile(job.benchmark), seed=job.seed)
+    workload = shared_workload(job.benchmark, job.seed)
     processor = make_processor(
         workload, job.config, backend=job.config.backend, shadow_sizes=job.shadow_sizes
     )

@@ -40,8 +40,8 @@ from repro.fastsim import apply_backend
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.pipeline.processor import SimulationResult
-from repro.workloads.profiles import SPEC_BENCHMARKS, get_profile
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.profiles import SPEC_BENCHMARKS
+from repro.workloads.synthetic import SharedFeed, shared_workload
 
 #: Figure 7's shadow predictor table sizes.
 SHADOW_SIZES = (128, 512, 1024, 4096)
@@ -90,7 +90,6 @@ class ExperimentRunner:
             self.cache = None
         else:
             self.cache = cache
-        self._workloads: dict[tuple[str, int], SyntheticWorkload] = {}
         self._results: dict[Job, SimulationResult] = {}
         #: harness-level observability: where results came from, what was
         #: exported.  Published on every serve (cheap — per result, not
@@ -98,11 +97,9 @@ class ExperimentRunner:
         self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
-    def workload(self, benchmark: str, seed: int | None = None) -> SyntheticWorkload:
-        key = (benchmark, seed if seed is not None else self.seed)
-        if key not in self._workloads:
-            self._workloads[key] = SyntheticWorkload(get_profile(benchmark), seed=key[1])
-        return self._workloads[key]
+    def workload(self, benchmark: str, seed: int | None = None) -> SharedFeed:
+        """The process's shared feed of *benchmark* (the runner's seed by default)."""
+        return shared_workload(benchmark, seed if seed is not None else self.seed)
 
     # ------------------------------------------------------------------
     def _job(

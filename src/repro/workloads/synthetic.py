@@ -35,13 +35,17 @@ Design notes for fidelity to the paper's measurements:
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import threading
 import zlib
+from collections import OrderedDict
 from typing import Iterator
 
 from repro.isa.opcodes import OPCODE_BY_NAME, OpClass
 from repro.isa.registers import FP_REG_BASE, R31
-from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.profiles import BenchmarkProfile, get_profile
 from repro.workloads.trace import DynOp
 
 # Register pools (architectural), disjoint by role:
@@ -485,14 +489,6 @@ class SyntheticWorkload:
                     block_starts[b] for b in extra if b != next_block
                 ][:2]
                 op.jump_targets = tuple(targets)
-        # The very last terminator wraps to the program start regardless.
-        last_op = terminators[-1][0]
-        if last_op.branch_kind == "loop":
-            pass  # exits fall through to index 0 via the walker's wrap
-        elif last_op.branch_kind == "jump":
-            pass
-        else:
-            last_op.branch_kind = "if"
 
     @staticmethod
     def _loop_body_len(terminators, block_id) -> int:
@@ -616,3 +612,91 @@ def _last_index(recent: list[int], reg: int) -> int:
         if recent[index] == reg:
             return index
     return -1
+
+
+# ======================================================================
+# Per-process memo of built programs and their replayed op prefixes.
+# ======================================================================
+#: Ops a :class:`SharedFeed` keeps; a run that pulls more goes on with a
+#: fresh ``stream()``, so a long run holds no more memory than before.
+SHARED_OPS = 4096
+#: Programs the memo holds.  The figure sweeps submit every config of a
+#: (benchmark, seed) pair back to back, so a few entries catch them all;
+#: a process that never repeats a pair would only hold more memory.
+SHARED_PROGRAMS = 4
+
+
+class SharedFeed:
+    """A built :class:`SyntheticWorkload` plus the ops its stream produced.
+
+    Iterating replays the kept ops and extends them, under a lock, from
+    one live ``stream()`` generator, so any number of runs (and threads)
+    pay for each op's generation once.  Past :data:`SHARED_OPS` an
+    iterator goes on with that many ops skipped off a fresh ``stream()``.
+    Every run receives the same :class:`DynOp` instances, which nothing
+    mutates (see its docstring).  ``name`` and ``pc_address`` are the
+    workload's, so both backends consume this like any feed.
+
+    The workload never refers back to this object or to its generator, so
+    an evicted feed is freed by reference counting alone.
+    """
+
+    __slots__ = ("workload", "name", "pc_address", "_ops", "_live", "_lock")
+
+    def __init__(self, workload: SyntheticWorkload):
+        self.workload = workload
+        self.name = workload.name
+        self.pc_address = workload.pc_address
+        self._ops: list[DynOp] = []
+        self._live = workload.stream()
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[DynOp]:
+        ops = self._ops
+        for index in range(SHARED_OPS):
+            if index == len(ops):
+                with self._lock:
+                    if index == len(ops):
+                        ops.append(next(self._live))
+            yield ops[index]
+        yield from itertools.islice(self.workload.stream(), SHARED_OPS, None)
+
+
+_shared: OrderedDict[tuple[str, int], SharedFeed] = OrderedDict()
+_shared_lock = threading.Lock()
+
+
+def shared_workload(name: str, seed: int) -> SharedFeed:
+    """The process's :class:`SharedFeed` of profile *name* at *seed*.
+
+    A least-recently-used memo of :data:`SHARED_PROGRAMS` entries: the
+    program is built on the first call for a pair and reused until
+    evicted.
+    """
+    key = (name, seed)
+    with _shared_lock:
+        feed = _shared.get(key)
+        if feed is None:
+            feed = _shared[key] = SharedFeed(SyntheticWorkload(get_profile(name), seed=seed))
+            if len(_shared) > SHARED_PROGRAMS:
+                _shared.popitem(last=False)
+        else:
+            _shared.move_to_end(key)
+        return feed
+
+
+def clear_shared_workloads() -> None:
+    """Empty the memo (the next call for each pair builds it anew)."""
+    with _shared_lock:
+        _shared.clear()
+
+
+def _forget_after_fork() -> None:
+    # A lock that another parent thread held at fork time stays held in
+    # the child forever: start the child with a new memo and new locks.
+    global _shared, _shared_lock
+    _shared = OrderedDict()
+    _shared_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_after_fork)

@@ -43,6 +43,11 @@ class DynOp:
             feeds only; None for profile-driven streams).  Consumed by the
             lockstep checker (:mod:`repro.verify.lockstep`), never by timing.
         store_value: value the store writes to memory (same caveats).
+
+    A DynOp is read-only once built.  Feeds may hand the same instance to
+    many runs, in one thread or several (a replayed list, or the shared
+    synthetic feeds of :func:`~repro.workloads.synthetic.shared_workload`),
+    so no processor, checker or statistic may assign to its attributes.
     """
 
     __slots__ = (

@@ -7,14 +7,18 @@ simulation, and the cache never serves a record whose fingerprint inputs
 """
 
 import dataclasses
+import json
 
 import pytest
 
 import repro.analysis.cache as cache_mod
-from repro.analysis.cache import ResultCache, fingerprint
+import repro.analysis.runner as runner_mod
+from repro.analysis import experiments
+from repro.analysis.cache import ResultCache, fingerprint, serialize_result
 from repro.analysis.parallel import Job, env_int, execute_job, run_jobs
 from repro.analysis.runner import SHADOW_SIZES, ExperimentRunner
 from repro.pipeline.config import FOUR_WIDE, SchedulerModel
+from repro.workloads.synthetic import clear_shared_workloads
 
 INSTS = 600
 WARMUP = 800
@@ -87,6 +91,34 @@ class TestDeterminism:
         )
         assert reader.prefetch(requests) == 0
         assert reader.cache.hits == 2
+
+    def test_shared_feeds_match_fresh_programs_in_fig14_order(self, monkeypatch):
+        """The pool and an inline run, both replaying shared feeds, give
+        the bytes of runs that each build their program afresh."""
+        submitted = []
+
+        def record(jobs, workers=None):
+            submitted.extend(jobs)
+            return [execute_job(job) for job in jobs]
+
+        monkeypatch.setattr(runner_mod, "run_jobs", record)
+        runner = ExperimentRunner(
+            insts=300, warmup=150, benchmarks=("gzip", "mcf", "vortex"), cache=False
+        )
+        experiments.fig14(runner)
+        monkeypatch.undo()
+        assert len(submitted) == 3 * 2 * 4
+
+        def encoded(results):
+            return [json.dumps(serialize_result(r), sort_keys=True) for r in results]
+
+        fresh = []
+        for job in submitted:
+            clear_shared_workloads()
+            fresh.append(execute_job(job))
+        clear_shared_workloads()
+        assert encoded(run_jobs(submitted, workers=2)) == encoded(fresh)
+        assert encoded(run_jobs(submitted, workers=1)) == encoded(fresh)
 
 
 class TestCacheInvalidation:
