@@ -2,9 +2,10 @@
 
 Not a paper figure — these track the cost of the substrate itself so
 regressions in the cycle loop, the cache model, the generator, the result
-cache or the parallel fan-out show up.  Baselines live in
-``results/speed_baseline.txt``; the engine itself is described in
-``docs/PERFORMANCE.md``.
+cache or the parallel fan-out show up.  They gate on ratios and bounds,
+never on absolute times; the recorded end-to-end and per-layer numbers
+are the newest ``BENCH_<n>.json`` (``scripts/bench_record.py``), and the
+engine itself is described in ``docs/PERFORMANCE.md``.
 """
 
 import pytest
@@ -28,7 +29,7 @@ def test_speed_processor_cycle_loop(benchmark, backend):
     constructed in the per-round setup — construction (branch-predictor
     table init) is not the cycle loop.  The native row's timed region
     includes the chunked ingest (int64 column encoding) of the ops it
-    fetches.  Baselines: ``results/speed_baseline.txt``.
+    fetches.
     """
     if backend == "native" and not native_available():
         pytest.skip(

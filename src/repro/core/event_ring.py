@@ -34,7 +34,7 @@ class EventRing:
     delay is at least one cycle).
     """
 
-    __slots__ = ("_mask", "_size", "_buckets", "_overflow")
+    __slots__ = ("_mask", "_size", "_buckets", "_overflow", "pending")
 
     def __init__(self, horizon: int):
         size = ring_size(horizon)
@@ -42,9 +42,13 @@ class EventRing:
         self._size = size
         self._buckets: list[list] = [[] for _ in range(size)]
         self._overflow: dict[int, list] = {}
+        #: events scheduled and not yet popped; a caller whose calendar is
+        #: usually empty tests this instead of calling :meth:`pop`
+        self.pending = 0
 
     def schedule(self, now: int, cycle: int, item) -> None:
         """Enqueue *item* for *cycle* (must be > *now*)."""
+        self.pending += 1
         if cycle - now < self._size:
             self._buckets[cycle & self._mask].append(item)
         else:
@@ -66,11 +70,8 @@ class EventRing:
         if not bucket:
             return _EMPTY
         self._buckets[index] = []
+        self.pending -= len(bucket)
         return bucket
-
-    def due(self, cycle: int) -> bool:
-        """True if an event is scheduled for *cycle* (an O(1) probe)."""
-        return bool(self._buckets[cycle & self._mask]) or cycle in self._overflow
 
     def next_due(self, now: int, limit: int) -> int:
         """Earliest cycle after *now* with an event, or *limit* if sooner.
@@ -94,4 +95,4 @@ class EventRing:
 
     def __bool__(self) -> bool:
         """True while any event is pending."""
-        return bool(self._overflow) or any(self._buckets)
+        return self.pending > 0

@@ -22,7 +22,13 @@ class OperandSide(enum.IntEnum):
 
     @property
     def other(self) -> "OperandSide":
-        return OperandSide.RIGHT if self is OperandSide.LEFT else OperandSide.LEFT
+        return RIGHT if self is LEFT else LEFT
+
+
+# Members bound once as module constants for the cycle loop, as in
+# repro.core.iq: ``OperandSide.LEFT`` goes through ``EnumType.__getattr__``.
+LEFT = OperandSide.LEFT
+RIGHT = OperandSide.RIGHT
 
 
 class AccuracyTally:
@@ -53,7 +59,7 @@ class StaticLastArrival(AccuracyTally):
     entries = 0
 
     def predict(self, pc: int) -> OperandSide:
-        return OperandSide.RIGHT
+        return RIGHT
 
     def update(self, pc: int, last_side: OperandSide) -> None:
         """Static policy: nothing to train."""
@@ -81,14 +87,14 @@ class LastArrivalPredictor(AccuracyTally):
 
     def predict(self, pc: int) -> OperandSide:
         if self._table[pc & self._mask] > self._mid:
-            return OperandSide.RIGHT
-        return OperandSide.LEFT
+            return RIGHT
+        return LEFT
 
     def update(self, pc: int, last_side: OperandSide) -> None:
         """Train toward the actually-last operand side."""
         index = pc & self._mask
         value = self._table[index]
-        if last_side is OperandSide.RIGHT:
+        if last_side is RIGHT:
             if value < self._max:
                 self._table[index] = value + 1
         elif value > 0:
@@ -122,18 +128,18 @@ class TwoLevelLastArrival(AccuracyTally):
         return ((pc << 4) ^ history) & self._pattern_mask
 
     def predict(self, pc: int) -> OperandSide:
-        return OperandSide.RIGHT if self._pattern[self._index(pc)] > 1 else OperandSide.LEFT
+        return RIGHT if self._pattern[self._index(pc)] > 1 else LEFT
 
     def update(self, pc: int, last_side: OperandSide) -> None:
         index = self._index(pc)
         value = self._pattern[index]
-        if last_side is OperandSide.RIGHT:
+        if last_side is RIGHT:
             self._pattern[index] = min(3, value + 1)
         else:
             self._pattern[index] = max(0, value - 1)
         slot = pc & self._mask
         self._histories[slot] = (
-            (self._histories[slot] << 1) | int(last_side is OperandSide.RIGHT)
+            (self._histories[slot] << 1) | int(last_side is RIGHT)
         ) & self._history_mask
 
 
@@ -160,17 +166,17 @@ class GShareLastArrival(AccuracyTally):
         return (pc ^ self._history) & self._mask
 
     def predict(self, pc: int) -> OperandSide:
-        return OperandSide.RIGHT if self._table[self._index(pc)] > 1 else OperandSide.LEFT
+        return RIGHT if self._table[self._index(pc)] > 1 else LEFT
 
     def update(self, pc: int, last_side: OperandSide) -> None:
         index = self._index(pc)
         value = self._table[index]
-        if last_side is OperandSide.RIGHT:
+        if last_side is RIGHT:
             self._table[index] = min(3, value + 1)
         else:
             self._table[index] = max(0, value - 1)
         self._history = (
-            (self._history << 1) | int(last_side is OperandSide.RIGHT)
+            (self._history << 1) | int(last_side is RIGHT)
         ) & self._history_mask
 
 

@@ -67,16 +67,21 @@ class Scoreboard:
             record.consumers.append((entry, op_index))
 
     # ------------------------------------------------------------------
-    def mark_broadcast(self, tag: int, cycle: int) -> None:
+    def mark_broadcast(
+        self, tag: int, cycle: int, data_valid: bool = False
+    ) -> TagRecord | None:
+        """Record a wakeup broadcast (with the data when *data_valid*).
+
+        Returns the tag's record, whose consumers the broadcast wakes, or
+        None for a tag no longer in the table.
+        """
         record = self._records.get(tag)
         if record is not None:
             record.broadcast_cycle = cycle
             record.valid = True
-
-    def mark_data(self, tag: int, cycle: int) -> None:
-        record = self._records.get(tag)
-        if record is not None:
-            record.data_cycle = cycle
+            if data_valid:
+                record.data_cycle = cycle
+        return record
 
     def invalidate(self, tag: int) -> list[tuple[IQEntry, int]]:
         """Invalidate a tag's broadcast; return its consumers for cascade."""

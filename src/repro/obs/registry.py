@@ -3,8 +3,8 @@
 The registry is the collection point for everything a run wants to report
 beyond the paper's :class:`~repro.pipeline.stats.SimStats` counters —
 component-level counts (selector slots, register-port arbitration, cache
-traffic) and stage wall times.  Two rules keep it honest with the
-performance budget (``results/speed_baseline.txt``):
+traffic) and stage wall times.  Two rules keep it out of the cycle
+loop's cost (measured per change in the newest ``BENCH_<n>.json``):
 
 * **Guarded publishing** — pipeline components keep counting in bare
   integer attributes exactly as before; a ``publish_metrics(registry)``

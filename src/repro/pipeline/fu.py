@@ -40,6 +40,9 @@ _NON_PIPELINED_BY_IDX: tuple[bool, ...] = tuple(
     op_class in _NON_PIPELINED for op_class in OpClass
 )
 
+#: Pools a non-pipelined class issues to: only these hold busy units.
+_BUSY_POOLS: tuple[int, ...] = tuple(sorted({_POOL_OF[c] for c in _NON_PIPELINED}))
+
 
 class FunctionalUnits:
     """Tracks per-cycle issue counts and divider busy windows."""
@@ -60,10 +63,16 @@ class FunctionalUnits:
         self._busy_until: list[list[int]] = [[] for _ in range(5)]
 
     def begin_cycle(self, now: int) -> None:
-        issued = self._issued_this_cycle
+        """Start issuing at *now*: reset the per-cycle counts and free the
+        busy units whose operation has finished.
+
+        Cycles that issue nothing may skip the call: the counts are only
+        read by a cycle that issues, and pruning against a later *now*
+        frees the same units.
+        """
+        self._issued_this_cycle = [0] * 5
         busy_until = self._busy_until
-        for index in range(5):
-            issued[index] = 0
+        for index in _BUSY_POOLS:
             busy = busy_until[index]
             if busy:
                 busy_until[index] = [c for c in busy if c > now]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.iq import EntryState, IQEntry
+from repro.core.iq import COMPLETED, ISSUED, IQEntry
 
 #: Memory words are 8 bytes; forwarding matches on the aligned word.
 _WORD_MASK = ~7
@@ -60,4 +60,4 @@ class LoadStoreQueue:
     @staticmethod
     def store_agen_done(store: IQEntry) -> bool:
         """Has the store's address generation issued already?"""
-        return store.state in (EntryState.ISSUED, EntryState.COMPLETED)
+        return store.state is ISSUED or store.state is COMPLETED

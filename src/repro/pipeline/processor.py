@@ -16,14 +16,22 @@ paper's Figure 9/12 examples.
 Implementation note: the inner loop is written for CPython speed — event
 calendars are :class:`~repro.core.event_ring.EventRing` buckets instead of
 dicts, selection sorts on a precomputed key, and hot methods hoist
-attribute lookups into locals.  After a cycle that leaves nothing ready
-and nothing to commit, :meth:`Processor._fast_forward` jumps the clock to
-the next cycle in which an event, a dispatch, a fetch or the watchdog can
-act, as the native loop does; most cycles of a short run are such dead
-cycles.  None of this changes simulated timing;
-``tests/analysis/test_parallel_and_cache.py`` pins cycle-exact determinism
-and ``tests/pipeline/test_fast_forward.py`` checks the fast-forward
-against a loop that steps every cycle.
+attribute lookups into locals.  Enum members are module constants
+(``WAITING``, ``LEFT``, ...) and configuration enums become booleans
+here, because an ``EnumType`` attribute lookup costs over 100 ns on
+CPython 3.11.  The phases skip work that cannot matter: a cycle with an
+empty ready set leaves the functional units' per-cycle state alone, and
+the rarely used kill and slow-wakeup calendars are popped only while
+they hold events; ``run()`` still calls all five phases on every cycle
+it does not skip.  After a cycle that leaves nothing ready and nothing
+to commit, :meth:`Processor._fast_forward` jumps the clock to the next
+cycle in which an event, a dispatch, a fetch or the watchdog can act, as
+the native loop does; most cycles of a short run are such dead cycles.
+None of this changes simulated timing;
+``tests/analysis/test_parallel_and_cache.py`` pins cycle-exact
+determinism, ``tests/trace/test_corpus.py`` pins the results of every
+committed trace, and ``tests/pipeline/test_fast_forward.py`` checks the
+fast-forward against a loop that steps every cycle.
 """
 
 from __future__ import annotations
@@ -34,8 +42,10 @@ from operator import attrgetter
 
 from repro.core.dependence_matrix import DependenceMatrix
 from repro.core.event_ring import EventRing
-from repro.core.iq import EntryState, IQEntry, Operand
+from repro.core.iq import COMPLETED, ISSUED, WAITING, IQEntry, Operand
 from repro.core.last_arrival import (
+    LEFT,
+    RIGHT,
     DesignComparisonBank,
     OperandSide,
     ShadowPredictorBank,
@@ -138,6 +148,10 @@ class Processor:
         "_half_rename",
         "_half_bypass",
         "_use_matrix",
+        "_tag_elim",
+        "_seq_wakeup",
+        "_crossbar_rf",
+        "_sequential_rf",
         "_matrix_depth",
         "_active_kill_bit",
         "matrix_mismatches",
@@ -156,8 +170,6 @@ class Processor:
         "_load_spec_window",
         "_tag_elim_detect",
         "_dl1_latency",
-        "_pop_kills",
-        "_pop_slow_wakeups",
         "_pop_broadcasts",
         "_pop_completions",
     )
@@ -216,6 +228,10 @@ class Processor:
         self._non_selective = config.recovery is RecoveryModel.NON_SELECTIVE
         self._half_rename = config.rename is RenameModel.HALF_PORTS
         self._half_bypass = config.bypass is BypassModel.HALF
+        self._tag_elim = config.scheduler is SchedulerModel.TAG_ELIM
+        self._seq_wakeup = config.scheduler is SchedulerModel.SEQ_WAKEUP
+        self._crossbar_rf = self.rf_policy.crossbar
+        self._sequential_rf = self.rf_policy.sequential
         # Figure 5 dependence-matrix machinery (cross-checked vs cascade).
         self._use_matrix = config.use_dependence_matrix
         self._matrix_depth = config.exec_offset + config.load_spec_window + 2
@@ -255,8 +271,6 @@ class Processor:
         self._load_spec_window = config.load_spec_window
         self._tag_elim_detect = config.tag_elim_detect_delay
         self._dl1_latency = config.mem.dl1_latency
-        self._pop_kills = self._kills.pop
-        self._pop_slow_wakeups = self._slow_wakeups.pop
         self._pop_broadcasts = self._broadcasts.pop
         self._pop_completions = self._completions.pop
 
@@ -344,13 +358,12 @@ class Processor:
             target = min(target, self._fetch_stalled_until)
         if target <= now + 1:
             return
-        rings = (self._completions, self._broadcasts, self._slow_wakeups,
-                 self._kills)
-        for ring in rings:
-            if ring.due(now + 1):
-                return
-        for ring in rings:
-            target = ring.next_due(now, target)
+        for ring in (self._completions, self._broadcasts, self._slow_wakeups,
+                     self._kills):
+            if ring.pending:
+                target = ring.next_due(now, target)
+        if target <= now + 1:
+            return  # an event is due next cycle
         skipped = target - now - 1
         self.now = target - 1
         self.stats.cycles += skipped
@@ -363,17 +376,25 @@ class Processor:
     # ==================================================================
     def _process_events(self) -> None:
         now = self.now
-        for kill in self._pop_kills(now):
-            self._process_kill(kill)
-        for entry, op_index, tag in self._pop_slow_wakeups(now):
-            self._deliver_slow(entry, op_index, tag)
+        # Kills and slow-bus wakeups are rare: most cycles find both
+        # calendars empty without a call.
+        kills = self._kills
+        if kills.pending:
+            for kill in kills.pop(now):
+                self._process_kill(kill)
+        slow_wakeups = self._slow_wakeups
+        if slow_wakeups.pending:
+            for entry, op_index, tag in slow_wakeups.pop(now):
+                self._deliver_slow(entry, op_index, tag)
         for entry, epoch, data_valid in self._pop_broadcasts(now):
             if entry.epoch == epoch:
                 self._broadcast(entry, data_valid)
-        issued = EntryState.ISSUED
         for entry, epoch in self._pop_completions(now):
-            if entry.epoch == epoch and entry.state is issued:
-                self._complete(entry)
+            if entry.epoch == epoch and entry.state is ISSUED:
+                entry.state = COMPLETED
+                entry.complete_cycle = now
+                if entry.op.is_control:
+                    self._resolve_branch(entry)
 
     def _broadcast_matrix(self, producer: IQEntry) -> DependenceMatrix:
         """Figure 5 bus payload: ancestors of *producer*, plus itself."""
@@ -392,7 +413,7 @@ class Processor:
         removed — the exact reason the paper gives for its incompatibility
         with selective recovery (Section 3.1).
         """
-        if self.config.scheduler is not SchedulerModel.TAG_ELIM:
+        if not self._tag_elim:
             return True
         if not entry.is_two_source:
             return True
@@ -402,40 +423,52 @@ class Processor:
         """Deliver a destination-tag broadcast to all registered consumers."""
         now = self.now
         tag = producer.tag
-        self.scoreboard.mark_broadcast(tag, now)
-        if data_valid:
-            self.scoreboard.mark_data(tag, now)
-        record = self.scoreboard.get(tag)
+        record = self.scoreboard.mark_broadcast(tag, now, data_valid)
         if record is None:
             return
-        if self._use_matrix:
-            record.matrix_payload = self._broadcast_matrix(producer)
         use_matrix = self._use_matrix
-        delivery_delay = self.wakeup.delivery_delay
-        slow_wakeups = self._slow_wakeups
-        maybe_ready = self._maybe_ready
+        if use_matrix:
+            record.matrix_payload = self._broadcast_matrix(producer)
+        # Only sequential wakeup has a slow bus; elsewhere every operand
+        # sees the tag now.
+        delivery_delay = self.wakeup.delivery_delay if self._seq_wakeup else None
+        entry_ready = self._entry_ready
+        ready = self._ready
         for entry, op_index in record.consumers:
             if op_index < 0:
                 if entry.mem_dep_tag == tag and not entry.mem_dep_ready:
                     entry.mem_dep_ready = True
-                    maybe_ready(entry)
+                    self._maybe_ready(entry)
                 continue
             operand = entry.operands[op_index]
             if operand.tag != tag:
                 continue
             if operand.arrival_cycle is None:
                 operand.arrival_cycle = now
-                self._maybe_record_wakeup_pair(entry)
+                if entry.is_two_source and not entry.stat_wakeup_recorded:
+                    self._maybe_record_wakeup_pair(entry)
             if operand.ready:
                 continue
-            delay = delivery_delay(entry, operand)
-            if delay == 0:
-                operand.wake(now)
-                if use_matrix and self._operand_has_comparator(entry, operand):
-                    operand.matrix = record.matrix_payload
-                maybe_ready(entry)
-            else:
-                slow_wakeups.schedule(now, now + delay, (entry, op_index, tag))
+            if delivery_delay is not None:
+                delay = delivery_delay(entry, operand)
+                if delay:
+                    self._slow_wakeups.schedule(now, now + delay, (entry, op_index, tag))
+                    continue
+            # Operand.wake and _maybe_ready, inlined (once per wakeup).
+            operand.ready = True
+            operand.ready_cycle = now
+            if operand.first_wake_cycle is None:
+                operand.first_wake_cycle = now
+            if use_matrix and self._operand_has_comparator(entry, operand):
+                operand.matrix = record.matrix_payload
+            if (
+                entry.state is WAITING
+                and not entry.in_ready
+                and entry.mem_dep_ready
+                and entry_ready(entry)
+            ):
+                entry.in_ready = True
+                ready[entry.tag] = entry
 
     def _deliver_slow(self, entry: IQEntry, op_index: int, tag: int) -> None:
         """Slow-bus delivery, one cycle after the fast broadcast.
@@ -463,10 +496,9 @@ class Processor:
         the last-arriving predictor.  Entries with one operand ready at
         insert train the predictor only: their pending operand is by
         definition last-arriving, which is exactly what the hardware's
-        last-tag history observes.
+        last-tag history observes.  Called for two-source entries not
+        yet recorded.
         """
-        if entry.stat_wakeup_recorded or not entry.is_two_source:
-            return
         if entry.stat_ready_at_insert == 1:
             pending = [o for o in entry.operands if not o.ready_at_insert]
             if not pending or pending[0].arrival_cycle is None:
@@ -502,33 +534,28 @@ class Processor:
                 self.stats.last_arrival_mispredictions += 1
         self.wakeup.train(entry, last_side)
 
-    def _complete(self, entry: IQEntry) -> None:
-        entry.state = EntryState.COMPLETED
-        entry.complete_cycle = self.now
-        if entry.op.is_control:
-            self._resolve_branch(entry)
-
     # ==================================================================
     # Phase 2: wakeup/select (atomic) — issue.
     # ==================================================================
     def _select_and_issue(self) -> None:
-        now = self.now
         selector = self.selector
-        fu = self.fu
-        rf_policy = self.rf_policy
         selector.begin_cycle()
-        fu.begin_cycle(now)
-        rf_policy.begin_cycle()
         ready = self._ready
         if not ready:
-            return
+            return  # nothing can issue: the units' per-cycle state may wait
+        now = self.now
+        fu = self.fu
+        fu.begin_cycle(now)
+        rf_policy = self.rf_policy
+        crossbar = self._crossbar_rf
+        if crossbar:
+            rf_policy.begin_cycle()
+        sequential = self._sequential_rf
         entry_ready = self._entry_ready
-        waiting = EntryState.WAITING
-        candidates = sorted(ready.values(), key=_SELECT_KEY)
-        for entry in candidates:
+        for entry in sorted(ready.values(), key=_SELECT_KEY):
             if selector.available_slots <= 0:
                 break
-            if entry.state is not waiting or entry.eligible_cycle > now:
+            if entry.state is not WAITING or entry.eligible_cycle > now:
                 continue
             if not entry_ready(entry):
                 # Stale ready-set entry (e.g. un-woken by a replay).
@@ -538,10 +565,10 @@ class Processor:
             op_class = entry.op.op_class
             if not fu.can_issue(op_class, now):
                 continue
-            if not rf_policy.try_reserve(entry, now):
+            if crossbar and not rf_policy.try_reserve(entry, now):
                 continue
-            seq_access = rf_policy.decide_sequential_access(entry, now)
-            slot = selector.take_slot(bubble_next=seq_access)
+            seq_access = sequential and rf_policy.decide_sequential_access(entry, now)
+            slot = selector.take_slot(seq_access)
             fu.issue(op_class, now)
             self._issue(entry, seq_access, slot)
 
@@ -549,13 +576,14 @@ class Processor:
         now = self.now
         self._ready.pop(entry.tag, None)
         entry.in_ready = False
-        entry.state = EntryState.ISSUED
+        entry.state = ISSUED
         entry.issue_cycle = now
         entry.epoch += 1
         entry.seq_reg_access = seq_access
         entry.slot = slot
         self.stats.issued += 1
-        self._record_issue_stats(entry, seq_access)
+        if entry.is_two_source:
+            self._record_issue_stats(entry)
         if self.trace is not None:
             record = self.trace.setdefault(entry.tag, {"issues": []})
             record["issues"].append(now)
@@ -563,7 +591,8 @@ class Processor:
             record["opcode"] = entry.op.opcode
             record["pc"] = entry.op.pc
 
-        verify_ok = self._verify_at_issue(entry, self.scoreboard, now)
+        # Only tag elimination issues speculatively and verifies.
+        verify_ok = not self._tag_elim or self._verify_at_issue(entry, self.scoreboard, now)
         if not verify_ok:
             # Tag elimination misschedule: scoreboard flags it after the
             # detection delay; the replay window covers everything issued
@@ -636,19 +665,20 @@ class Processor:
             now, max(completion, rebroadcast), (entry, entry.epoch)
         )
 
-    def _record_issue_stats(self, entry: IQEntry, seq_access: bool) -> None:
+    def _record_issue_stats(self, entry: IQEntry) -> None:
+        """Figure 10 category of a two-source entry's issue."""
         now = self.now
-        if entry.is_two_source:
-            if all(operand.ready_at_insert for operand in entry.operands):
-                entry.rf_category = "two_ready"
-            elif any(operand.woke_now(now) for operand in entry.operands):
-                entry.rf_category = "back_to_back"
-            else:
-                entry.rf_category = "non_back_to_back"
-            if self.config.scheduler is SchedulerModel.SEQ_WAKEUP:
-                slow = entry.operand_on(entry.fast_side.other)
-                if slow is not None and slow.ready_cycle == now and not slow.ready_at_insert:
-                    self.stats.seq_wakeup_slow_initiations += 1
+        left, right = entry.operands
+        if left.ready_at_insert and right.ready_at_insert:
+            entry.rf_category = "two_ready"
+        elif left.woke_now(now) or right.woke_now(now):
+            entry.rf_category = "back_to_back"
+        else:
+            entry.rf_category = "non_back_to_back"
+        if self._seq_wakeup:
+            slow = entry.operand_on(entry.fast_side.other)
+            if slow is not None and slow.ready_cycle == now and not slow.ready_at_insert:
+                self.stats.seq_wakeup_slow_initiations += 1
 
     # ==================================================================
     # Replay machinery.
@@ -665,14 +695,13 @@ class Processor:
             self._active_kill_bit = (kill.root.issue_cycle, kill.root.slot)
         self._invalidate_tag(kill.root.tag)
         self._active_kill_bit = None
-        if kill.squash_root and kill.root.state is EntryState.ISSUED:
+        if kill.squash_root and kill.root.state is ISSUED:
             self._squash(kill.root)
         if kill.window is not None:
             start, end = kill.window
-            issued = EntryState.ISSUED
             for entry in self.rob:
                 if (
-                    entry.state is issued
+                    entry.state is ISSUED
                     and entry is not kill.root
                     and start <= entry.issue_cycle <= end
                 ):
@@ -686,7 +715,7 @@ class Processor:
             if op_index < 0:
                 if entry.mem_dep_tag == tag and entry.mem_dep_ready:
                     entry.mem_dep_ready = False
-                    if entry.state is EntryState.ISSUED:
+                    if entry.state is ISSUED:
                         self._squash(entry)
                 continue
             operand = entry.operands[op_index]
@@ -701,7 +730,7 @@ class Processor:
                         # (e.g. an eliminated comparator).
                         self.matrix_mismatches += 1
                 operand.unwake()
-                if entry.state is EntryState.ISSUED:
+                if entry.state is ISSUED:
                     self._squash(entry)
                 elif entry.in_ready:
                     self._ready.pop(entry.tag, None)
@@ -720,22 +749,25 @@ class Processor:
     # Phase 3: dispatch (rename + scheduler insert).
     # ==================================================================
     def _dispatch(self) -> None:
-        now = self.now
         frontend = self._frontend
-        if not frontend:
-            return
+        now = self.now
+        if not frontend or frontend[0][0] > now:
+            return  # nothing has reached the end of the front pipe
         width = self._width
         rob = self.rob
         lsq = self.lsq
+        rob_free = rob.capacity - len(rob)
+        lsq_free = lsq.capacity - len(lsq)
         dispatched = 0
         # Half-price rename (Section 6 extension): one source-lookup port
         # per dispatch slot; a 2-source instruction consumes two tokens.
         rename_tokens = width if self._half_rename else None
         while frontend and frontend[0][0] <= now and dispatched < width:
             arrive, tag, op = frontend[0]
-            if rob.full:
+            if rob_free <= 0:
                 break
-            if (op.is_load or op.is_store) and lsq.full:
+            is_memory = op.is_load or op.is_store
+            if is_memory and lsq_free <= 0:
                 break
             if rename_tokens is not None and not op.is_eliminated_nop:
                 needed = max(1, len(op.sched_deps))
@@ -746,50 +778,31 @@ class Processor:
             frontend.popleft()
             self._insert(op, tag)
             dispatched += 1
+            rob_free -= 1
+            if is_memory:
+                lsq_free -= 1
 
     def _insert(self, op: DynOp, tag: int) -> None:
         now = self.now
         if op.is_eliminated_nop:
-            entry = IQEntry(op, tag, [], insert_cycle=now)
-            entry.state = EntryState.COMPLETED
+            entry = IQEntry(op, tag, [], now)
+            entry.state = COMPLETED
             self.rob.push(entry)
             self.stats.record_dispatch(False, 0)
             return
-        operands = self._rename_sources(op, tag)
-        entry = IQEntry(op, tag, operands, insert_cycle=now)
+        # Rename: each source's producer record is looked up once, and the
+        # new entry joins its consumers once the entry exists.
         scoreboard = self.scoreboard
-        scoreboard.allocate(tag, entry)
-        add_consumer = scoreboard.add_consumer
-        for index, operand in enumerate(operands):
-            if operand.tag is not None:
-                add_consumer(operand.tag, entry, index)
-        if op.dest is not None:
-            self._rename[op.dest] = tag
-        self.wakeup.assign_sides(entry)
-        self.rob.push(entry)
-        if op.is_load or op.is_store:
-            if op.is_load:
-                self._setup_load_forwarding(entry)
-            self.lsq.insert(entry)
-        self.stats.record_dispatch(entry.is_two_source, entry.stat_ready_at_insert)
-        self._maybe_ready(entry)
-
-    def _rename_sources(self, op: DynOp, consumer_tag: int) -> list[Operand]:
-        operands: list[Operand] = []
         rename_get = self._rename.get
-        scoreboard_get = self.scoreboard.get
-        now = self.now
-        use_matrix = self._use_matrix
-        left = OperandSide.LEFT
-        right = OperandSide.RIGHT
+        scoreboard_get = scoreboard.get
+        operands: list[Operand] = []
+        producers = []
         for position, arch in enumerate(op.sched_deps):
-            side = left if position == 0 else right
+            side = LEFT if position == 0 else RIGHT
             producer_tag = rename_get(arch)
-            if producer_tag is None:
-                # Architectural value: the producer has committed.
-                operands.append(Operand(None, side))
-                continue
-            record = scoreboard_get(producer_tag)
+            # No producer tag or no record: the producer has committed and
+            # the value is architectural.
+            record = None if producer_tag is None else scoreboard_get(producer_tag)
             if record is None:
                 operands.append(Operand(None, side))
                 continue
@@ -801,12 +814,31 @@ class Processor:
                 # invalidation cascade.
                 operand = Operand(None, side)
                 operand.tag = producer_tag
-                if use_matrix:
+                if self._use_matrix:
                     operand.matrix = record.matrix_payload
             else:
                 operand = Operand(producer_tag, side)
             operands.append(operand)
-        return operands
+            producers.append((record, position))
+        entry = IQEntry(op, tag, operands, now)
+        scoreboard.allocate(tag, entry)
+        for record, position in producers:
+            record.consumers.append((entry, position))
+        if op.dest is not None:
+            self._rename[op.dest] = tag
+        if entry.is_two_source:
+            self.wakeup.assign_sides(entry)
+        self.rob.push(entry)
+        if op.is_load:
+            self._setup_load_forwarding(entry)
+            self.lsq.insert(entry)
+        elif op.is_store:
+            self.lsq.insert(entry)
+        self.stats.record_dispatch(entry.is_two_source, entry.stat_ready_at_insert)
+        # A new entry is waiting and outside the ready set.
+        if entry.mem_dep_ready and self._entry_ready(entry):
+            entry.in_ready = True
+            self._ready[tag] = entry
 
     def _setup_load_forwarding(self, entry: IQEntry) -> None:
         store = self.lsq.forwarding_store(entry)
@@ -820,7 +852,7 @@ class Processor:
 
     def _maybe_ready(self, entry: IQEntry) -> None:
         if (
-            entry.state is EntryState.WAITING
+            entry.state is WAITING
             and not entry.in_ready
             and entry.mem_dep_ready
             and self._entry_ready(entry)
@@ -843,38 +875,36 @@ class Processor:
         line_address = memory.il1.line_address
         pc_address = self._pc_address
         frontend_append = self._frontend.append
-        stats = self.stats
         arrive = now + self._front_depth
         feed_iter = self._feed_iter
-        fetched = 0
-        width = self._width
+        # Fetch-order tags are dense: the group takes first..end-1 at most.
+        first = tag = self._next_tag
+        end = first + self._width
         op = self._next_op
-        while fetched < width:
+        while tag < end:
             if op is None:
-                try:
-                    op = next(feed_iter)
-                except StopIteration:
+                op = next(feed_iter, None)
+                if op is None:
                     self._feed_done = True
-                    self._next_op = None
-                    return
-                self._next_op = op
+                    break
             address = pc_address(op.pc)
             line = line_address(address)
             if line != self._last_fetch_line:
                 result = memory.fetch(address)
                 self._last_fetch_line = line
                 if result.is_miss:
+                    # The op stays next in line until the stall ends.
                     self._fetch_stalled_until = now + result.latency
-                    return
-            self._next_op = None
-            stats.fetched += 1
-            fetched += 1
-            tag = self._next_tag
-            self._next_tag = tag + 1
+                    break
             frontend_append((arrive, tag, op))
-            if op.is_control and self._fetch_control(op, tag):
-                return
+            tag += 1
+            if op.is_control and self._fetch_control(op, tag - 1):
+                op = None
+                break
             op = None
+        self._next_op = op
+        self._next_tag = tag
+        self.stats.fetched += tag - first
 
     def _fetch_control(self, op: DynOp, tag: int) -> bool:
         """Predict a control instruction; return True if fetch must stop."""
@@ -920,7 +950,7 @@ class Processor:
         trace = self.trace
         checker = self.checker
         committed = 0
-        while committed < width and rob.committable():
+        while True:
             entry = rob.commit_head()
             if checker is not None:
                 checker.on_commit(entry, now)
@@ -947,8 +977,10 @@ class Processor:
                 record["pc"] = entry.op.pc
             stats.committed += 1
             self._total_committed += 1
-            self._last_commit_cycle = now
             committed += 1
+            if committed >= width or not rob.committable():
+                break
+        self._last_commit_cycle = now
 
     # ==================================================================
     # Observability (post-run, guarded publishing — never in the loop).

@@ -23,12 +23,17 @@ from repro.pipeline.config import MachineConfig, RegFileModel, SchedulerModel
 class RegisterFilePolicy:
     """Issue-time read-port accounting for one machine configuration."""
 
-    __slots__ = ("model", "width", "fast_side_now_only", "_ports_used",
-                 "crossbar_rejections", "sequential_decisions")
+    __slots__ = ("model", "width", "crossbar", "sequential", "fast_side_now_only",
+                 "_ports_used", "crossbar_rejections", "sequential_decisions")
 
     def __init__(self, config: MachineConfig):
         self.model = config.regfile
         self.width = config.width
+        #: the only models with issue-time work (the loop skips the calls
+        #: for the others: :meth:`try_reserve` always grants, and
+        #: :meth:`decide_sequential_access` always says no)
+        self.crossbar = config.regfile is RegFileModel.CROSSBAR
+        self.sequential = config.regfile is RegFileModel.SEQUENTIAL
         #: in the combined machine only the fast-side ``now`` bit exists
         #: (Section 5.3: the wakeup logic drops ``nowR``)
         self.fast_side_now_only = (
@@ -65,7 +70,7 @@ class RegisterFilePolicy:
 
     def decide_sequential_access(self, entry: IQEntry, now: int) -> bool:
         """Figure 11a: does this instruction need two sequential reads?"""
-        if self.model is not RegFileModel.SEQUENTIAL:
+        if not self.sequential:
             return False
         if len(entry.operands) < 2:
             return False
@@ -77,7 +82,7 @@ class RegisterFilePolicy:
     # ------------------------------------------------------------------
     def try_reserve(self, entry: IQEntry, now: int) -> bool:
         """Crossbar arbitration: claim global read ports for this issue."""
-        if self.model is not RegFileModel.CROSSBAR:
+        if not self.crossbar:
             return True
         needed = self.reads_needed(entry, now)
         if self._ports_used + needed > self.width:

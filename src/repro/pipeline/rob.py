@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.iq import EntryState, IQEntry
+from repro.core.iq import COMPLETED, IQEntry
 
 
 class ReorderBuffer:
@@ -35,7 +35,7 @@ class ReorderBuffer:
         return not self._entries
 
     def push(self, entry: IQEntry) -> None:
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise OverflowError("ROB overflow: dispatch must check capacity")
         self._entries.append(entry)
 
@@ -47,8 +47,8 @@ class ReorderBuffer:
 
     def committable(self) -> bool:
         """True if the head instruction has completed execution."""
-        head = self.head()
-        return head is not None and head.state is EntryState.COMPLETED
+        entries = self._entries
+        return bool(entries) and entries[0].state is COMPLETED
 
     def __iter__(self):
         return iter(self._entries)

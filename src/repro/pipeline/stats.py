@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.last_arrival import (
+    LEFT,
     DesignComparisonBank,
     OperandSide,
     ShadowPredictorBank,
@@ -65,7 +66,7 @@ class WakeupOrderStats:
         if last_side is None:
             self.simultaneous += 1
             return
-        if last_side is OperandSide.LEFT:
+        if last_side is LEFT:
             self.last_left += 1
         else:
             self.last_right += 1

@@ -117,11 +117,6 @@ def _read_uv(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _read_sv(data: bytes, pos: int) -> tuple[int, int]:
-    raw, pos = _read_uv(data, pos)
-    return ((raw >> 1) if not raw & 1 else -((raw + 1) >> 1)), pos
-
-
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
@@ -353,9 +348,11 @@ class TraceReader:
         return self.ops()
 
     def ops(self, limit: int | None = None) -> Iterator[DynOp]:
+        """Yield the records in order, one decoded chunk at a time (only
+        the first *limit* records when *limit* is given)."""
         header = self.header
-        op_infos = [OPCODE_BY_NAME[name] for name in header["opcodes"]]
         op_names = header["opcodes"]
+        op_classes = [OPCODE_BY_NAME[name].op_class for name in op_names]
         sha = hashlib.sha256()
         seq = 0
         prev_pc = 0
@@ -392,28 +389,16 @@ class TraceReader:
                         f"{self.path}: chunk {chunk_number} length mismatch"
                     )
                 sha.update(raw)
-                pos = 0
-                for _ in range(records):
-                    if pos >= len(raw):
-                        raise TraceFormatError(
-                            f"{self.path}: chunk {chunk_number} ends mid-record"
-                        )
-                    try:
-                        op, pos, prev_pc, prev_addr = _decode_record(
-                            raw, pos, seq, prev_pc, prev_addr, op_infos, op_names
-                        )
-                    except IndexError:
-                        raise TraceFormatError(
-                            f"{self.path}: chunk {chunk_number} ends mid-record"
-                        ) from None
-                    yield op
-                    seq += 1
-                    if limit is not None and seq >= limit:
-                        return
-                if pos != len(raw):
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {chunk_number} has trailing garbage"
-                    )
+                # A limit below 1 reads as 1: the first record always comes.
+                wanted = records if limit is None else min(records, max(1, limit - seq))
+                ops, prev_pc, prev_addr = _decode_chunk(
+                    raw, wanted, records, seq, prev_pc, prev_addr, op_names, op_classes,
+                    f"{self.path}: chunk {chunk_number}",
+                )
+                yield from ops
+                seq += wanted
+                if limit is not None and seq >= limit:
+                    return
         if seq != header["insts"]:
             raise TraceFormatError(
                 f"{self.path}: header promises {header['insts']} records, found {seq}"
@@ -422,62 +407,87 @@ class TraceReader:
             raise TraceFormatError(f"{self.path}: trace content hash mismatch (tampered body)")
 
 
-def _decode_record(raw, pos, seq, prev_pc, prev_addr, op_infos, op_names):
-    flags = raw[pos]
-    pos += 1
-    op_index, pos = _read_uv(raw, pos)
-    if op_index >= len(op_infos):
-        raise TraceFormatError(f"record {seq}: opcode index {op_index} out of table")
-    delta, pos = _read_sv(raw, pos)
-    pc = prev_pc + delta
-    if flags & _F_SEQ:
-        next_pc = pc + 1
-    else:
-        delta, pos = _read_sv(raw, pos)
-        next_pc = pc + 1 + delta
-    dest = None
-    if flags & _F_DEST:
-        dest = raw[pos]
-        pos += 1
-    n = raw[pos]
-    pos += 1
-    srcs = tuple(raw[pos : pos + n])
-    if len(srcs) != n:
-        raise IndexError
-    pos += n
-    n = raw[pos]
-    pos += 1
-    deps = tuple(raw[pos : pos + n])
-    if len(deps) != n:
-        raise IndexError
-    pos += n
-    store_data = None
-    if flags & _F_STORE_DATA:
-        store_data = raw[pos]
-        pos += 1
-    mem_addr = None
-    if flags & _F_MEM:
-        delta, pos = _read_sv(raw, pos)
-        mem_addr = prev_addr + delta
-        prev_addr = mem_addr
-    target = None
-    if flags & _F_TARGET:
-        delta, pos = _read_sv(raw, pos)
-        target = pc + delta
-    op = DynOp(
-        seq=seq,
-        pc=pc,
-        opcode=op_names[op_index],
-        op_class=op_infos[op_index].op_class,
-        dest=dest,
-        srcs=srcs,
-        sched_deps=deps,
-        store_data_reg=store_data,
-        mem_addr=mem_addr,
-        taken=bool(flags & _F_TAKEN),
-        next_pc=next_pc,
-        static_target=target,
-        is_two_source_format=bool(flags & _F_TWO_SRC_FMT),
-        is_eliminated_nop=bool(flags & _F_NOP),
-    )
-    return op, pos, pc, prev_addr
+def _decode_chunk(raw, count, records, seq, prev_pc, prev_addr, op_names, op_classes, where):
+    """Decode the first *count* of a chunk's *records* records.
+
+    Returns the ops and the PC and memory address that the next record's
+    deltas start from.  *seq* numbers the first record; *where* names the
+    chunk in errors.  The whole loop is one function, and a varint of one
+    byte (the common case) is read inline: a record costs no call but the
+    :class:`DynOp` it builds.
+    """
+    ops = []
+    append = ops.append
+    end = len(raw)
+    table = len(op_names)
+    pos = 0
+    try:
+        for seq in range(seq, seq + count):
+            if pos >= end:
+                raise IndexError
+            flags = raw[pos]
+            # Each varint: the byte itself if its high bit is clear, else
+            # (or past the end) _read_uv, which reports the truncation.
+            pos += 1
+            if pos < end and (value := raw[pos]) < 0x80:
+                pos += 1
+            else:
+                value, pos = _read_uv(raw, pos)
+            if value >= table:
+                raise TraceFormatError(f"record {seq}: opcode index {value} out of table")
+            opcode = op_names[value]
+            op_class = op_classes[value]
+            if pos < end and (value := raw[pos]) < 0x80:
+                pos += 1
+            else:
+                value, pos = _read_uv(raw, pos)
+            pc = prev_pc + ((value >> 1) ^ -(value & 1))  # zigzag
+            prev_pc = pc
+            if flags & _F_SEQ:
+                next_pc = pc + 1
+            else:
+                if pos < end and (value := raw[pos]) < 0x80:
+                    pos += 1
+                else:
+                    value, pos = _read_uv(raw, pos)
+                next_pc = pc + 1 + ((value >> 1) ^ -(value & 1))
+            dest = None
+            if flags & _F_DEST:
+                dest = raw[pos]
+                pos += 1
+            stop = pos + 1 + raw[pos]
+            if stop > end:
+                raise IndexError
+            srcs = tuple(raw[pos + 1 : stop])
+            pos = stop + 1 + raw[stop]
+            if pos > end:
+                raise IndexError
+            deps = tuple(raw[stop + 1 : pos])
+            store_data = None
+            if flags & _F_STORE_DATA:
+                store_data = raw[pos]
+                pos += 1
+            mem_addr = None
+            if flags & _F_MEM:
+                if pos < end and (value := raw[pos]) < 0x80:
+                    pos += 1
+                else:
+                    value, pos = _read_uv(raw, pos)
+                mem_addr = prev_addr = prev_addr + ((value >> 1) ^ -(value & 1))
+            target = None
+            if flags & _F_TARGET:
+                if pos < end and (value := raw[pos]) < 0x80:
+                    pos += 1
+                else:
+                    value, pos = _read_uv(raw, pos)
+                target = pc + ((value >> 1) ^ -(value & 1))
+            append(DynOp(
+                seq, pc, opcode, op_class, dest, srcs, deps, store_data, mem_addr,
+                bool(flags & _F_TAKEN), next_pc, target,
+                bool(flags & _F_TWO_SRC_FMT), bool(flags & _F_NOP),
+            ))
+    except IndexError:
+        raise TraceFormatError(f"{where} ends mid-record") from None
+    if count == records and pos != end:
+        raise TraceFormatError(f"{where} has trailing garbage")
+    return ops, prev_pc, prev_addr

@@ -41,7 +41,7 @@ import random
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.isa.opcodes import OPCODE_BY_NAME, OpClass
 from repro.isa.registers import FP_REG_BASE, R31
@@ -624,6 +624,10 @@ SHARED_OPS = 4096
 #: (benchmark, seed) pair back to back, so a few entries catch them all;
 #: a process that never repeats a pair would only hold more memory.
 SHARED_PROGRAMS = 4
+#: Ops a reader past the kept ones generates per lock acquisition.  A
+#: run reads a little past its commit budget, so a small block wastes
+#: little generation on ops no run reads.
+_GROW_OPS = 32
 
 
 class SharedFeed:
@@ -652,14 +656,24 @@ class SharedFeed:
         self._lock = threading.Lock()
 
     def __iter__(self) -> Iterator[DynOp]:
+        # Ops pass through C iterators; Python runs once per block.
+        return itertools.chain.from_iterable(self._blocks())
+
+    def _blocks(self) -> Iterator[Iterable[DynOp]]:
+        """Slices of the kept ops, grown :data:`_GROW_OPS` at a time under
+        one lock acquisition, then the rest of a fresh stream."""
         ops = self._ops
-        for index in range(SHARED_OPS):
-            if index == len(ops):
+        done = 0
+        while done < SHARED_OPS:
+            if done == len(ops):
                 with self._lock:
-                    if index == len(ops):
-                        ops.append(next(self._live))
-            yield ops[index]
-        yield from itertools.islice(self.workload.stream(), SHARED_OPS, None)
+                    if done == len(ops):
+                        grow = min(_GROW_OPS, SHARED_OPS - done)
+                        ops.extend(itertools.islice(self._live, grow))
+            end = len(ops)
+            yield ops[done:end]
+            done = end
+        yield itertools.islice(self.workload.stream(), SHARED_OPS, None)
 
 
 _shared: OrderedDict[tuple[str, int], SharedFeed] = OrderedDict()

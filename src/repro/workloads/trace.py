@@ -16,6 +16,14 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import is_zero_reg
 
+# Members bound once as module constants: ``OpClass.LOAD`` goes through
+# ``EnumType.__getattr__`` (over 100 ns on CPython 3.11), and every op
+# built pays for five such tests.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+
 
 class DynOp:
     """One dynamic instruction instance.
@@ -112,11 +120,12 @@ class DynOp:
         # Classification flags the scheduler reads on nearly every cycle an
         # instruction is in flight; precomputed here so the hot loop does
         # plain slot reads instead of property descriptors + enum compares.
-        is_store = op_class is OpClass.STORE
-        self.is_load = op_class is OpClass.LOAD
+        is_store = op_class is _STORE
+        is_branch = op_class is _BRANCH
+        self.is_load = op_class is _LOAD
         self.is_store = is_store
-        self.is_branch = op_class is OpClass.BRANCH
-        self.is_control = op_class is OpClass.BRANCH or op_class is OpClass.JUMP
+        self.is_branch = is_branch
+        self.is_control = is_branch or op_class is _JUMP
         #: the paper's 2-source classification (see Instruction)
         self.is_two_source = (
             not is_store and not is_eliminated_nop and len(sched_deps) == 2

@@ -1,11 +1,14 @@
 """The shipped corpus, and content-hash (never path) cache identity."""
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
-from repro.analysis.cache import ResultCache, fingerprint
+from repro.analysis.cache import ResultCache, fingerprint, serialize_result
+from repro.analysis.runner import SHADOW_SIZES
+from repro.fastsim import apply_backend
 from repro.pipeline.config import FOUR_WIDE
 from repro.trace import run as trace_run
 from repro.trace.capture import capture_kernel
@@ -167,3 +170,56 @@ class TestCachedRuns:
     def test_load_corpus_feed_limit(self):
         feed = load_corpus_feed("vector_sum_80k", limit=500)
         assert len(feed.ops) == 500
+
+
+#: sha256 of ``serialize_result(run_full(...))`` and of the sampled report
+#: on the first PINNED_INSTS records of each committed trace, on the python
+#: backend.  Any change to simulated timing, statistics or trace decoding
+#: moves one of them; a deliberate timing-model change re-records them.
+PINNED_INSTS = 20_000
+PINNED_SAMPLING = {"interval": 2_500, "k": 4, "warmup": 500}
+PINNED = {
+    "vector_sum_80k": (
+        "551421a84059a55cbfdba46e362012e47212a1d41cd5b3e5c37107279ac75fa3",
+        "35ea663103ccbf59bc2fb9069884f8e9a09b8369fe70e88df925b4e2081ed07f",
+    ),
+    "dotproduct_96k": (
+        "b5f73bb97f2ae9e05d5121eda9d21c4151aa165db51e84f1c58db5032301f456",
+        "5d2728c679deace49705cb3a97a704b5289d9126e8a60ad318ebc2087cb83756",
+    ),
+    "strsearch_76k": (
+        "8906071436920b31c1b58c637026f2aafc4da223591a1b79cac585c5aec4a64f",
+        "2c0cff9f31987ac74a30cbf1573b7c3aa5d50523daf4413895a69bd2668f21fc",
+    ),
+    "hash_probe_71k": (
+        "f7071092a7686c830e5e598f67b06dc40d4a7d8b3efdddb9053fd940199847e2",
+        "38d96cd1ef6bfd41a9a54434ff6bc690a3fd99622174c062ade0ea08944b4ac7",
+    ),
+    "bubble_sort_104k": (
+        "9a7fe9a09f7a3689bcdacd06ab9efa553e7b3ae391243153085fad560c205407",
+        "b119c3bfe952ef4958b840edf54bcc36f98c64ae038a29550dc86e906efaf75a",
+    ),
+    "sieve_105k": (
+        "3f1b3edb74d8009fa664594614350e56a6f26332a76478c0f3b8157bf7cb37ab",
+        "e0fb1c25cda9af45eebafa9f578e761b0d9dce1bff9e4a5d5888551befcbd672",
+    ),
+}
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Full and sampled runs of every committed trace, byte for byte."""
+
+    def test_every_committed_trace_is_pinned(self):
+        assert sorted(PINNED) == sorted(entry.name for entry in CORPUS if entry.committed)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_full_and_sampled_outputs(self, name):
+        config = apply_backend(FOUR_WIDE, "python")
+        feed = load_corpus_feed(name, limit=PINNED_INSTS)
+        full = run_full(feed, config, shadow_sizes=SHADOW_SIZES)
+        report = run_sampled(feed, config, **PINNED_SAMPLING)
+        assert (_sha256(serialize_result(full)), _sha256(report)) == PINNED[name]

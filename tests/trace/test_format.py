@@ -1,5 +1,7 @@
 """Tracefile container: round trips, determinism, corruption rejection."""
 
+import hashlib
+import json
 import struct
 import zlib
 from itertools import islice
@@ -7,6 +9,7 @@ from itertools import islice
 import pytest
 
 from repro.isa.assembler import INSTRUCTION_BYTES
+from repro.isa.opcodes import OPCODE_BY_NAME
 from repro.pipeline.config import FOUR_WIDE
 from repro.pipeline.processor import simulate
 from repro.trace.capture import (
@@ -29,6 +32,7 @@ from repro.workloads.feed import EmulatorFeed, ReplayFeed
 from repro.workloads.kernels import kernel_program
 from repro.workloads.profiles import SPEC_BENCHMARKS, get_profile
 from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.trace import DynOp
 
 FIELDS = (
     "seq",
@@ -220,3 +224,135 @@ class TestCorruptionRejection:
         path.write_text("not a tracefile")
         with pytest.raises(TraceFormatError):
             read_header(path)
+
+
+# ----------------------------------------------------------------------
+# Record encoding edge cases: multi-byte varints and forged chunks.
+# ----------------------------------------------------------------------
+_SEQ, _DEST, _MEM = 0x80, 0x08, 0x10
+
+
+def _uv(value: int) -> bytes:
+    """LEB128, written independently of the module under test."""
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _sv(value: int) -> bytes:
+    return _uv(value << 1 if value >= 0 else (-value << 1) - 1)
+
+
+def forge(path, payload: bytes, records: int, opcodes=("ADD",)):
+    """A tracefile whose one chunk holds *payload*, with a valid header,
+    CRCs and content hash, so only the record decoder can object."""
+    header = {
+        "format": "repro-tracefile",
+        "format_version": TRACE_FORMAT_VERSION,
+        "isa_version": isa_version(),
+        "name": "forged",
+        "insts": records,
+        "trace_sha256": hashlib.sha256(payload).hexdigest(),
+        "program_sha256": None,
+        "source": None,
+        "chunk_records": records,
+        "opcodes": list(opcodes),
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    comp = zlib.compress(payload)
+    path.write_bytes(
+        MAGIC
+        + struct.pack("<I", len(blob)) + blob + struct.pack("<I", zlib.crc32(blob))
+        + struct.pack("<IIII", records, len(payload), len(comp), zlib.crc32(comp)) + comp
+        + struct.pack("<IIII", 0, 0, 0, 0)
+    )
+    return path
+
+
+def _class(opcode: str):
+    return OPCODE_BY_NAME[opcode].op_class
+
+
+def _record(op_index: int, pc_delta: int, flags: int = _SEQ) -> bytes:
+    """One register-free record: flags, opcode index, PC delta, no operands."""
+    return bytes([flags]) + _uv(op_index) + _sv(pc_delta) + bytes([0, 0])
+
+
+class TestMultiByteVarints:
+    def test_every_varint_field_round_trips_at_multi_byte_sizes(self, tmp_path):
+        ops = [
+            # +200k PC delta, a forward next_pc jump and a far forward target
+            DynOp(0, 200_000, "BEQ", _class("BEQ"), srcs=(3,), sched_deps=(3,),
+                  taken=True, next_pc=200_000 + 1 + 90_000, static_target=290_001),
+            # a large negative PC delta and a 2^40 address
+            DynOp(1, 3, "LDQ", _class("LDQ"), dest=4, srcs=(5,), sched_deps=(5,),
+                  mem_addr=1 << 40, next_pc=70_000),
+            # a large negative memory delta
+            DynOp(2, 70_000, "STQ", _class("STQ"), srcs=(4, 5), sched_deps=(5,),
+                  store_data_reg=4, mem_addr=8),
+            # a far backward target and next_pc
+            DynOp(3, 70_001, "JMP", _class("JMP"), taken=True, next_pc=9,
+                  static_target=9),
+            DynOp(4, 9, "ADD", _class("ADD"), dest=1, srcs=(1, 2), sched_deps=(1, 2),
+                  is_two_source_format=True),
+        ]
+        path = tmp_path / "far.hpt"
+        with TraceWriter(path, name="far", chunk_records=2) as writer:
+            writer.extend(ops)
+        decoded = list(TraceReader(path).ops())
+        assert len(decoded) == len(ops)
+        for original, back in zip(ops, decoded):
+            for name in FIELDS:
+                assert getattr(original, name) == getattr(back, name), name
+        assert [op.seq for op in TraceReader(path).ops(limit=3)] == [0, 1, 2]
+
+    def test_multi_byte_opcode_index(self, tmp_path):
+        # A table of 200 entries puts index 150 past one varint byte.
+        opcodes = ["ADD"] * 150 + ["LDQ"] * 50
+        # The second record has a non-sequential next_pc and dest register 7.
+        payload = (
+            _record(150, 1_000_000, _SEQ | _MEM) + _sv(1 << 30)
+            + bytes([_DEST]) + _uv(3) + _sv(-999_000) + _sv(-77_777) + bytes([7, 0, 0])
+        )
+        path = forge(tmp_path / "wide.hpt", payload, 2, opcodes)
+        first, second = TraceReader(path).ops()
+        assert (first.opcode, first.pc, first.next_pc, first.mem_addr) == (
+            "LDQ", 1_000_000, 1_000_001, 1 << 30,
+        )
+        assert (second.opcode, second.pc, second.next_pc, second.dest) == (
+            "ADD", 1_000, 1_000 + 1 - 77_777, 7,
+        )
+
+
+class TestForgedChunks:
+    """Records a valid writer never produces, behind valid checksums."""
+
+    @pytest.mark.parametrize(
+        "payload,records,message",
+        [
+            # the opcode index's continuation bit is set on the last byte
+            (bytes([_SEQ, 0x80]), 1, "record payload ends inside a varint"),
+            # the PC delta runs off the end
+            (bytes([_SEQ, 0x00, 0xFF]), 1, "record payload ends inside a varint"),
+            # the payload ends where the opcode index should start
+            (bytes([_SEQ]), 1, "record payload ends inside a varint"),
+            (_record(300, 0), 1, "record 0: opcode index 300 out of table"),
+            (_record(0, 4) + _record(1, 4), 2, "record 1: opcode index 1 out of table"),
+            # DEST is flagged but the register byte is missing
+            (bytes([_SEQ | _DEST, 0x00, 0x00]), 1, "{path}: chunk 1 ends mid-record"),
+            # the source count promises more bytes than remain
+            (bytes([_SEQ, 0x00, 0x00, 0x03, 0x01]), 1, "{path}: chunk 1 ends mid-record"),
+            (_record(0, 0), 2, "{path}: chunk 1 ends mid-record"),
+            (_record(0, 0) + b"\x00", 1, "{path}: chunk 1 has trailing garbage"),
+        ],
+        ids=["opcode-varint", "pc-varint", "no-varint", "opcode-300", "opcode-second",
+             "no-dest", "short-srcs", "missing-record", "trailing"],
+    )
+    def test_message(self, tmp_path, payload, records, message):
+        path = forge(tmp_path / "forged.hpt", payload, records)
+        with pytest.raises(TraceFormatError) as error:
+            list(TraceReader(path).ops())
+        assert one_line(error) == message.format(path=path)
