@@ -16,6 +16,8 @@ SIGKILLs one worker mid-run, and asserts the cluster's core guarantees:
   same inputs;
 * answered at admission — resubmitting the sweep's unique specs once
   more returns every receipt already ``done`` and dispatches nothing;
+* kept-alive connections — the router accepts at most a tenth as many
+  connections as it answers requests;
 * no leaked claims — after the drain, every store claim file left
   behind names the SIGKILLed worker's pid (a leaked claim would stall
   its fingerprint for ``REPRO_CLAIM_STALE_S``);
@@ -266,6 +268,13 @@ def main() -> None:
         f"evictions={counters.get('router.worker_evictions', 0)} "
         f"coalesce_hits={counters.get('router.coalesce_hits', 0)}"
     )
+    # Kept-alive connections: the client's requests ride a few connections
+    # (a new one only after the router closes an idle one).
+    requests = counters.get("router.http_requests", 0)
+    connections = counters.get("router.http_connections", 0)
+    print(f"router: {requests} requests over {connections} accepted connections")
+    if not connections or connections * 10 > requests:
+        fail(f"the router accepted {connections} connections for {requests} requests")
     if counters.get("router.worker_evictions", 0) < 1:
         fail("the router never marked the SIGKILLed worker unhealthy in its roster")
     # Each submitted batch holds at most len(unique) distinct fingerprints,

@@ -20,7 +20,6 @@ from repro.pipeline.config import (
 )
 from repro.timing.regfile_delay import RegisterFileDelayModel
 from repro.timing.wakeup_delay import WakeupDelayModel
-from repro.workloads.feed import StreamStats
 from repro.workloads.profiles import get_profile
 
 #: Stream length used for the machine-independent characterizations.
@@ -102,7 +101,7 @@ def fig2(runner: ExperimentRunner) -> ExperimentResult:
         ["benchmark", "%2src-format", "%stores", "%other"],
     )
     for name in runner.benchmarks:
-        stats = StreamStats.from_stream(runner.workload(name), limit=_STREAM_OPS)
+        stats = runner.stream_stats(name, _STREAM_OPS)
         result.rows.append(
             [
                 name,
@@ -122,7 +121,7 @@ def fig3(runner: ExperimentRunner) -> ExperimentResult:
         ["benchmark", "%2-source", "%demoted(zero/dup)", "%nops"],
     )
     for name in runner.benchmarks:
-        stats = StreamStats.from_stream(runner.workload(name), limit=_STREAM_OPS)
+        stats = runner.stream_stats(name, _STREAM_OPS)
         result.rows.append(
             [
                 name,

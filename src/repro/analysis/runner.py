@@ -40,6 +40,7 @@ from repro.fastsim import apply_backend
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.pipeline.processor import SimulationResult
+from repro.workloads.feed import StreamStats
 from repro.workloads.profiles import SPEC_BENCHMARKS
 from repro.workloads.synthetic import SharedFeed, shared_workload
 
@@ -91,6 +92,7 @@ class ExperimentRunner:
         else:
             self.cache = cache
         self._results: dict[Job, SimulationResult] = {}
+        self._stream_stats: dict[tuple, StreamStats] = {}
         #: harness-level observability: where results came from, what was
         #: exported.  Published on every serve (cheap — per result, not
         #: per cycle); read via ``runner.metrics.as_dict()``.
@@ -100,6 +102,16 @@ class ExperimentRunner:
     def workload(self, benchmark: str, seed: int | None = None) -> SharedFeed:
         """The process's shared feed of *benchmark* (the runner's seed by default)."""
         return shared_workload(benchmark, seed if seed is not None else self.seed)
+
+    def stream_stats(self, benchmark: str, limit: int) -> StreamStats:
+        """:class:`StreamStats` of the first *limit* ops of *benchmark* (the
+        runner's seed), read once per runner: Figures 2 and 3 share it."""
+        key = (benchmark, self.seed, limit)
+        stats = self._stream_stats.get(key)
+        if stats is None:
+            stats = StreamStats.from_stream(self.workload(benchmark), limit=limit)
+            self._stream_stats[key] = stats
+        return stats
 
     # ------------------------------------------------------------------
     def _job(

@@ -14,7 +14,9 @@ flaky network needs:
   retry blindly;
 * **streaming poll** — :meth:`wait` long-polls ``GET /v1/jobs/{id}``
   (``?wait=``) so results arrive within one round-trip of completion
-  without hammering the server.
+  without hammering the server;
+* **kept-alive connections** — each calling thread reuses one HTTP/1.1
+  connection, so a submit and its wait cost no TCP set-up.
 
 Injectable ``sleep`` and ``rng`` keep the backoff schedule testable.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
@@ -63,6 +66,14 @@ _RETRYABLE_ERRORS = (
 )
 
 
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket when it is dropped,
+    with its thread or with its client."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Backoff schedule for transient failures."""
@@ -99,28 +110,60 @@ class ServeClient:
         self.retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
+        #: one kept-alive ``HTTPConnection`` per calling thread
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     def _once(self, method: str, path: str, payload: dict | None):
-        """One HTTP exchange: (status, headers, parsed-JSON body)."""
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()  # raises on mid-response disconnect
+        """One HTTP exchange: (status, headers, parsed-JSON body).
+
+        It runs on the calling thread's kept-alive connection, and any
+        failure closes and drops that connection.  A reused connection
+        that fails before any response byte arrives was closed by the
+        server while idle, so the request goes once more on a new
+        connection, with no sleep and no retry spent.
+        """
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        # http.client drops the socket after a ``Connection: close``
+        # response; the next request on the object opens a new one.
+        reused = connection is not None and connection.sock is not None
+        while True:
+            if connection is None:
+                connection = _Connection(self.host, self.port, timeout=self.timeout)
+                self._local.connection = connection
+            answered = False
             try:
-                document = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                # A truncated body that still "read" cleanly: retryable.
-                raise http.client.HTTPException(f"undecodable response body: {error}") from None
-            return response.status, dict(response.getheaders()), document
-        finally:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                answered = True
+                raw = response.read()  # raises on mid-response disconnect
+                try:
+                    document = json.loads(raw.decode("utf-8")) if raw else {}
+                except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                    # A truncated body that still "read" cleanly: retryable.
+                    raise http.client.HTTPException(
+                        f"undecodable response body: {error}"
+                    ) from None
+                return response.status, dict(response.getheaders()), document
+            except BaseException as error:
+                connection.close()
+                connection = self._local.connection = None
+                if not reused or answered or not isinstance(error, ConnectionError):
+                    raise
+                reused = False
+
+    def close(self) -> None:
+        """Close the calling thread's kept-alive connection, if it has one;
+        the next request opens a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
             connection.close()
+            self._local.connection = None
 
     def request(self, method: str, path: str, payload: dict | None = None) -> dict:
         """Issue one API call with the full retry discipline."""

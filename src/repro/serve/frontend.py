@@ -1,8 +1,9 @@
 """The one job front end shared by ``repro serve`` and ``repro serve --router``.
 
 Stdlib-only (``asyncio.start_server`` plus a minimal HTTP/1.1 framing
-layer).  :class:`JobFrontEnd` owns everything a client sees (see
-docs/SERVING.md for the full API reference):
+layer that keeps connections open).  :class:`JobFrontEnd` owns
+everything a client sees (see docs/SERVING.md for the full API
+reference):
 
 * ``POST /v1/jobs``      — submit one spec or ``{"jobs": [...], "ids"?:
   [...]}``; 202 with per-job ids, 429 + ``Retry-After`` when the queue is
@@ -48,6 +49,9 @@ from repro.serve.protocol import (
 #: Long-poll waits are capped so a drain is never held hostage.
 MAX_LONGPOLL_S = 30.0
 _LONGPOLL_SLICE_S = 0.25
+#: A kept-alive connection that waits this long for its next request is
+#: closed; the client opens a new one for its next request.
+KEEPALIVE_IDLE_S = 5.0
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
 
@@ -93,12 +97,23 @@ def _encode_response(status: int, payload: dict, extra_headers: dict | None = No
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n",
         _JSON_HEADERS,
         f"Content-Length: {len(body)}\r\n",
-        "Connection: close\r\n",
     ]
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}\r\n")
     lines.append("\r\n")
     return "".join(lines).encode("latin-1") + body
+
+
+def _closing(response: bytes) -> bytes:
+    """*response* with ``Connection: close`` after its status line."""
+    status_line, _, rest = response.partition(b"\r\n")
+    return status_line + b"\r\nConnection: close\r\n" + rest
+
+
+def wants_close(version: str, headers: dict[str, str]) -> bool:
+    """Whether a message of HTTP *version* with *headers* ends its
+    connection: HTTP/1.1 keeps it open unless ``Connection: close``."""
+    return version != "HTTP/1.1" or "close" in headers.get("connection", "").lower()
 
 
 async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
@@ -112,13 +127,11 @@ async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
         headers[name.strip().lower()] = value.strip()
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request: (method, path, query, body-bytes)."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
+async def _read_request(reader: asyncio.StreamReader, request_line: bytes):
+    """Parse the rest of one HTTP/1.1 request after its *request_line*:
+    (method, path, query, body-bytes, close-after-response)."""
     try:
-        method, target, _version = request_line.decode("latin-1").split()
+        method, target, version = request_line.decode("latin-1").split()
     except ValueError:
         raise _HttpError(400, "malformed request line") from None
     headers = await read_headers(reader)
@@ -131,7 +144,8 @@ async def _read_request(reader: asyncio.StreamReader):
     body = await reader.readexactly(length) if length else b""
     split = urlsplit(target)
     query = {key: values[-1] for key, values in parse_qs(split.query).items()}
-    return method.upper(), split.path.rstrip("/") or "/", query, body
+    close = wants_close(version, headers)
+    return method.upper(), split.path.rstrip("/") or "/", query, body, close
 
 
 def _latency_quantiles(histogram) -> dict:
@@ -185,6 +199,11 @@ class JobFrontEnd:
         self._tasks: set[asyncio.Task] = set()
         self._draining = False
         self._drained = asyncio.Event()
+        #: connection handler tasks, and the connections among them that
+        #: wait for their next request: closing the front end closes those
+        #: and awaits every handler.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._server: asyncio.base_events.Server | None = None
         self._started_at = time.time()
         self.recovered = 0
@@ -276,6 +295,11 @@ class JobFrontEnd:
     async def _close(self) -> None:
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            # Python 3.12's wait_closed waits for live handlers and 3.11's
+            # does not; awaiting them here behaves the same on both.
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
         self._drained.set()
 
@@ -335,35 +359,59 @@ class JobFrontEnd:
     # HTTP layer
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        """Answer requests on one connection until the peer closes it,
+        a request asks for ``Connection: close``, the server drains, or
+        it sits idle for :data:`KEEPALIVE_IDLE_S`."""
+        self.registry.counter(f"{self.role}.http_connections").inc()
+        loop = asyncio.get_running_loop()
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            try:
-                request = await _read_request(reader)
-                if request is None:
+            close = False
+            while not close:
+                self._idle.add(writer)
+                idle_timer = loop.call_later(KEEPALIVE_IDLE_S, writer.close)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    idle_timer.cancel()
+                    self._idle.discard(writer)
+                if not request_line:
                     return
-                method, path, query, body = request
-                self.registry.counter(f"{self.role}.http_requests").inc()
-                response = await self._route(method, path, query, body)
-            except _HttpError as error:
-                response = _encode_response(
-                    error.status, {"error": str(error), **error.payload}, error.headers
-                )
-            except ProtocolError as error:
-                response = _encode_response(400, {"error": str(error)})
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as error:  # noqa: BLE001 - never kill the acceptor
-                self.registry.counter(f"{self.role}.http_errors").inc()
-                response = _encode_response(
-                    500, {"error": f"{type(error).__name__}: {error}"}
-                )
-            writer.write(response)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+                # A request whose framing cannot be parsed ends the
+                # connection: the next request's first byte is unknown.
+                close = True
+                try:
+                    method, path, query, body, close = await _read_request(
+                        reader, request_line
+                    )
+                    self.registry.counter(f"{self.role}.http_requests").inc()
+                    response = await self._route(method, path, query, body)
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return
+                except _HttpError as error:
+                    response = _encode_response(
+                        error.status, {"error": str(error), **error.payload}, error.headers
+                    )
+                except ProtocolError as error:
+                    response = _encode_response(400, {"error": str(error)})
+                except Exception as error:  # noqa: BLE001 - never kill the acceptor
+                    self.registry.counter(f"{self.role}.http_errors").inc()
+                    response = _encode_response(
+                        500, {"error": f"{type(error).__name__}: {error}"}
+                    )
+                close = close or self._draining
+                if close:
+                    response = _closing(response)
+                writer.write(response)
+                await writer.drain()
+        except (ConnectionError, ValueError):  # ValueError: a line over the stream limit
             pass
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            self._handlers.discard(handler)
 
     async def _route(self, method: str, path: str, query: dict, body: bytes) -> bytes:
         if path == "/healthz" and method == "GET":

@@ -32,7 +32,6 @@ settled.  The design invariants (docs/SERVING.md, "Cluster mode"):
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import functools
 import json
 import time
@@ -41,7 +40,12 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.frontend import BackgroundFrontEnd, JobFrontEnd, read_headers
+from repro.serve.frontend import (
+    BackgroundFrontEnd,
+    JobFrontEnd,
+    read_headers,
+    wants_close,
+)
 from repro.serve.jobs import Job
 from repro.serve.protocol import QUEUED, ProtocolError
 
@@ -56,50 +60,94 @@ HEALTH_FAILURES = 3
 WATCH_POLL_S = 10.0
 
 
+#: Idle kept-alive connections a router keeps per worker; one more that
+#: comes back idle is closed instead.
+IDLE_CONNECTIONS = 8
+
+
 # ----------------------------------------------------------------------
-# Minimal async HTTP client (stdlib asyncio streams, Connection: close)
+# Minimal async HTTP client (stdlib asyncio streams, kept-alive HTTP/1.1)
 # ----------------------------------------------------------------------
+class _Unanswered(ConnectionError):
+    """The connection failed before a response's status line arrived."""
+
+
+async def _exchange(reader, writer, host: str, method: str, path: str, payload) -> tuple:
+    """One request on an open connection: ``(status, document, close)``,
+    where *close* says the worker ends the connection after it."""
+    body = b""
+    head = [f"{method} {path} HTTP/1.1\r\n", f"Host: {host}\r\n"]
+    if payload is not None:
+        body = json.dumps(payload).encode("utf-8")
+        head.append("Content-Type: application/json\r\n")
+    head.append(f"Content-Length: {len(body)}\r\n\r\n")
+    try:
+        writer.write("".join(head).encode("latin-1") + body)
+        await writer.drain()
+        status_line = await reader.readline()
+    except ConnectionError as error:
+        raise _Unanswered(f"{type(error).__name__}: {error}") from error
+    if not status_line:
+        raise _Unanswered("connection closed before a response")
+    parts = status_line.decode("latin-1").split(maxsplit=2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ConnectionError(f"malformed status line: {status_line!r}")
+    headers = await read_headers(reader)
+    length = int(headers.get("content-length", "0") or "0")
+    raw_body = await reader.readexactly(length) if length else b""
+    document = json.loads(raw_body.decode("utf-8")) if raw_body else {}
+    if not isinstance(document, dict):
+        document = {"body": document}
+    return int(parts[1]), document, wants_close(parts[0], headers)
+
+
 async def _worker_request(
-    url: str,
+    worker: "WorkerHandle",
     method: str,
     path: str,
     payload: dict | None = None,
     timeout: float = 10.0,
 ) -> tuple[int, dict]:
-    """One HTTP exchange with a worker: ``(status, parsed-JSON body)``."""
-    split = urlsplit(url if "//" in url else f"http://{url}")
+    """One HTTP exchange with a worker: ``(status, parsed-JSON body)``.
+
+    It takes the newest idle connection from the worker's stack, or opens
+    one, and puts it back only after a complete, well-formed exchange; a
+    cancelled, timed-out or malformed exchange closes it.  A pooled
+    connection that fails before the status line was closed by the worker
+    while idle (or by a restart), so the request goes once more on a new
+    connection before the failure counts.
+    """
+    split = urlsplit(worker.url if "//" in worker.url else f"http://{worker.url}")
     host, port = split.hostname or "127.0.0.1", split.port or 80
 
-    async def _exchange() -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
+    async def _on(connection) -> tuple[int, dict]:
+        reader, writer = connection or await asyncio.open_connection(host, port)
         try:
-            body = b""
-            head = [f"{method} {path} HTTP/1.1\r\n", f"Host: {host}\r\n"]
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                head.append("Content-Type: application/json\r\n")
-            head.append(f"Content-Length: {len(body)}\r\n")
-            head.append("Connection: close\r\n\r\n")
-            writer.write("".join(head).encode("latin-1") + body)
-            await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(maxsplit=2)
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ConnectionError(f"malformed status line from {url}: {status_line!r}")
-            status = int(parts[1])
-            headers = await read_headers(reader)
-            length = int(headers.get("content-length", "0") or "0")
-            raw_body = await reader.readexactly(length) if length else b""
-            document = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-            if not isinstance(document, dict):
-                document = {"body": document}
-            return status, document
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+            status, document, close = await _exchange(
+                reader, writer, host, method, path, payload
+            )
+        except BaseException:
+            writer.close()
+            raise
+        if close or len(worker.idle) >= IDLE_CONNECTIONS:
+            writer.close()
+        else:
+            worker.idle.append((reader, writer))
+        return status, document
 
-    return await asyncio.wait_for(_exchange(), timeout=timeout)
+    async def _attempt() -> tuple[int, dict]:
+        while worker.idle:
+            reader, writer = worker.idle.pop()
+            if reader.at_eof():  # the worker already closed it
+                writer.close()
+                continue
+            try:
+                return await _on((reader, writer))
+            except _Unanswered:
+                break
+        return await _on(None)
+
+    return await asyncio.wait_for(_attempt(), timeout=timeout)
 
 
 @dataclass
@@ -116,6 +164,8 @@ class WorkerHandle:
     #: this router's jobs dispatched here and not yet finished watching
     in_flight: int = 0
     registered_at: float = field(default_factory=time.time)
+    #: idle kept-alive ``(reader, writer)`` connections, newest last
+    idle: list = field(default_factory=list, repr=False)
 
     @property
     def routable(self) -> bool:
@@ -195,6 +245,13 @@ class RouterServer(JobFrontEnd):
         if self._health_task is not None:
             self._health_task.cancel()
 
+    async def _close(self) -> None:
+        for worker in self.workers.values():
+            for _reader, writer in worker.idle:
+                writer.close()
+            worker.idle.clear()
+        await super()._close()
+
     def _dispatch(self, job: Job) -> None:
         self._spawn(self._dispatch_and_watch(job), f"dispatch-{job.id}")
 
@@ -235,7 +292,7 @@ class RouterServer(JobFrontEnd):
     async def _probe(self, worker: WorkerHandle) -> None:
         try:
             status, document = await _worker_request(
-                worker.url, "GET", "/healthz", timeout=max(2.0, self.health_interval_s)
+                worker, "GET", "/healthz", timeout=max(2.0, self.health_interval_s)
             )
         except (OSError, asyncio.TimeoutError, ValueError, ConnectionError):
             status, document = 0, {}
@@ -297,7 +354,7 @@ class RouterServer(JobFrontEnd):
         """POST one batch of ``(job, future)`` entries; resolve each future."""
         try:
             status, document = await _worker_request(
-                worker.url,
+                worker,
                 "POST",
                 "/v1/jobs",
                 {
@@ -385,7 +442,7 @@ class RouterServer(JobFrontEnd):
                 return True  # leave pending for the journal
             try:
                 status, document = await _worker_request(
-                    worker.url,
+                    worker,
                     "GET",
                     f"/v1/jobs/{job.id}?wait={self.watch_poll_s:g}",
                     timeout=self.watch_poll_s + 5.0,

@@ -104,6 +104,24 @@ class TestExperimentDefinitions:
         for row in result.rows:
             assert row[2] > 0 and row[4] > 0
 
+    def test_fig2_and_fig3_read_each_program_once(self, monkeypatch):
+        """Both figures read one StreamStats per benchmark, not one each."""
+        from repro.analysis.experiments import fig2, fig3
+        from repro.workloads.feed import StreamStats
+
+        calls = []
+        from_stream = StreamStats.from_stream.__func__
+
+        def counting(cls, stream, limit=None):
+            calls.append(limit)
+            return from_stream(cls, stream, limit=limit)
+
+        monkeypatch.setattr(StreamStats, "from_stream", classmethod(counting))
+        runner = ExperimentRunner(benchmarks=("gzip", "mcf"), cache=False)
+        rows = fig2(runner).rows + fig3(runner).rows
+        assert len(calls) == 2
+        assert [row[0] for row in rows] == ["gzip", "mcf"] * 2
+
     def test_fig14_has_average_row(self, runner):
         from repro.analysis.experiments import fig14
 
