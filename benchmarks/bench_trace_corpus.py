@@ -10,7 +10,7 @@ proves the 2%-at-≤10%-coverage acceptance bound on the 1M-instruction
 trace.
 """
 
-from repro.analysis.report import ExperimentResult
+from repro.analysis.report import ExperimentResult, render
 from repro.fastsim import apply_backend, available_backends
 from repro.pipeline.config import FOUR_WIDE
 from repro.trace import CORPUS, load_corpus_feed, run_full, run_sampled
@@ -57,9 +57,10 @@ def trace_corpus_table(cache=None) -> ExperimentResult:
     )
 
 
-def test_trace_corpus_sampling_accuracy(benchmark, publish):
+def test_trace_corpus_sampling_accuracy(benchmark):
     result = benchmark.pedantic(trace_corpus_table, rounds=1, iterations=1)
-    publish(result)
+    print()
+    print(render(result))
     assert result.rows, "corpus tracefiles missing — run scripts/make_corpus.py"
     for name, _insts, full_ipc, sampled_ipc, error_pct, coverage in result.rows:
         # Coverage includes warmup + cache-reconstruction overhead, which is

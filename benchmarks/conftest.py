@@ -1,10 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every bench regenerates one of the paper's tables or figures.  Simulation
-results are memoized in a session-wide runner so e.g. the base-machine runs
-feeding Figures 4/6/10/14/15/16 happen exactly once.  Rendered tables are
-printed (visible with ``pytest -s``) and appended to
-``results/experiments.txt``.
+``bench_claims.py`` asserts every paper claim against a session-wide
+runner, whose memo serves e.g. the base-machine runs feeding Figures
+4/6/10/14/15/16 exactly once.  ``repro experiment all`` prints the tables
+the claims read.
 
 At session start the runner bulk-prefetches every base-machine run through
 the parallel engine (and the persistent on-disk cache under
@@ -27,7 +26,6 @@ import pathlib
 
 import pytest
 
-from repro.analysis.report import ExperimentResult, render
 from repro.analysis.runner import default_runner
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE
 
@@ -57,26 +55,3 @@ def runner():
                 for seed in shared.seeds:
                     shared.export_run(benchmark, config, stats_dir, seed=seed)
 
-
-@pytest.fixture(scope="session")
-def report_sink():
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    path = _RESULTS_DIR / "experiments.txt"
-    handle = path.open("a")
-    yield handle
-    handle.close()
-
-
-@pytest.fixture
-def publish(report_sink):
-    """Print a rendered experiment and persist it under results/."""
-
-    def _publish(result: ExperimentResult) -> ExperimentResult:
-        text = render(result)
-        print()
-        print(text)
-        report_sink.write(text + "\n\n")
-        report_sink.flush()
-        return result
-
-    return _publish

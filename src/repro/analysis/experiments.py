@@ -9,6 +9,9 @@ who wins, by roughly what factor — is the reproduction target.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.analysis import sweeps
 from repro.analysis.report import ExperimentResult
 from repro.analysis.runner import SHADOW_SIZES, ExperimentRunner
 from repro.pipeline.config import (
@@ -449,7 +452,8 @@ def cost_summary(runner: ExperimentRunner) -> ExperimentResult:
     return result
 
 
-#: Registry used by the examples and the benchmark harness.
+#: Registry of ``repro experiment`` and the examples; every table it
+#: prints is bounded by checks in :mod:`repro.analysis.validation`.
 ALL_EXPERIMENTS = {
     "table1": table1,
     "table2": table2,
@@ -461,9 +465,17 @@ ALL_EXPERIMENTS = {
     "fig7": fig7,
     "fig10": fig10,
     "fig14": fig14,
+    "fig14-8w": partial(fig14, width=8),
     "fig15": fig15,
+    "fig15-8w": partial(fig15, width=8),
     "fig16": fig16,
+    "fig16-8w": partial(fig16, width=8),
     "timing": timing_claims,
     "cost": cost_summary,
     "predictors": predictor_designs,
+    "ablation-predictor": sweeps.predictor_size_ablation,
+    "ablation-window": sweeps.spec_window_ablation,
+    "ablation-recovery": sweeps.recovery_ablation,
+    "sweep-window": lambda runner: sweeps.window_size_sweep(runner, runner.benchmarks[0]),
+    "sweep-width": lambda runner: sweeps.width_sweep(runner, runner.benchmarks[0]),
 }

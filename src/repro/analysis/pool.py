@@ -176,8 +176,8 @@ class WorkerPool:
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         # fork (where available) hands workers the parent's already-warm
-        # imports for free and matches the legacy executor's semantics;
-        # spawn platforms pay one cold import per worker lifetime.
+        # imports for free; spawn platforms pay one cold import per worker
+        # lifetime.
         method = "fork" if "fork" in get_all_start_methods() else "spawn"
         self._context = get_context(method)
         self._workers: list[_Worker] = []

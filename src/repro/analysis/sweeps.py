@@ -9,31 +9,14 @@ the kind of ablation a reviewer would ask for.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.analysis.report import ExperimentResult
 from repro.analysis.runner import ExperimentRunner
-from repro.pipeline.config import FOUR_WIDE, MachineConfig, SchedulerModel
+from repro.pipeline.config import FOUR_WIDE, RecoveryModel, SchedulerModel
 
-
-def sweep(
-    runner: ExperimentRunner,
-    benchmark: str,
-    configs: dict[str, MachineConfig],
-    metric: Callable = None,
-) -> dict[str, float]:
-    """Run one benchmark over several configs; return metric per label.
-
-    ``metric`` receives a SimulationResult and defaults to IPC.
-    """
-    metric = metric or (lambda result: result.ipc)
-    runner.prefetch(
-        [(benchmark, config, runner.seed, False) for config in configs.values()]
-    )
-    return {
-        label: metric(runner.result(benchmark, config))
-        for label, config in configs.items()
-    }
+#: Benchmarks of the three ablations (4-wide, seed-averaged normalized IPC).
+_ABLATION_BENCHES = ("bzip", "mcf", "gcc")
 
 
 def window_size_sweep(
@@ -111,4 +94,74 @@ def width_sweep(
         result.rows.append(
             [width, base_ipc, seq_ipc / base_ipc if base_ipc else 0.0]
         )
+    return result
+
+
+def predictor_size_ablation(runner: ExperimentRunner) -> ExperimentResult:
+    """Sequential wakeup IPC vs. predictor table size (128 .. 4096).
+
+    Does Figure 7's flatness carry to IPC?  The paper's claim: performance
+    is insensitive to predictor accuracy because the misprediction penalty
+    is one cycle.
+    """
+    sizes = (128, 512, 1024, 4096)
+    result = ExperimentResult(
+        "Ablation A",
+        "Seq wakeup normalized IPC vs. predictor entries (4-wide)",
+        ["benchmark"] + [f"{s}e" for s in sizes] + ["nopred"],
+    )
+    for name in _ABLATION_BENCHES:
+        row = [name]
+        for size in sizes:
+            config = FOUR_WIDE.with_techniques(
+                scheduler=SchedulerModel.SEQ_WAKEUP, predictor_entries=size
+            )
+            row.append(runner.normalized_ipc(name, config))
+        nopred = FOUR_WIDE.with_techniques(
+            scheduler=SchedulerModel.SEQ_WAKEUP, predictor_entries=None
+        )
+        row.append(runner.normalized_ipc(name, nopred))
+        result.rows.append(row)
+    return result
+
+
+def spec_window_ablation(runner: ExperimentRunner) -> ExperimentResult:
+    """Base-machine IPC vs. load speculative-window length (replay shadow)."""
+    result = ExperimentResult(
+        "Ablation B",
+        "Normalized IPC vs. load spec window (replay shadow)",
+        ["benchmark", "window=1", "window=2", "window=3"],
+    )
+    for name in _ABLATION_BENCHES:
+        row = [name]
+        for window in (1, 2, 3):
+            config = dataclasses.replace(
+                FOUR_WIDE, load_spec_window=window,
+                name=f"4-wide+win{window}",
+            )
+            row.append(runner.normalized_ipc(name, config))
+        result.rows.append(row)
+    return result
+
+
+def recovery_ablation(runner: ExperimentRunner) -> ExperimentResult:
+    """Sequential wakeup under non-selective vs. selective recovery.
+
+    Section 3.1: sequential wakeup is fully compatible with selective
+    recovery (both operands observe dependence broadcasts), so it should
+    benefit from the cheaper replays, especially on miss-heavy mcf.
+    """
+    result = ExperimentResult(
+        "Ablation C",
+        "Seq wakeup IPC: non-selective vs. selective recovery (4-wide)",
+        ["benchmark", "non-selective", "selective"],
+    )
+    for name in _ABLATION_BENCHES:
+        row = [name]
+        for recovery in (RecoveryModel.NON_SELECTIVE, RecoveryModel.SELECTIVE):
+            config = FOUR_WIDE.with_techniques(
+                scheduler=SchedulerModel.SEQ_WAKEUP, recovery=recovery
+            )
+            row.append(runner.normalized_ipc(name, config))
+        result.rows.append(row)
     return result

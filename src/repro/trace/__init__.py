@@ -8,7 +8,7 @@ portable workloads:
   header carrying the trace and program content hashes);
 * :mod:`repro.trace.capture` — capture kernels/programs/streams to disk;
 * :mod:`repro.trace.feed` — :class:`TraceFeed`, a first-class replay feed
-  accepted by all three cycle-loop backends with bit-identical stats;
+  accepted by both cycle-loop backends with bit-identical stats;
 * :mod:`repro.trace.sampling` — SimPoint-style sampled simulation (BBV
   profiling, deterministic k-means, weighted IPC aggregation);
 * :mod:`repro.trace.corpus` — the shipped named corpus under

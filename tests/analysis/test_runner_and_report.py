@@ -92,7 +92,9 @@ class TestExperimentDefinitions:
         expected = {
             "table1", "table2", "fig2", "fig3", "fig4", "fig6", "table3",
             "fig7", "fig10", "fig14", "fig15", "fig16", "timing", "cost",
-            "predictors",
+            "predictors", "fig14-8w", "fig15-8w", "fig16-8w",
+            "ablation-predictor", "ablation-window", "ablation-recovery",
+            "sweep-window", "sweep-width",
         }
         assert expected == set(ALL_EXPERIMENTS)
 

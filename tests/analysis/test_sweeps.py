@@ -3,31 +3,12 @@
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweeps import sweep, width_sweep, window_size_sweep
-from repro.pipeline.config import FOUR_WIDE, SchedulerModel
+from repro.analysis.sweeps import width_sweep, window_size_sweep
 
 
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(insts=800, warmup=1200, benchmarks=("gzip",))
-
-
-class TestGenericSweep:
-    def test_returns_metric_per_label(self, runner):
-        configs = {
-            "base": FOUR_WIDE,
-            "seq": FOUR_WIDE.with_techniques(scheduler=SchedulerModel.SEQ_WAKEUP),
-        }
-        values = sweep(runner, "gzip", configs)
-        assert set(values) == {"base", "seq"}
-        assert all(v > 0 for v in values.values())
-
-    def test_custom_metric(self, runner):
-        values = sweep(
-            runner, "gzip", {"base": FOUR_WIDE},
-            metric=lambda result: result.stats.committed,
-        )
-        assert values["base"] >= 800
 
 
 class TestWindowSweep:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.analysis.experiments import cost_summary
+from repro.analysis import experiments
+from repro.analysis.experiments import ALL_EXPERIMENTS, cost_summary
+from repro.analysis.report import ExperimentResult
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.validation import ALL_CHECKS, scorecard
 
@@ -32,6 +34,48 @@ class TestScorecard:
     def test_check_names_unique(self):
         names = [check.name for check in ALL_CHECKS]
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize(
+        "exp_id", [name for name in ALL_EXPERIMENTS if not name.endswith("-8w")]
+    )
+    def test_every_experiment_has_a_check(self, exp_id):
+        assert any(
+            check.name.startswith(exp_id + "-") for check in ALL_CHECKS
+        ), f"no check reads {exp_id!r}"
+
+
+def _failing(runner, prefix):
+    """Names of the checks starting with *prefix* that FAIL on *runner*."""
+    return [
+        check.name
+        for check in ALL_CHECKS
+        if check.name.startswith(prefix) and not check.predicate(runner)[0]
+    ]
+
+
+class TestChecksCatchRegressions:
+    def test_fig14_8w_seq_wakeup_below_bound_fails(self, runner, monkeypatch):
+        def fake_fig14(runner, width=4):
+            seq = 0.99 if width == 4 else 0.94
+            result = ExperimentResult(
+                "Figure 14", "fake", ["benchmark", "seq wakeup", "tag elim", "seq wakeup nopred"]
+            )
+            result.rows = [[name, seq, seq - 0.02, seq - 0.01] for name in ("gzip", "average")]
+            return result
+
+        monkeypatch.setattr(experiments, "fig14", fake_fig14)
+        assert _failing(runner, "fig14") == ["fig14-seq-wakeup"]
+
+    def test_fig3_row_without_demotions_fails(self, runner, monkeypatch):
+        def fake_fig3(runner):
+            result = ExperimentResult(
+                "Figure 3", "fake", ["benchmark", "%2-source", "%demoted(zero/dup)", "%nops"]
+            )
+            result.rows = [["gzip", 12.0, 10.0, 2.0], ["mcf", 12.0, 0.0, 2.0]]
+            return result
+
+        monkeypatch.setattr(experiments, "fig3", fake_fig3)
+        assert _failing(runner, "fig3") == ["fig3-demoted"]
 
 
 class TestCostSummary:
