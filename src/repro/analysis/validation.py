@@ -143,8 +143,17 @@ def _check_fig4_rows(runner) -> tuple[bool, str]:
 def _check_fig6_simultaneous(runner) -> tuple[bool, str]:
     values = experiments.fig6(runner).column("%slack0(simult)")
     mean = sum(values) / len(values)
-    return mean <= 25.0, (
-        f"simultaneous mean {mean:.1f}% of 2-pending (bound <= 25%; "
+    # The paper's basis: simultaneous wakeups as a share of all committed
+    # instructions, on every benchmark.
+    of_all = {}
+    for name in runner.benchmarks:
+        stats = runner.base(name, 4).stats
+        of_all[name] = 100.0 * stats.wakeup_slack[0] / max(1, stats.committed)
+    worst = max(of_all, key=of_all.get)
+    ok = mean <= 25.0 and of_all[worst] <= 3.0
+    return ok, (
+        f"simultaneous mean {mean:.1f}% of 2-pending, max {of_all[worst]:.2f}% "
+        f"of all insts ({worst}) (bound <= 25% of 2-pending, <= 3% of all; "
         "paper <3% of all insts)"
     )
 

@@ -13,7 +13,6 @@ Commands:
   tracefile's header, ``run`` a tracefile (full or SimPoint-sampled),
   and ``render`` a pipeline trace (ASCII or Chrome/Perfetto JSON);
 * ``workloads`` — list kernels, synthetic profiles and the trace corpus;
-* ``report`` — regression scorecard: diff a stats tree against a baseline;
 * ``fuzz`` — differential fuzzing: random programs co-simulated against
   the functional emulator with pipeline invariant checkers armed
   (docs/VERIFICATION.md), with failure shrinking and corpus replay;
@@ -40,11 +39,6 @@ from repro.analysis import experiments as experiment_defs
 from repro.analysis.report import render
 from repro.analysis.runner import DEFAULT_INSTS, DEFAULT_SEED, DEFAULT_WARMUP, ExperimentRunner
 from repro.obs.chrometrace import write_chrome_trace
-from repro.obs.scorecard import (
-    DEFAULT_TOLERANCES,
-    compare_trees,
-    render_scorecard,
-)
 from repro.pipeline.config import (
     MachineConfig,
     RegFileModel,
@@ -430,9 +424,6 @@ def _cmd_fuzz(args) -> int:
 
     config_names = None if args.configs == "all" else args.configs.split(",")
     configs = config_matrix(names=config_names)
-    if args.backends is not None and not args.cross_backend:
-        print("error: --backends requires --cross-backend", file=sys.stderr)
-        return 2
     if args.replay is not None:
         from pathlib import Path
 
@@ -464,9 +455,6 @@ def _cmd_fuzz(args) -> int:
             raw_seeds=raw_seeds,
             progress=progress if not args.quiet else None,
             cross_backend=args.cross_backend,
-            backends=(
-                args.backends.split(",") if args.backends is not None else None
-            ),
         )
     print(report.summary())
     for failure in report.failures:
@@ -485,18 +473,6 @@ def _cmd_fuzz(args) -> int:
             print("shrunken repro:")
             print(failure.shrunk_source.rstrip())
     return 0 if report.ok else 1
-
-
-def _cmd_report(args) -> int:
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if args.tolerance is not None:
-        tolerances[""] = args.tolerance
-        tolerances["metrics"] = args.tolerance
-    if args.ipc_tolerance is not None:
-        tolerances["derived.ipc"] = args.ipc_tolerance
-    card = compare_trees(args.baseline, args.current, tolerances)
-    print(render_scorecard(card))
-    return card.exit_code
 
 
 def _machine_spec_fields(args, spec: dict) -> dict:
@@ -941,14 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--cross-backend", action="store_true",
-        help="run every program on all compared cycle-loop backends and diff "
-        "the serialized stats byte-for-byte (the native parity gate)",
-    )
-    fuzz_parser.add_argument(
-        "--backends", default=None, metavar="NAMES",
-        help="comma-separated backend set for --cross-backend, e.g. "
-        "'python,native'; every named backend must be installed "
-        "(default: every installed backend)",
+        help="run every program on every installed cycle-loop backend and "
+        "diff the serialized stats byte-for-byte (the native parity gate; "
+        "needs the native extension)",
     )
     fuzz_parser.add_argument(
         "--no-shrink", action="store_true",
@@ -959,27 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop fuzzing after N failures (default 5)",
     )
     fuzz_parser.add_argument("--quiet", action="store_true")
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help="regression scorecard: diff two stats-JSON trees, exit 1 on drift",
-    )
-    report_parser.add_argument(
-        "--baseline", required=True, metavar="DIR",
-        help="committed baseline tree (e.g. results/ci_baseline)",
-    )
-    report_parser.add_argument(
-        "--current", default="results/stats", metavar="DIR",
-        help="freshly exported tree to judge (default: results/stats)",
-    )
-    report_parser.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="default relative drift tolerance (default 0.01)",
-    )
-    report_parser.add_argument(
-        "--ipc-tolerance", type=float, default=None, metavar="FRAC",
-        help="tolerance for derived.ipc (default 0.005)",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve", help="run the HTTP job server (docs/SERVING.md)"
@@ -1107,7 +1057,6 @@ def main(argv: list[str] | None = None) -> int:
         "export-stats": _cmd_export_stats,
         "trace": _cmd_trace,
         "workloads": _cmd_workloads,
-        "report": _cmd_report,
         "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

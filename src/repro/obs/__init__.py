@@ -1,6 +1,6 @@
-"""Observability layer: metrics registry, stats export, traces, scorecard.
+"""Observability layer: metrics registry, stats export, traces.
 
-The subsystem has four parts, designed so the simulator's hot loop pays
+The subsystem has three parts, designed so the simulator's hot loop pays
 nothing when observability is off:
 
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of named
@@ -11,9 +11,10 @@ nothing when observability is off:
   (:data:`STATS_SCHEMA_VERSION`): one JSON per simulation carrying the
   config fingerprint, seed, workload and every paper-figure counter;
 * :mod:`repro.obs.chrometrace` — a Chrome trace-event (``chrome://tracing``
-  / Perfetto) exporter over ``Processor(record_schedule=True)`` data;
-* :mod:`repro.obs.scorecard` — diffs two stats-JSON trees against
-  tolerances; the CI regression gate (``repro report --baseline``).
+  / Perfetto) exporter over ``Processor(record_schedule=True)`` data.
+
+The committed exports under ``results/ci_baseline/`` are pinned byte for
+byte by ``tests/obs/test_export.py``.
 
 See ``docs/OBSERVABILITY.md`` for schema and usage.
 """
@@ -36,12 +37,6 @@ _EXPORTS = {
     "TimerMetric": "registry",
     "MetricsRegistry": "registry",
     "StageProfiler": "registry",
-    "DEFAULT_TOLERANCES": "scorecard",
-    "MetricDrift": "scorecard",
-    "Scorecard": "scorecard",
-    "compare_exports": "scorecard",
-    "compare_trees": "scorecard",
-    "render_scorecard": "scorecard",
 }
 
 
@@ -74,10 +69,4 @@ __all__ = [
     "load_stats_json",
     "export_chrome_trace",
     "write_chrome_trace",
-    "DEFAULT_TOLERANCES",
-    "MetricDrift",
-    "Scorecard",
-    "compare_exports",
-    "compare_trees",
-    "render_scorecard",
 ]

@@ -1,8 +1,8 @@
 """Versioned per-run stats export (the run manifest).
 
 One JSON document per simulation, carrying everything a later consumer —
-the CI regression scorecard, a plotting notebook, a results archive —
-needs to interpret the run without the code that produced it:
+the committed baseline, a plotting notebook, a results archive — needs
+to interpret the run without the code that produced it:
 
 * ``schema_version`` (:data:`STATS_SCHEMA_VERSION`) and the timing-model
   version stamp;
@@ -14,11 +14,12 @@ needs to interpret the run without the code that produced it:
 * optionally: component metrics published into a
   :class:`~repro.obs.registry.MetricsRegistry`, and per-stage wall times
   from a :class:`~repro.obs.registry.StageProfiler` (under ``profile`` —
-  excluded from scorecard comparison, wall time is machine noise).
+  wall time, so an export that carries it is not reproducible).
 
 Exports are written with sorted keys and a trailing newline so identical
 runs produce **byte-identical** files — the CI determinism job diffs the
-serial and parallel exports directly.
+serial and parallel exports directly, and ``tests/obs/test_export.py``
+rebuilds the committed ``results/ci_baseline/`` tree and compares bytes.
 """
 
 from __future__ import annotations

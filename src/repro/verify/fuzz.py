@@ -44,7 +44,6 @@ from repro.fastsim import (
     BACKENDS,
     available_backends,
     make_processor,
-    native_available,
 )
 from repro.isa.assembler import Program, assemble
 from repro.pipeline.config import (
@@ -273,48 +272,27 @@ def _first_divergence(
     return walk(tree_l, tree_r, "") or "payloads differ"
 
 
-def resolve_cross_backends(
-    requested: Sequence[str] | None = None,
-) -> tuple[str, ...]:
+def resolve_cross_backends() -> tuple[str, ...]:
     """The backend set a cross-backend fuzz run compares.
 
-    With *requested* (e.g. from ``repro fuzz --backends``), every named
-    backend must be known and installed — CI legs pin the exact set so a
-    missing artifact fails loudly instead of silently narrowing the gate.
-    Without it, the gate covers every installed backend and refuses to run
-    with fewer than two (python alone compares against nothing).
+    Every installed backend; with fewer than two (python alone compares
+    against nothing) the run is refused, so a missing native build fails
+    loudly instead of silently narrowing the gate.
     """
-    if requested is not None:
-        backends = []
-        for name in requested:
-            if name not in BACKENDS:
-                raise ConfigurationError(
-                    f"unknown backend {name!r}; known: {', '.join(BACKENDS)}"
-                )
-            if name == "native" and not native_available():
-                raise ConfigurationError(
-                    "backend 'native' needs the compiled extension; build "
-                    "it with pip install -e .[native] (requires a C "
-                    "compiler)"
-                )
-            if name not in backends:
-                backends.append(name)
-    else:
-        backends = list(available_backends())
+    backends = available_backends()
     if len(backends) < 2:
         raise ConfigurationError(
             "cross-backend fuzzing needs at least two installed backends; "
             f"have: {', '.join(backends)} (pip install -e .[native] adds "
             "native)"
         )
-    return tuple(backends)
+    return backends
 
 
 def check_source_cross_backend(
     source: str,
     config: MachineConfig,
     budget: int = DEFAULT_BUDGET,
-    backends: Sequence[str] = BACKENDS,
 ) -> FuzzFailure | None:
     """Run one program on every backend and diff the stats exports.
 
@@ -329,7 +307,7 @@ def check_source_cross_backend(
     feed = _golden_run(source, budget)
     dynamic = len(feed)
     exports: dict[str, str] = {}
-    for backend in backends:
+    for backend in BACKENDS:
         processor = make_processor(feed, config, backend=backend)
         try:
             result = processor.run(max_insts=dynamic + _COMMIT_SLACK, warmup=0)
@@ -339,8 +317,8 @@ def check_source_cross_backend(
             )
             continue
         exports[backend] = json.dumps(serialize_result(result), sort_keys=True)
-    reference = backends[0]
-    for backend in backends[1:]:
+    reference = BACKENDS[0]
+    for backend in BACKENDS[1:]:
         if exports[backend] != exports[reference]:
             return FuzzFailure(
                 kind="backend-divergence",
@@ -354,18 +332,13 @@ def check_source_cross_backend(
 
 
 def _shrink_failure(
-    original: FuzzFailure,
-    config: MachineConfig,
-    budget: int,
-    backends: Sequence[str] = BACKENDS,
+    original: FuzzFailure, config: MachineConfig, budget: int
 ) -> str | None:
     """Minimize a failing program; None if the failure will not re-fire."""
     kind = original.kind
-    if kind == "backend-divergence":
-        def check(candidate, cfg, bgt):
-            return check_source_cross_backend(candidate, cfg, bgt, backends)
-    else:
-        check = check_source
+    check = (
+        check_source_cross_backend if kind == "backend-divergence" else check_source
+    )
 
     def still_fails(candidate: str) -> bool:
         try:
@@ -409,7 +382,6 @@ def run_fuzz(
     raw_seeds: Iterable[int] | None = None,
     progress: Callable[[int, int], None] | None = None,
     cross_backend: bool = False,
-    backends: Sequence[str] | None = None,
 ) -> FuzzReport:
     """Fuzz *programs* random programs across the configuration matrix.
 
@@ -423,19 +395,14 @@ def run_fuzz(
     With *cross_backend*, every (program, config) case instead runs on all
     compared cycle-loop backends and diffs the serialized results
     byte-for-byte (:func:`check_source_cross_backend`) — the bit-parity
-    gate for the native backend.  *backends* pins the exact set (every
-    named backend must be installed); the default is every installed
-    backend.
+    gate for the native backend; it needs every backend in
+    :data:`~repro.fastsim.BACKENDS` installed.
     """
     if cross_backend:
-        parity_backends = resolve_cross_backends(backends)
-
-        def check(source, config, budget):
-            return check_source_cross_backend(
-                source, config, budget, parity_backends
-            )
+        parity_backends = resolve_cross_backends()
+        check = check_source_cross_backend
     else:
-        parity_backends = BACKENDS
+        parity_backends = None
         check = check_source
     matrix = list(configs) if configs is not None else config_matrix()
     if raw_seeds is not None:
@@ -453,9 +420,7 @@ def run_fuzz(
                 continue
             result.seed = gen_seed
             if shrink:
-                result.shrunk_source = _shrink_failure(
-                    result, config, budget, parity_backends
-                )
+                result.shrunk_source = _shrink_failure(result, config, budget)
             if corpus_dir is not None:
                 result.repro_path = _write_failure(result, corpus_dir)
             failures.append(result)
@@ -465,7 +430,7 @@ def run_fuzz(
                     config_names=[c.name for c in matrix],
                     checked=checked,
                     failures=failures,
-                    backends=parity_backends if cross_backend else None,
+                    backends=parity_backends,
                 )
         if progress is not None:
             progress(index + 1, len(seeds))
@@ -474,7 +439,7 @@ def run_fuzz(
         config_names=[c.name for c in matrix],
         checked=checked,
         failures=failures,
-        backends=parity_backends if cross_backend else None,
+        backends=parity_backends,
     )
 
 

@@ -1,5 +1,8 @@
 """Tests for the validation scorecard and cost summary."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis import experiments
@@ -7,6 +10,7 @@ from repro.analysis.experiments import ALL_EXPERIMENTS, cost_summary
 from repro.analysis.report import ExperimentResult
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.validation import ALL_CHECKS, scorecard
+from repro.pipeline.stats import SimStats
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,20 @@ class TestChecksCatchRegressions:
 
         monkeypatch.setattr(experiments, "fig3", fake_fig3)
         assert _failing(runner, "fig3") == ["fig3-demoted"]
+
+    def test_fig6_simultaneous_share_of_all_insts_above_bound_fails(
+        self, runner, monkeypatch
+    ):
+        # 20% of 2-pending passes the 2-pending bound; 4% of all does not.
+        stats = SimStats(
+            committed=1000,
+            two_pending_observed=200,
+            wakeup_slack=Counter({0: 40, 1: 100, 2: 60}),
+        )
+        monkeypatch.setattr(
+            runner, "base", lambda name, width=4, shadow=False: SimpleNamespace(stats=stats)
+        )
+        assert _failing(runner, "fig6") == ["fig6-simultaneous-rare"]
 
 
 class TestCostSummary:

@@ -185,14 +185,13 @@ def test_cross_backend_fuzz_smoke():
 
 
 def test_cross_backend_fuzz_pinned_backends_fail_loudly(monkeypatch):
-    """A CI leg that pins --backends must not silently narrow the gate."""
+    """Without native, --cross-backend refuses instead of narrowing the gate."""
     import repro.verify.fuzz as fuzz_mod
     from repro.errors import ConfigurationError
-    from repro.verify.fuzz import resolve_cross_backends
 
-    monkeypatch.setattr(fuzz_mod, "native_available", lambda: False)
-    with pytest.raises(ConfigurationError, match="compiled extension"):
-        resolve_cross_backends(["python", "native"])
+    monkeypatch.setattr(fuzz_mod, "available_backends", lambda: ("python",))
+    with pytest.raises(ConfigurationError, match="at least two"):
+        fuzz_mod.run_fuzz(1, seed=11, cross_backend=True)
 
 
 @pytest.mark.parametrize("backend", _FAST_BACKENDS)

@@ -1,12 +1,15 @@
 """Tests for the versioned stats export (run manifests)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.cache import fingerprint
 from repro.analysis.parallel import Job
+from repro.analysis.runner import ExperimentRunner
 from repro.errors import SimulationError
+from repro.fastsim import BACKENDS, native_available
 from repro.obs.export import (
     STATS_SCHEMA_VERSION,
     build_stats_export,
@@ -15,13 +18,15 @@ from repro.obs.export import (
     write_stats_json,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline.config import FOUR_WIDE
+from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE
 from repro.pipeline.processor import TIMING_MODEL_VERSION, Processor
 from repro.pipeline.stats import STAT_COUNTER_FIELDS
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 JOB = Job("gzip", FOUR_WIDE, 9, 400, 200)
+
+BASELINE = Path(__file__).resolve().parents[2] / "results" / "ci_baseline"
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +120,40 @@ class TestRoundTrip:
             load_stats_json(path)
         with pytest.raises(SimulationError):
             load_stats_json(tmp_path / "missing.stats.json")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_committed_baseline_is_reproduced(backend, monkeypatch, tmp_path):
+    """Every committed export is rebuilt byte for byte from its own run fields.
+
+    A timing-model change must bump the model version and regenerate the
+    baseline (scripts/make_ci_baseline.sh); any other drift fails here.
+    """
+    names = {
+        name: sorted(path.name for path in (BASELINE / name).glob("*.stats.json"))
+        for name in BACKENDS
+    }
+    assert names[backend], f"no committed baseline under {BASELINE / backend}"
+    assert all(files == names[backend] for files in names.values()), names
+    if backend == "native" and not native_available():
+        pytest.skip("native backend needs the compiled extension (pip install -e .[native])")
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    configs = {config.name: config for config in (FOUR_WIDE, EIGHT_WIDE)}
+    for name in names[backend]:
+        committed = BASELINE / backend / name
+        run = load_stats_json(committed)["run"]
+        runner = ExperimentRunner(
+            insts=run["insts"],
+            warmup=run["warmup"],
+            seed=run["seed"],
+            benchmarks=(run["benchmark"],),
+            jobs=1,
+            cache=False,
+        )
+        rebuilt = runner.export_run(
+            run["benchmark"], configs[run["config_name"]], tmp_path
+        )
+        assert rebuilt.read_bytes() == committed.read_bytes(), (
+            f"{backend}/{name} differs from its rebuild; after a deliberate "
+            "model change, regenerate with scripts/make_ci_baseline.sh"
+        )

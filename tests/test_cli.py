@@ -199,65 +199,6 @@ class TestWorkloads:
         assert "trace corpus" in out and "vector_sum_80k" in out
 
 
-class TestReport:
-    def _export(self, out, tmp_path, mutate=None):
-        main(
-            ["export-stats", "gzip", "--insts", "300", "--warmup", "150",
-             "--seed", "5", "--no-cache", "--out", str(out), "--jobs", "1"]
-        )
-        if mutate is not None:
-            path = next(out.glob("*.stats.json"))
-            document = json.loads(path.read_text())
-            mutate(document)
-            path.write_text(json.dumps(document, sort_keys=True) + "\n")
-
-    def test_clean_baseline_passes(self, tmp_path, capsys):
-        self._export(tmp_path / "baseline", tmp_path)
-        self._export(tmp_path / "current", tmp_path)
-        code = main(
-            ["report", "--baseline", str(tmp_path / "baseline"),
-             "--current", str(tmp_path / "current")]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_injected_drift_fails(self, tmp_path, capsys):
-        self._export(tmp_path / "baseline", tmp_path)
-
-        def drift(document):
-            document["derived"]["ipc"] *= 1.10
-
-        self._export(tmp_path / "current", tmp_path, mutate=drift)
-        code = main(
-            ["report", "--baseline", str(tmp_path / "baseline"),
-             "--current", str(tmp_path / "current")]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_tolerance_flags_loosen_the_gate(self, tmp_path):
-        self._export(tmp_path / "baseline", tmp_path)
-
-        def drift(document):
-            document["derived"]["ipc"] *= 1.10
-
-        self._export(tmp_path / "current", tmp_path, mutate=drift)
-        code = main(
-            ["report", "--baseline", str(tmp_path / "baseline"),
-             "--current", str(tmp_path / "current"),
-             "--tolerance", "0.5", "--ipc-tolerance", "0.5"]
-        )
-        assert code == 0
-
-    def test_missing_baseline_dir_fails(self, tmp_path):
-        self._export(tmp_path / "current", tmp_path)
-        code = main(
-            ["report", "--baseline", str(tmp_path / "nope"),
-             "--current", str(tmp_path / "current")]
-        )
-        assert code == 1
-
-
 class TestRunProfile:
     def test_run_profile_prints_stage_breakdown(self, capsys):
         code = main(
