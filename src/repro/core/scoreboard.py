@@ -100,16 +100,3 @@ class Scoreboard:
         # Tags absent from the table belong to retired producers whose
         # values are architectural: always valid.
         return record is None or record.valid
-
-    def data_ready_by(self, tag: int, cycle: int) -> bool:
-        """Will the tag's value actually be available at *cycle*?
-
-        Used by the tag-elimination scoreboard check: an operand with no
-        comparator must be verified against real data availability.
-        """
-        record = self._records.get(tag)
-        if record is None:
-            return True
-        return record.valid and record.broadcast_cycle is not None and (
-            record.broadcast_cycle <= cycle
-        )

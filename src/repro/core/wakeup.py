@@ -32,8 +32,6 @@ class WakeupLogic:
     """Base class: conventional wakeup (both comparators on one bus)."""
 
     name = "base"
-    #: does the strategy reduce wakeup bus load capacitance?
-    halves_bus_load = False
 
     def __init__(self, predictor: LastArrivalPredictor | StaticLastArrival | None = None):
         self.predictor = predictor
@@ -88,7 +86,6 @@ class SequentialWakeup(WakeupLogic):
     """
 
     name = "seq_wakeup"
-    halves_bus_load = True
 
     def __init__(self, predictor):
         if predictor is None:
@@ -122,7 +119,6 @@ class TagElimination(WakeupLogic):
     """
 
     name = "tag_elim"
-    halves_bus_load = True
 
     def __init__(self, predictor):
         if predictor is None:

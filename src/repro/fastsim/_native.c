@@ -341,8 +341,6 @@ typedef struct {
     int64_t fu_cycle, fu_issued[5];
     Vec fu_busy[5];
     int64_t bubble_cycle, bubble_n;
-    int64_t sel_slots_taken, sel_bubbles, rf_rejections,
-        rf_seq_decisions;
 
     /* stat accumulators (flushed through warmup_cb / the result) */
     int64_t s_cycles, s_fetched, s_dispatched, s_two_src;
@@ -1272,7 +1270,6 @@ native_run(PyObject *self, PyObject *args)
                             }
                         }
                         if (rf_ports_used + needed > width) {
-                            c->rf_rejections++;
                             continue;
                         }
                         rf_ports_used += needed;
@@ -1292,14 +1289,10 @@ native_run(PyObject *self, PyObject *args)
                                 break;
                             }
                         }
-                        if (!has_now) {
-                            c->rf_seq_decisions++;
-                            seq_access = 1;
-                        }
+                        seq_access = !has_now;
                     }
                     /* take_slot + fu.issue */
                     avail--;
-                    c->sel_slots_taken++;
                     if (seq_access) {
                         int64_t nb = now + 1;
                         if (c->bubble_cycle == nb) {
@@ -1309,7 +1302,6 @@ native_run(PyObject *self, PyObject *args)
                             c->bubble_cycle = nb;
                             c->bubble_n = 1;
                         }
-                        c->sel_bubbles++;
                     }
                     c->fu_issued[pool]++;
                     if (c->npipe[t]) {
@@ -1912,7 +1904,7 @@ done:
         head_tag = c->rob.count ? RING_FRONT(&c->rob) : -1;
     }
     result = Py_BuildValue(
-        "(iLLL(LLLLLLLLLLLLLLLLLLLLLLLL)(LLLLLLLLLLLL)(LLLL))",
+        "(iLLL(LLLLLLLLLLLLLLLLLLLLLLLL)(LLLLLLLLLLLL))",
         status, (long long)c->now, (long long)c->total_committed,
         (long long)head_tag,
         (long long)c->s_cycles, (long long)c->s_fetched,
@@ -1932,9 +1924,7 @@ done:
         (long long)c->c_dl1a, (long long)c->c_dl1h,
         (long long)c->c_dl1m, (long long)c->c_dl1e,
         (long long)c->c_l2a, (long long)c->c_l2h,
-        (long long)c->c_l2m, (long long)c->c_l2e,
-        (long long)c->sel_slots_taken, (long long)c->sel_bubbles,
-        (long long)c->rf_rejections, (long long)c->rf_seq_decisions);
+        (long long)c->c_l2m, (long long)c->c_l2e);
 
 cleanup:
     {
@@ -2056,7 +2046,7 @@ PyInit__native(void)
     }
     /* Bumped whenever the run() wire protocol changes; the wrapper
      * refuses to drive a stale prebuilt artifact. */
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2)) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3)) {
         Py_DECREF(m);
         return NULL;
     }

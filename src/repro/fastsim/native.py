@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from array import array
 from itertools import islice
-from time import perf_counter
 
 from repro.core.event_ring import ring_size
 from repro.core.iq import PRIORITY_CLASSES
@@ -76,7 +75,7 @@ except ImportError:  # pragma: no cover - no compiled artifact present
 
 #: The wire protocol this wrapper speaks; a prebuilt _native.so from a
 #: different revision is refused rather than driven wrong.
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _RANK_BY_IDX = tuple(0 if c in PRIORITY_CLASSES else 1 for c in OpClass)
 _POOL_BY_IDX = tuple(
@@ -131,16 +130,9 @@ class NativeProcessor:
         self.branch_unit = BranchUnit()
         self.memory = MemoryHierarchy(config.mem)
         self.now = 0
-        self.wall_seconds = 0.0
-        self.matrix_mismatches = 0
         self.trace = None
         self.profiler = None
         self.checker = None
-        self._total_committed = 0
-        self._sel_slots_taken = 0
-        self._sel_bubbles = 0
-        self._rf_rejections = 0
-        self._rf_seq_decisions = 0
         self._ran = False
         lat = []
         for op_class in OpClass:
@@ -156,7 +148,6 @@ class NativeProcessor:
         if self._ran:
             raise SimulationError("NativeProcessor instances are single-run")
         self._ran = True
-        t_start = perf_counter()
 
         config = self.config
         stats = self.stats
@@ -313,7 +304,7 @@ class NativeProcessor:
             )
 
         # ---- run the compiled loop -----------------------------------
-        status, now_c, total_committed, head_tag, s24, m12, sel4 = (
+        status, now_c, total_committed, head_tag, s24, m12 = (
             _native.run(
                 scalars, fu_counts, geom, tables, p_tab,
                 (predict_cb, resolve_cb, pair_cb, warmup_cb, ingest_cb),
@@ -322,13 +313,6 @@ class NativeProcessor:
         )
 
         self.now = now_c
-        self._total_committed = total_committed
-        (
-            self._sel_slots_taken,
-            self._sel_bubbles,
-            self._rf_rejections,
-            self._rf_seq_decisions,
-        ) = sel4
         self._apply_stats(s24)
         for cache, base in ((il1, 0), (dl1, 4), (l2, 8)):
             cs = cache.stats
@@ -336,7 +320,6 @@ class NativeProcessor:
             cs.hits += m12[base + 1]
             cs.misses += m12[base + 2]
             cs.evictions += m12[base + 3]
-        self.wall_seconds = perf_counter() - t_start
         if status == 1:
             if head_tag >= 0:
                 head_repr = f"tag {head_tag} {ops_l[head_tag].opcode}"
@@ -394,26 +377,3 @@ class NativeProcessor:
         stats.simultaneous_wakeups += s[21]
         stats.last_arrival_predictions += s[22]
         stats.last_arrival_mispredictions += s[23]
-
-    # ==================================================================
-    def publish_metrics(self, registry) -> None:
-        """Publish finished counters, mirroring Processor.publish_metrics."""
-        self.stats.publish_metrics(registry)
-        registry.counter("select.slots_taken").set(self._sel_slots_taken)
-        registry.counter("select.bubbles_scheduled").set(self._sel_bubbles)
-        registry.counter("regfile.crossbar_rejections").set(
-            self._rf_rejections
-        )
-        registry.counter("regfile.sequential_decisions").set(
-            self._rf_seq_decisions
-        )
-        for level in ("il1", "dl1", "l2"):
-            cache_stats = getattr(self.memory, level).stats
-            registry.counter(f"mem.{level}.accesses").set(cache_stats.accesses)
-            registry.counter(f"mem.{level}.hits").set(cache_stats.hits)
-            registry.counter(f"mem.{level}.misses").set(cache_stats.misses)
-            registry.counter(f"mem.{level}.evictions").set(
-                cache_stats.evictions
-            )
-        registry.counter("sim.matrix_mismatches").set(self.matrix_mismatches)
-        registry.counter("sim.now_cycles").set(self.now)

@@ -4,9 +4,10 @@ The subsystem has three parts, designed so the simulator's hot loop pays
 nothing when observability is off:
 
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of named
-  counters / histograms / timers that pipeline components publish into
-  **after** a run (guarded publishing: no per-cycle allocation), plus the
-  :class:`StageProfiler` behind ``Processor(profile=True)``;
+  counters / histograms / timers that the simulation pool, the experiment
+  runner and the serve front ends count into (a simulation's own numbers
+  stay on its result record), plus the :class:`StageProfiler` behind
+  ``Processor(profile=True)``;
 * :mod:`repro.obs.export` — the versioned run manifest
   (:data:`STATS_SCHEMA_VERSION`): one JSON per simulation carrying the
   config fingerprint, seed, workload and every paper-figure counter;

@@ -10,16 +10,14 @@ to interpret the run without the code that produced it:
   machine config and its SHA-256 **fingerprint** (the same digest the
   result cache keys on, so a manifest can be matched to a cache record);
 * every paper-figure counter (Tables 2/3, Figures 4/6/7/10) plus the
-  derived ratios the figures plot;
-* optionally: component metrics published into a
-  :class:`~repro.obs.registry.MetricsRegistry`, and per-stage wall times
-  from a :class:`~repro.obs.registry.StageProfiler` (under ``profile`` —
-  wall time, so an export that carries it is not reproducible).
+  derived ratios the figures plot.
 
-Exports are written with sorted keys and a trailing newline so identical
-runs produce **byte-identical** files — the CI determinism job diffs the
-serial and parallel exports directly, and ``tests/obs/test_export.py``
-rebuilds the committed ``results/ci_baseline/`` tree and compares bytes.
+The document holds no wall time or other host measurement, so it is a
+function of the run alone.  Exports are written with sorted keys and a
+trailing newline so identical runs produce **byte-identical** files —
+the CI determinism job diffs the serial and parallel exports directly,
+and ``tests/obs/test_export.py`` rebuilds the committed
+``results/ci_baseline/`` tree and compares bytes.
 """
 
 from __future__ import annotations
@@ -47,16 +45,10 @@ _DERIVED_PROPERTIES = (
 )
 
 
-def build_stats_export(
-    result: SimulationResult,
-    job: Job,
-    *,
-    registry=None,
-    profile=None,
-) -> dict:
+def build_stats_export(result: SimulationResult, job: Job) -> dict:
     """Flatten one run, keyed by its *job*, to the schema-versioned export."""
     stats = result.stats
-    document = {
+    return {
         "schema_version": STATS_SCHEMA_VERSION,
         "timing_model_version": TIMING_MODEL_VERSION,
         "fingerprint": fingerprint(job),
@@ -80,11 +72,6 @@ def build_stats_export(
             "frac_last_left": stats.order.frac_last_left,
         },
     }
-    if registry is not None and len(registry):
-        document["metrics"] = registry.as_dict()
-    if profile is not None:
-        document["profile"] = profile.as_dict()
-    return document
 
 
 def stats_filename(benchmark: str, config_name: str, seed: int) -> str:

@@ -1,23 +1,22 @@
 """Metrics registry: named counters, histograms and wall-time timers.
 
-The registry is the collection point for everything a run wants to report
-beyond the paper's :class:`~repro.pipeline.stats.SimStats` counters —
-component-level counts (selector slots, register-port arbitration, cache
-traffic) and stage wall times.  Two rules keep it out of the cycle
-loop's cost (measured per change in the newest ``BENCH_<n>.json``):
+The registry is where the long-lived services count what they do: the
+simulation pool (dispatches, chunk sizes, crash replacements), the
+experiment runner (cache hits and misses) and the serve front ends
+(queue depth, job latency), whose ``/metrics`` endpoint returns
+:meth:`MetricsRegistry.as_dict`.  A finished simulation is not published
+here: its numbers are the :class:`~repro.pipeline.stats.SimStats` record
+that :func:`repro.analysis.cache.serialize_result` writes for the cache
+and the stats export.
 
-* **Guarded publishing** — pipeline components keep counting in bare
-  integer attributes exactly as before; a ``publish_metrics(registry)``
-  call *after* the run copies them in.  The hot loop never touches a
-  metric object, never allocates, and never checks an "enabled" flag.
-* **Timers wrap phases, not events** — :class:`StageProfiler` wraps the
-  five per-cycle phase methods once at ``run()`` entry when (and only
-  when) profiling was requested; a non-profiled run binds the raw methods
-  and is byte-for-byte the PR-1 loop.
+:class:`StageProfiler` times the processor's five per-cycle phase
+methods.  It wraps them once at ``run()`` entry when (and only when)
+profiling was requested; a non-profiled run binds the raw methods and
+pays nothing.
 
-Metric names are dotted paths (``pipeline.issued``, ``regfile.crossbar_
-rejections``); :meth:`MetricsRegistry.as_dict` flattens everything to a
-JSON-ready mapping for the stats export.
+Metric names are dotted paths (``pool.dispatches``, ``serve.batch_size``);
+:meth:`MetricsRegistry.as_dict` flattens everything to a JSON-ready
+mapping.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class CounterMetric:
         self.value += amount
 
     def set(self, value: int) -> None:
-        """Overwrite the count (guarded publishing of an external int)."""
+        """Overwrite the count with a value read elsewhere (a gauge)."""
         self.value = value
 
     def as_value(self):
@@ -56,11 +55,6 @@ class HistogramMetric:
 
     def observe(self, bucket: int, count: int = 1) -> None:
         self.buckets[bucket] = self.buckets.get(bucket, 0) + count
-
-    def merge(self, counts) -> None:
-        """Fold a ``{bucket: count}`` mapping (e.g. a Counter) in."""
-        for bucket, count in counts.items():
-            self.observe(int(bucket), count)
 
     @property
     def total(self) -> int:
@@ -178,16 +172,3 @@ class StageProfiler:
         calls = self.calls
         for name in calls:
             calls[name] += cycles
-
-    def publish(self, registry: MetricsRegistry, prefix: str = "stage") -> None:
-        for name in self.seconds:
-            registry.timer(f"{prefix}.{name}").add(
-                self.seconds[name], self.calls[name]
-            )
-
-    def as_dict(self) -> dict:
-        """``{stage: {seconds, calls}}`` for the stats export."""
-        return {
-            name: {"seconds": self.seconds[name], "calls": self.calls[name]}
-            for name in sorted(self.seconds)
-        }

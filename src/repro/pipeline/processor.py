@@ -51,7 +51,7 @@ from repro.core.last_arrival import (
     ShadowPredictorBank,
 )
 from repro.core.scoreboard import Scoreboard
-from repro.core.select import Selector, select_priority  # noqa: F401 (re-export)
+from repro.core.select import Selector
 from repro.core.wakeup import make_wakeup_logic
 from repro.errors import SimulationError
 from repro.frontend.branch_unit import BranchUnit
@@ -981,31 +981,6 @@ class Processor:
             if committed >= width or not rob.committable():
                 break
         self._last_commit_cycle = now
-
-    # ==================================================================
-    # Observability (post-run, guarded publishing — never in the loop).
-    # ==================================================================
-    def publish_metrics(self, registry) -> None:
-        """Publish this machine's finished counters into a MetricsRegistry.
-
-        Fans out to every component that kept its own tallies during the
-        run: the paper counters (:meth:`SimStats.publish_metrics`), the
-        select logic, the register-port policy, the cache hierarchy, the
-        branch unit and — when profiling was on — per-stage wall times.
-        """
-        self.stats.publish_metrics(registry)
-        self.selector.publish_metrics(registry)
-        self.rf_policy.publish_metrics(registry)
-        for level in ("il1", "dl1", "l2"):
-            cache_stats = getattr(self.memory, level).stats
-            registry.counter(f"mem.{level}.accesses").set(cache_stats.accesses)
-            registry.counter(f"mem.{level}.hits").set(cache_stats.hits)
-            registry.counter(f"mem.{level}.misses").set(cache_stats.misses)
-            registry.counter(f"mem.{level}.evictions").set(cache_stats.evictions)
-        registry.counter("sim.matrix_mismatches").set(self.matrix_mismatches)
-        registry.counter("sim.now_cycles").set(self.now)
-        if self.profiler is not None:
-            self.profiler.publish(registry)
 
 
 def simulate(

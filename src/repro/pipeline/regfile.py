@@ -24,7 +24,7 @@ class RegisterFilePolicy:
     """Issue-time read-port accounting for one machine configuration."""
 
     __slots__ = ("model", "width", "crossbar", "sequential", "fast_side_now_only",
-                 "_ports_used", "crossbar_rejections", "sequential_decisions")
+                 "_ports_used")
 
     def __init__(self, config: MachineConfig):
         self.model = config.regfile
@@ -41,9 +41,6 @@ class RegisterFilePolicy:
             and config.regfile is RegFileModel.SEQUENTIAL
         )
         self._ports_used = 0
-        #: lifetime tallies (published post-run, see ``publish_metrics``)
-        self.crossbar_rejections = 0
-        self.sequential_decisions = 0
 
     def begin_cycle(self) -> None:
         self._ports_used = 0
@@ -74,10 +71,7 @@ class RegisterFilePolicy:
             return False
         if len(entry.operands) < 2:
             return False
-        sequential = not self.has_now_bit(entry, now)
-        if sequential:
-            self.sequential_decisions += 1
-        return sequential
+        return not self.has_now_bit(entry, now)
 
     # ------------------------------------------------------------------
     def try_reserve(self, entry: IQEntry, now: int) -> bool:
@@ -86,13 +80,6 @@ class RegisterFilePolicy:
             return True
         needed = self.reads_needed(entry, now)
         if self._ports_used + needed > self.width:
-            self.crossbar_rejections += 1
             return False
         self._ports_used += needed
         return True
-
-    # ------------------------------------------------------------------
-    def publish_metrics(self, registry, prefix: str = "regfile") -> None:
-        """Copy the port-policy tallies into a MetricsRegistry (post-run)."""
-        registry.counter(f"{prefix}.crossbar_rejections").set(self.crossbar_rejections)
-        registry.counter(f"{prefix}.sequential_decisions").set(self.sequential_decisions)

@@ -22,9 +22,9 @@ from repro.core.last_arrival import (
 )
 
 #: Canonical list of the plain-integer counters on :class:`SimStats`.
-#: Single source of truth for the result cache's record format, the stats
-#: export (:mod:`repro.obs.export`) and metrics publishing — a counter
-#: added here is persisted, exported and gated automatically.
+#: Single source of truth for the result cache's record format and the
+#: stats export (:mod:`repro.obs.export`) — a counter added here is
+#: persisted, exported and gated automatically.
 STAT_COUNTER_FIELDS = (
     "cycles",
     "committed",
@@ -238,25 +238,3 @@ class SimStats:
         self.sequential_rf_accesses = 0
         self.rename_port_stalls = 0
         self.double_bypass_delays = 0
-
-    # ----------------------------------------------------------------------
-    def counter_dict(self) -> dict[str, int]:
-        """All plain-integer counters as one mapping (canonical order)."""
-        return {name: getattr(self, name) for name in STAT_COUNTER_FIELDS}
-
-    def publish_metrics(self, registry, prefix: str = "sim") -> None:
-        """Guarded publishing: copy the finished counters into *registry*.
-
-        Called once after a run (never from the cycle loop), so observing
-        a simulation costs nothing while it executes.
-        """
-        for name, value in self.counter_dict().items():
-            registry.counter(f"{prefix}.{name}").set(value)
-        registry.histogram(f"{prefix}.ready_at_insert").merge(self.ready_at_insert)
-        registry.histogram(f"{prefix}.wakeup_slack").merge(self.wakeup_slack)
-        order = self.order
-        registry.counter(f"{prefix}.order.same_order").set(order.same_order)
-        registry.counter(f"{prefix}.order.diff_order").set(order.diff_order)
-        registry.counter(f"{prefix}.order.last_left").set(order.last_left)
-        registry.counter(f"{prefix}.order.last_right").set(order.last_right)
-        registry.counter(f"{prefix}.order.simultaneous").set(order.simultaneous)

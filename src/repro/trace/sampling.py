@@ -16,7 +16,7 @@ weighting CPIs by instruction share reproduces the full-trace ratio.)
 This is the methodology of Sherwood et al.'s SimPoint adapted to this
 repo's feeds: pure stdlib (hashed projection instead of their random
 linear projection, deterministic seeded k-means++), byte-deterministic
-reports, and representative windows replayed through any of the three
+reports, and representative windows replayed through either of the two
 cycle-loop backends.
 
 **Cache-state reconstruction.**  A short timing warmup cannot rebuild a

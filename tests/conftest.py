@@ -1,14 +1,18 @@
 """Session set-up: build the native engine for the test run when it is missing.
 
 The native-backend tests (parity, cross-backend fuzz, runner plumbing)
-skip without the compiled ``repro.fastsim._native`` extension.  So that a
-plain checkout runs them too, the session compiles ``_native.c`` once
-into a temporary directory with the interpreter's own compiler settings
-(``CC`` overrides the compiler) and appends that directory to the
-``repro.fastsim`` package path.  An extension already importable (an
-in-place or installed build) is used as is.  If the compiler is missing
-or fails, nothing is built and the native tests skip as before; run with
-``CC=/bin/false`` to test that path on purpose.
+skip without a usable compiled ``repro.fastsim._native`` extension.  So
+that a plain checkout runs them too, the session compiles ``_native.c``
+once into a temporary directory with the interpreter's own compiler
+settings (``CC`` overrides the compiler) and puts that directory first on
+the ``repro.fastsim`` package path.  An extension already importable (an
+in-place or installed build) is used as is when the wrapper accepts its
+``ABI_VERSION``; a stale build from an older ``_native.c`` is shadowed by
+the fresh one instead of silently skipping every native test.  The check
+runs in a child interpreter, so this process has not imported ``_native``
+when the path changes.  If the compiler is missing or fails, nothing is
+built and the native tests skip as before; run with ``CC=/bin/false`` to
+test that path on purpose.
 
 ``repro.fastsim.native`` must not be imported before the build: it reads
 ``_native`` once, at import.
@@ -21,6 +25,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -30,10 +35,25 @@ _SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro" / "fastsim" / "_
 _build_dir: str | None = None
 
 
+def _importable_native_matches_abi() -> bool:
+    """Is the importable ``_native`` the ABI the wrapper speaks? (asked of a child)"""
+    probe = "from repro.fastsim.native import native_available; print(native_available())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return child.stdout.strip() == "True"
+
+
 def _build_native() -> None:
     global _build_dir
     try:
-        if importlib.util.find_spec("repro.fastsim._native") is not None:
+        spec = importlib.util.find_spec("repro.fastsim._native")
+        if spec is not None and _importable_native_matches_abi():
             return
     except ImportError:  # repro itself is not importable: nothing to do
         return
@@ -56,7 +76,7 @@ def _build_native() -> None:
         return
     import repro.fastsim
 
-    repro.fastsim.__path__.append(out_dir)
+    repro.fastsim.__path__.insert(0, out_dir)
     _build_dir = out_dir
 
 

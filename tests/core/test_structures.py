@@ -1,11 +1,13 @@
 """Unit tests for issue-queue entries, the scoreboard, and select logic."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro.core.iq import EntryState, IQEntry, Operand
 from repro.core.last_arrival import OperandSide
 from repro.core.scoreboard import Scoreboard
-from repro.core.select import Selector, select_priority
+from repro.core.select import Selector
 from repro.isa.opcodes import OpClass
 from repro.workloads.trace import DynOp
 
@@ -93,7 +95,6 @@ class TestScoreboard:
     def test_absent_tags_are_valid(self):
         board = Scoreboard()
         assert board.is_valid(12345)
-        assert board.data_ready_by(12345, 0)
 
     def test_broadcast_lifecycle(self):
         board = Scoreboard()
@@ -101,8 +102,6 @@ class TestScoreboard:
         assert not board.is_valid(1)
         board.mark_broadcast(1, 10)
         assert board.is_valid(1)
-        assert board.data_ready_by(1, 10)
-        assert not board.data_ready_by(1, 9)
 
     def test_invalidate_returns_consumers(self):
         board = Scoreboard()
@@ -121,7 +120,6 @@ class TestScoreboard:
         board.invalidate(1)
         board.mark_broadcast(1, 20)
         assert board.is_valid(1)
-        assert board.data_ready_by(1, 20)
 
     def test_consumers_survive_invalidation(self):
         board = Scoreboard()
@@ -143,22 +141,26 @@ class TestScoreboard:
         board.add_consumer(42, entry_with(), 0)  # must not raise
 
 
+#: the sort key the processor's select phase orders ready entries by
+SELECT_KEY = attrgetter("select_key")
+
+
 class TestSelectPriority:
     def test_loads_and_branches_outrank_alu(self):
         load = entry_with(deps=(), seq=10, opcode="LDQ", op_class=OpClass.LOAD)
         branch = entry_with(deps=(), seq=11, opcode="BEQ", op_class=OpClass.BRANCH)
         alu = entry_with(deps=(), seq=1, opcode="ADD", op_class=OpClass.INT_ALU)
-        ordered = Selector(4).order([alu, branch, load])
+        ordered = sorted([alu, branch, load], key=SELECT_KEY)
         assert ordered[0] is load and ordered[1] is branch and ordered[2] is alu
 
     def test_age_breaks_ties(self):
         older = entry_with(deps=(), seq=3)
         younger = entry_with(deps=(), seq=9)
-        assert Selector(4).order([younger, older])[0] is older
+        assert sorted([younger, older], key=SELECT_KEY)[0] is older
 
     def test_priority_key_shape(self):
         load = entry_with(deps=(), seq=5, opcode="LDQ", op_class=OpClass.LOAD)
-        assert select_priority(load) == (0, 5)
+        assert SELECT_KEY(load) == (0, 5)
 
 
 class TestSelectorSlots:

@@ -113,6 +113,22 @@ class TestMakeProcessor:
             "with pip install -e .[native] (requires a C compiler)"
         )
 
+    def test_extension_from_another_abi_is_refused(self, monkeypatch):
+        """A stale build of ``_native`` is never driven: same error as none."""
+        import types
+
+        from repro.fastsim import native
+
+        stale = types.SimpleNamespace(ABI_VERSION=native._ABI_VERSION - 1)
+        monkeypatch.setattr(native, "_native", stale)
+        assert native_available() is False
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_processor(iter(()), FOUR_WIDE, backend="native")
+        assert str(excinfo.value) == (
+            "backend 'native' needs the compiled extension; build it "
+            "with pip install -e .[native] (requires a C compiler)"
+        )
+
     def test_cli_surfaces_native_gate_as_one_line_error(self, monkeypatch, capsys):
         """`repro run --backend native` without the artifact: clean error."""
         import repro.fastsim as fastsim

@@ -17,7 +17,6 @@ from repro.obs.export import (
     stats_filename,
     write_stats_json,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE
 from repro.pipeline.processor import TIMING_MODEL_VERSION, Processor
 from repro.pipeline.stats import STAT_COUNTER_FIELDS
@@ -30,16 +29,9 @@ BASELINE = Path(__file__).resolve().parents[2] / "results" / "ci_baseline"
 
 
 @pytest.fixture(scope="module")
-def run():
+def document():
     workload = SyntheticWorkload(get_profile(JOB.benchmark), seed=JOB.seed)
-    processor = Processor(workload, FOUR_WIDE, profile=True)
-    result = processor.run(max_insts=JOB.insts, warmup=JOB.warmup)
-    return processor, result
-
-
-@pytest.fixture(scope="module")
-def document(run):
-    processor, result = run
+    result = Processor(workload, FOUR_WIDE).run(max_insts=JOB.insts, warmup=JOB.warmup)
     return build_stats_export(result, JOB)
 
 
@@ -80,18 +72,6 @@ class TestSchema:
         assert document["config"]["width"] == 4
         assert document["config"]["scheduler"] == "base"
         assert document["config"]["mem"]["dl1"]["size_bytes"] == 64 * 1024
-
-    def test_optional_sections(self, run):
-        processor, result = run
-        registry = MetricsRegistry()
-        processor.publish_metrics(registry)
-        document = build_stats_export(
-            result, JOB, registry=registry, profile=processor.profiler
-        )
-        assert document["metrics"]["sim.committed"] == result.stats.committed
-        assert document["profile"]["fetch"]["calls"] == processor.now
-        bare = build_stats_export(result, JOB)
-        assert "metrics" not in bare and "profile" not in bare
 
 
 class TestRoundTrip:

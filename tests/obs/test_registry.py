@@ -1,7 +1,8 @@
-"""Tests for the metrics registry, stage profiler and guarded publishing."""
+"""Tests for the metrics registry and the stage profiler."""
 
 import pytest
 
+from repro.analysis.cache import serialize_result
 from repro.obs.registry import (
     CounterMetric,
     HistogramMetric,
@@ -24,14 +25,14 @@ class TestMetrics:
         counter.set(42)
         assert counter.as_value() == 42
 
-    def test_histogram_observe_and_merge(self):
+    def test_histogram_observe(self):
         histogram = HistogramMetric("h")
         histogram.observe(0, 3)
         histogram.observe(2)
-        histogram.merge({1: 5, "2": 1})
-        assert histogram.buckets == {0: 3, 1: 5, 2: 2}
-        assert histogram.total == 10
-        assert histogram.as_value() == {"0": 3, "1": 5, "2": 2}
+        histogram.observe(1, 5)
+        assert histogram.buckets == {0: 3, 1: 5, 2: 1}
+        assert histogram.total == 9
+        assert histogram.as_value() == {"0": 3, "1": 5, "2": 1}
 
     def test_timer_context_manager(self):
         timer = TimerMetric("t")
@@ -71,14 +72,6 @@ class TestStageProfiler:
         assert calls == [1, 1]
         assert profiler.calls["phase"] == 2
         assert profiler.seconds["phase"] >= 0.0
-        assert profiler.as_dict()["phase"]["calls"] == 2
-
-    def test_publish_into_registry(self):
-        profiler = StageProfiler()
-        profiler.wrap("fetch", lambda: None)()
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        assert registry.timer("stage.fetch").calls == 1
 
 
 class TestProcessorObservability:
@@ -105,20 +98,4 @@ class TestProcessorObservability:
         _, plain = self._run(profile=False)
         _, profiled = self._run(profile=True)
         assert plain.total_cycles == profiled.total_cycles
-        assert plain.stats.counter_dict() == profiled.stats.counter_dict()
-
-    def test_publish_metrics_covers_components(self):
-        processor, result = self._run(profile=True)
-        registry = MetricsRegistry()
-        processor.publish_metrics(registry)
-        exported = registry.as_dict()
-        assert exported["sim.committed"] == result.stats.committed
-        assert exported["sim.issued"] == result.stats.issued
-        assert exported["select.slots_taken"] >= result.stats.issued
-        assert exported["mem.dl1.accesses"] > 0
-        assert exported["regfile.crossbar_rejections"] == 0
-        assert exported["stage.fetch"]["calls"] == processor.now
-        # Distributions ride along as histograms.
-        assert sum(
-            registry.histogram("sim.ready_at_insert").buckets.values()
-        ) == result.stats.two_source_dispatched
+        assert serialize_result(plain) == serialize_result(profiled)
