@@ -76,7 +76,7 @@ def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-predictor", action="store_true")
 
 
-def _print_summary(result, processor) -> None:
+def _print_summary(result) -> None:
     stats = result.stats
     print(f"machine:   {result.config_name}")
     print(f"workload:  {result.workload_name}")
@@ -84,7 +84,6 @@ def _print_summary(result, processor) -> None:
     print(f"committed: {stats.committed}")
     print(f"IPC:       {stats.ipc:.4f}")
     print(f"branch mispredict rate: {stats.branch_mispredict_rate:.2%}")
-    print(f"DL1 miss rate:          {processor.memory.dl1.stats.miss_rate:.2%}")
     print(f"replayed issues:        {stats.replayed}")
     print(f"load-miss replays:      {stats.load_miss_replays}")
     if stats.sequential_rf_accesses:
@@ -111,7 +110,7 @@ def _cmd_run(args) -> int:
         workload, config, backend=config.backend, profile=args.profile
     )
     result = processor.run(max_insts=args.insts, warmup=args.warmup)
-    _print_summary(result, processor)
+    _print_summary(result)
     if processor.profiler is not None:
         print()
         print("stage wall time (profiled):")
@@ -128,7 +127,7 @@ def _cmd_kernel(args) -> int:
     feed = EmulatorFeed(kernel_program(args.name), name=args.name)
     processor = Processor(feed, config, record_schedule=args.pipetrace > 0)
     result = processor.run(max_insts=10**7, warmup=0)
-    _print_summary(result, processor)
+    _print_summary(result)
     if args.pipetrace > 0:
         print()
         print(render_pipetrace(processor, first_seq=0, count=args.pipetrace))

@@ -105,7 +105,6 @@ class IQEntry:
         "complete_cycle",
         "predicted_last",
         "fast_side",
-        "seq_reg_access",
         "replays",
         "forwarded",
         "mem_fill_cycle",
@@ -144,7 +143,6 @@ class IQEntry:
         #: which operand side sits on the fast wakeup bus (sequential
         #: wakeup) or keeps its comparator (tag elimination)
         self.fast_side = predicted_last
-        self.seq_reg_access = False
         self.replays = 0
         #: load got its value from an older in-flight store (LSQ forward)
         self.forwarded = False
@@ -202,7 +200,6 @@ class IQEntry:
         """
         self.state = WAITING
         self.issue_cycle = -1
-        self.seq_reg_access = False
         self.replays += 1
         for operand in self.operands:
             if operand.ready and operand.tag is not None:

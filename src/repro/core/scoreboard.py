@@ -19,21 +19,11 @@ from repro.core.iq import IQEntry
 class TagRecord:
     """Lifecycle of one destination tag."""
 
-    __slots__ = (
-        "producer",
-        "broadcast_cycle",
-        "data_cycle",
-        "valid",
-        "consumers",
-        "matrix_payload",
-    )
+    __slots__ = ("broadcast_cycle", "valid", "consumers", "matrix_payload")
 
-    def __init__(self, producer: IQEntry | None):
-        self.producer = producer
+    def __init__(self):
         #: cycle the wakeup broadcast was delivered (None = not yet)
         self.broadcast_cycle: int | None = None
-        #: cycle the value is actually available (None = not yet known)
-        self.data_cycle: int | None = None
         #: False after the speculative broadcast was invalidated
         self.valid = False
         self.consumers: list[tuple[IQEntry, int]] = []
@@ -50,8 +40,8 @@ class Scoreboard:
         self._records: dict[int, TagRecord] = {}
 
     # ------------------------------------------------------------------
-    def allocate(self, tag: int, producer: IQEntry | None) -> TagRecord:
-        record = TagRecord(producer)
+    def allocate(self, tag: int) -> TagRecord:
+        record = TagRecord()
         self._records[tag] = record
         return record
 
@@ -67,10 +57,8 @@ class Scoreboard:
             record.consumers.append((entry, op_index))
 
     # ------------------------------------------------------------------
-    def mark_broadcast(
-        self, tag: int, cycle: int, data_valid: bool = False
-    ) -> TagRecord | None:
-        """Record a wakeup broadcast (with the data when *data_valid*).
+    def mark_broadcast(self, tag: int, cycle: int) -> TagRecord | None:
+        """Record a wakeup broadcast.
 
         Returns the tag's record, whose consumers the broadcast wakes, or
         None for a tag no longer in the table.
@@ -79,8 +67,6 @@ class Scoreboard:
         if record is not None:
             record.broadcast_cycle = cycle
             record.valid = True
-            if data_valid:
-                record.data_cycle = cycle
         return record
 
     def invalidate(self, tag: int) -> list[tuple[IQEntry, int]]:
@@ -90,7 +76,6 @@ class Scoreboard:
             return []
         record.valid = False
         record.broadcast_cycle = None
-        record.data_cycle = None
         return list(record.consumers)
 
     # ------------------------------------------------------------------

@@ -39,10 +39,10 @@
  * backward scan of the LSQ ring: only stores still resident in the LSQ
  * can forward.
  *
- * Counters accumulate in C and are returned to the wrapper
- * (repro/fastsim/native.py), which flushes them into the real
- * SimStats / CacheStats objects at the warmup boundary and at the end
- * of the run.
+ * SimStats counters accumulate in C and are returned to the wrapper
+ * (repro/fastsim/native.py), which flushes them into the real SimStats
+ * object at the warmup boundary and at the end of the run.  The caches
+ * keep only their resident lines in LRU order; nothing is counted there.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -250,10 +250,10 @@ cache_free(CacheC *c)
     c->len = NULL;
 }
 
-/* Returns 1 on hit; on miss inserts the line (bumping *evictions if an
- * LRU victim was dropped) and returns 0. */
+/* Returns 1 on hit; on miss inserts the line (dropping the LRU victim of
+ * a full set) and returns 0. */
 static int
-cache_access(CacheC *c, int64_t line, int64_t *evictions)
+cache_access(CacheC *c, int64_t line)
 {
     int64_t set = line & c->mask;
     int64_t *base = c->lines + set * c->assoc;
@@ -273,7 +273,6 @@ cache_access(CacheC *c, int64_t line, int64_t *evictions)
             base[i] = base[i + 1];
         }
         base[n - 1] = line;
-        (*evictions)++;
     }
     else {
         base[n] = line;
@@ -317,12 +316,9 @@ typedef struct {
     PyObject *p_tab;
     int64_t p_mask, p_mid;
 
-    /* caches + latencies + counters */
+    /* caches + latencies */
     CacheC il1, dl1, l2;
     int64_t il1_lat, dl1_lat, l2_lat, mem_lat;
-    int64_t c_il1a, c_il1h, c_il1m, c_il1e;
-    int64_t c_dl1a, c_dl1h, c_dl1m, c_dl1e;
-    int64_t c_l2a, c_l2h, c_l2m, c_l2e;
 
     /* event rings + gating min-heap */
     Vec *k_buckets, *sw_buckets, *b_buckets, *c_buckets;
@@ -356,6 +352,24 @@ typedef struct {
 
     int nomem;  /* set by infallible-signature helpers on OOM */
 } Ctx;
+
+/* ---------------- memory hierarchy ---------------- */
+
+/* MemoryHierarchy._access: look *addr* up in *l1*, then in the unified
+ * L2, filling every level it misses.  Returns the access latency
+ * (l1 [+ l2 [+ memory]]) and sets *l1_hit. */
+static int64_t
+mem_access(Ctx *c, CacheC *l1, int64_t l1_lat, int64_t addr, int *l1_hit)
+{
+    *l1_hit = cache_access(l1, addr >> l1->shift);
+    if (*l1_hit) {
+        return l1_lat;
+    }
+    if (cache_access(&c->l2, addr >> c->l2.shift)) {
+        return l1_lat + c->l2_lat;
+    }
+    return l1_lat + c->l2_lat + c->mem_lat;
+}
 
 /* ---------------- event scheduling ---------------- */
 
@@ -1026,10 +1040,9 @@ native_run(PyObject *self, PyObject *args)
                     if (ring == 2) {
                         Vec *bkt = &c->b_buckets[idx];
                         Py_ssize_t n0 = bkt->len, i;
-                        for (i = 0; i + 2 < n0 + 2; i += 3) {
+                        for (i = 0; i < n0; i += 2) {
                             int64_t pt = bkt->d[i];
                             int64_t pep = bkt->d[i + 1];
-                            /* bkt->d[i + 2] (data_valid) is unused */
                             if (c->epoch[pt] != pep || !c->sb_alive[pt]) {
                                 continue;
                             }
@@ -1363,56 +1376,34 @@ native_run(PyObject *self, PyObject *args)
                             if (c->fwd[t]) {
                                 actual_mem = c->dl1_lat;  /* SQ data */
                             }
-                            else {
-                                /* inlined MemoryHierarchy.load */
-                                int64_t addr = c->addr[t];
-                                int64_t line = addr >> c->dl1.shift;
-                                c->c_dl1a++;
-                                if (cache_access(&c->dl1, line,
-                                                 &c->c_dl1e)) {
-                                    c->c_dl1h++;
-                                    actual_mem = c->dl1_lat;
-                                }
-                                else {
-                                    c->c_dl1m++;
-                                    int64_t l2line = addr >> c->l2.shift;
-                                    c->c_l2a++;
-                                    if (cache_access(&c->l2, l2line,
-                                                     &c->c_l2e)) {
-                                        c->c_l2h++;
-                                        actual_mem =
-                                            c->dl1_lat + c->l2_lat;
-                                    }
-                                    else {
-                                        c->c_l2m++;
-                                        actual_mem = c->dl1_lat +
-                                            c->l2_lat + c->mem_lat;
-                                    }
-                                }
+                            else {  /* MemoryHierarchy.load */
+                                int l1_hit;
+                                actual_mem = mem_access(c, &c->dl1,
+                                                        c->dl1_lat,
+                                                        c->addr[t],
+                                                        &l1_hit);
                             }
                             c->fill_c[t] = now + c->agen_lat + actual_mem;
                         }
                         int64_t assumed_cycle = now + c->assumed;
                         int64_t fill = c->fill_c[t];
+                        {
+                            /* broadcast at the assumed-hit time
+                             * (speculative when the data is late) */
+                            int64_t f[2] = {t, ep};
+                            ev_sched(c, c->b_buckets, 2, assumed_cycle,
+                                     f, 2);
+                        }
                         if (fill <= assumed_cycle) {
                             /* data arrives within the assumed-hit
                              * schedule */
-                            int64_t f[3] = {t, ep, 1};
-                            ev_sched(c, c->b_buckets, 2, assumed_cycle,
-                                     f, 3);
                             c->cmp_c[t] = assumed_cycle +
                                 c->exec_offset - c->agen_lat;
                             c->cmp_ep[t] = ep;
                             continue;
                         }
-                        /* latency mispredict: speculative broadcast,
-                         * kill after the resolution shadow,
-                         * rebroadcast at fill */
-                        {
-                            int64_t f[3] = {t, ep, 0};
-                            ev_sched(c, c->b_buckets, 2, assumed_cycle,
-                                     f, 3);
-                        }
+                        /* latency mispredict: kill after the
+                         * resolution shadow, rebroadcast at fill */
                         int64_t kc = assumed_cycle + c->spec_window;
                         if (c->non_selective) {
                             int64_t f[5] = {t, ep, assumed_cycle, kc - 1,
@@ -1430,9 +1421,9 @@ native_run(PyObject *self, PyObject *args)
                             goto done;
                         }
                         {
-                            int64_t f[3] = {t, ep, 1};
+                            int64_t f[2] = {t, ep};
                             ev_sched(c, c->b_buckets, 2, rebroadcast,
-                                     f, 3);
+                                     f, 2);
                         }
                         int64_t cc = fill + c->exec_offset - c->agen_lat;
                         if (cc < rebroadcast) {
@@ -1462,8 +1453,8 @@ native_run(PyObject *self, PyObject *args)
                         goto done;
                     }
                     {
-                        int64_t f[3] = {t, ep, 1};
-                        ev_sched(c, c->b_buckets, 2, bc, f, 3);
+                        int64_t f[2] = {t, ep};
+                        ev_sched(c, c->b_buckets, 2, bc, f, 2);
                     }
                     if (c->ctrl[t]) {
                         /* completes via an exact-cycle event */
@@ -1686,28 +1677,13 @@ native_run(PyObject *self, PyObject *args)
                     }
                     int64_t line = c->faddr[t] >> c->il1.shift;
                     if (line != c->last_fetch_line) {
-                        /* inlined MemoryHierarchy.fetch */
+                        /* MemoryHierarchy.fetch */
+                        int l1_hit;
+                        int64_t lat = mem_access(c, &c->il1, c->il1_lat,
+                                                 c->faddr[t], &l1_hit);
                         c->last_fetch_line = line;
-                        c->c_il1a++;
-                        if (cache_access(&c->il1, line, &c->c_il1e)) {
-                            c->c_il1h++;
-                        }
-                        else {
-                            c->c_il1m++;
-                            int64_t l2line = c->faddr[t] >> c->l2.shift;
-                            int64_t miss_lat;
-                            c->c_l2a++;
-                            if (cache_access(&c->l2, l2line,
-                                             &c->c_l2e)) {
-                                c->c_l2h++;
-                                miss_lat = c->il1_lat + c->l2_lat;
-                            }
-                            else {
-                                c->c_l2m++;
-                                miss_lat = c->il1_lat + c->l2_lat +
-                                    c->mem_lat;
-                            }
-                            c->fetch_resume = now + miss_lat;
+                        if (!l1_hit) {
+                            c->fetch_resume = now + lat;
                             break;
                         }
                     }
@@ -1756,28 +1732,13 @@ native_run(PyObject *self, PyObject *args)
                     }
                     ring_pop(&c->rob);
                     if (c->store[t]) {
-                        /* inlined MemoryHierarchy.store
-                         * (write-allocate); LSQ leaves in program
-                         * order, so the head is the committing op */
+                        /* MemoryHierarchy.store (write-allocate); LSQ
+                         * leaves in program order, so the head is the
+                         * committing op */
+                        int l1_hit;
                         ring_pop(&c->lsq);
-                        int64_t addr = c->addr[t];
-                        int64_t line = addr >> c->dl1.shift;
-                        c->c_dl1a++;
-                        if (cache_access(&c->dl1, line, &c->c_dl1e)) {
-                            c->c_dl1h++;
-                        }
-                        else {
-                            c->c_dl1m++;
-                            int64_t l2line = addr >> c->l2.shift;
-                            c->c_l2a++;
-                            if (cache_access(&c->l2, l2line,
-                                             &c->c_l2e)) {
-                                c->c_l2h++;
-                            }
-                            else {
-                                c->c_l2m++;
-                            }
-                        }
+                        mem_access(c, &c->dl1, c->dl1_lat, c->addr[t],
+                                   &l1_hit);
                     }
                     else if (c->load[t]) {
                         ring_pop(&c->lsq);
@@ -1904,7 +1865,7 @@ done:
         head_tag = c->rob.count ? RING_FRONT(&c->rob) : -1;
     }
     result = Py_BuildValue(
-        "(iLLL(LLLLLLLLLLLLLLLLLLLLLLLL)(LLLLLLLLLLLL))",
+        "(iLLL(LLLLLLLLLLLLLLLLLLLLLLLL))",
         status, (long long)c->now, (long long)c->total_committed,
         (long long)head_tag,
         (long long)c->s_cycles, (long long)c->s_fetched,
@@ -1918,13 +1879,7 @@ done:
         (long long)c->s_seq_slow, (long long)c->s_te,
         (long long)c->s_rf_two, (long long)c->s_rf_b2b,
         (long long)c->s_rf_nb, (long long)c->s_simul,
-        (long long)c->s_lap, (long long)c->s_lamp,
-        (long long)c->c_il1a, (long long)c->c_il1h,
-        (long long)c->c_il1m, (long long)c->c_il1e,
-        (long long)c->c_dl1a, (long long)c->c_dl1h,
-        (long long)c->c_dl1m, (long long)c->c_dl1e,
-        (long long)c->c_l2a, (long long)c->c_l2h,
-        (long long)c->c_l2m, (long long)c->c_l2e);
+        (long long)c->s_lap, (long long)c->s_lamp);
 
 cleanup:
     {
@@ -2046,7 +2001,7 @@ PyInit__native(void)
     }
     /* Bumped whenever the run() wire protocol changes; the wrapper
      * refuses to drive a stale prebuilt artifact. */
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3)) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 4)) {
         Py_DECREF(m);
         return NULL;
     }

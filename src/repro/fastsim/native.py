@@ -55,7 +55,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.frontend.branch_unit import BranchUnit
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NUM_ARCH_REGS
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import (
     BypassModel,
     MachineConfig,
@@ -75,7 +74,7 @@ except ImportError:  # pragma: no cover - no compiled artifact present
 
 #: The wire protocol this wrapper speaks; a prebuilt _native.so from a
 #: different revision is refused rather than driven wrong.
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 _RANK_BY_IDX = tuple(0 if c in PRIORITY_CLASSES else 1 for c in OpClass)
 _POOL_BY_IDX = tuple(
@@ -128,11 +127,9 @@ class NativeProcessor:
         else:
             self.predictor = LastArrivalPredictor(config.predictor_entries)
         self.branch_unit = BranchUnit()
-        self.memory = MemoryHierarchy(config.mem)
         self.now = 0
         self.trace = None
         self.profiler = None
-        self.checker = None
         self._ran = False
         lat = []
         for op_class in OpClass:
@@ -151,7 +148,6 @@ class NativeProcessor:
 
         config = self.config
         stats = self.stats
-        memory = self.memory
         predictor = self.predictor
         predictor_update = predictor.update
         record_wakeup_pair = stats.record_wakeup_pair
@@ -204,13 +200,15 @@ class NativeProcessor:
             config.fu.fp_mult,
             config.fu.mem_ports,
         )
-        il1 = memory.il1
-        dl1 = memory.dl1
-        l2 = memory.l2
-        geom = (
-            il1._line_shift, il1._set_mask, il1.config.associativity,
-            dl1._line_shift, dl1._set_mask, dl1.config.associativity,
-            l2._line_shift, l2._set_mask, l2.config.associativity,
+        geom = tuple(
+            field
+            for cache in (mem_cfg.il1, mem_cfg.dl1, mem_cfg.l2)
+            for field in (
+                cache.line_bytes.bit_length() - 1,  # line shift
+                cache.num_sets - 1,                 # set mask
+                cache.associativity,
+            )
+        ) + (
             mem_cfg.il1_latency, mem_cfg.dl1_latency,
             mem_cfg.l2_latency, mem_cfg.memory_latency,
         )
@@ -304,22 +302,14 @@ class NativeProcessor:
             )
 
         # ---- run the compiled loop -----------------------------------
-        status, now_c, total_committed, head_tag, s24, m12 = (
-            _native.run(
-                scalars, fu_counts, geom, tables, p_tab,
-                (predict_cb, resolve_cb, pair_cb, warmup_cb, ingest_cb),
-                max_insts, warmup,
-            )
+        status, now_c, total_committed, head_tag, s24 = _native.run(
+            scalars, fu_counts, geom, tables, p_tab,
+            (predict_cb, resolve_cb, pair_cb, warmup_cb, ingest_cb),
+            max_insts, warmup,
         )
 
         self.now = now_c
         self._apply_stats(s24)
-        for cache, base in ((il1, 0), (dl1, 4), (l2, 8)):
-            cs = cache.stats
-            cs.accesses += m12[base]
-            cs.hits += m12[base + 1]
-            cs.misses += m12[base + 2]
-            cs.evictions += m12[base + 3]
         if status == 1:
             if head_tag >= 0:
                 head_repr = f"tag {head_tag} {ops_l[head_tag].opcode}"

@@ -25,18 +25,14 @@ class BranchTargetBuffer:
         self._sets: defaultdict[int, OrderedDict[int, int]] = defaultdict(
             OrderedDict
         )
-        self.lookups = 0
-        self.hits = 0
 
     def lookup(self, pc: int) -> int | None:
         """Return the stored target for *pc*, or None on a BTB miss."""
-        self.lookups += 1
         btb_set = self._sets.get(pc & self._set_mask)
         if btb_set is None:
             return None
         target = btb_set.get(pc)
         if target is not None:
-            self.hits += 1
             btb_set.move_to_end(pc)
         return target
 
@@ -48,6 +44,3 @@ class BranchTargetBuffer:
         btb_set[pc] = target
         btb_set.move_to_end(pc)
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0

@@ -58,25 +58,21 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def fetch(self, pc_addr: int) -> AccessResult:
         """Instruction fetch of the line holding *pc_addr*."""
-        return self._access(self.il1, self.config.il1_latency, pc_addr, write=False)
+        return self._access(self.il1, self.config.il1_latency, pc_addr)
 
     def load(self, addr: int) -> AccessResult:
         """Data load from *addr*."""
-        return self._access(self.dl1, self.config.dl1_latency, addr, write=False)
+        return self._access(self.dl1, self.config.dl1_latency, addr)
 
     def store(self, addr: int) -> AccessResult:
-        """Data store to *addr* (write-allocate)."""
-        return self._access(self.dl1, self.config.dl1_latency, addr, write=True)
-
-    def probe_load_hit(self, addr: int) -> bool:
-        """Non-destructive DL1 residency check (used by oracle schedulers)."""
-        return self.dl1.probe(addr)
+        """Data store to *addr* (write-allocate: the same walk as a load)."""
+        return self._access(self.dl1, self.config.dl1_latency, addr)
 
     # ------------------------------------------------------------------
-    def _access(self, l1: Cache, l1_latency: int, addr: int, write: bool) -> AccessResult:
-        if l1.access(addr, write=write):
+    def _access(self, l1: Cache, l1_latency: int, addr: int) -> AccessResult:
+        if l1.access(addr):
             return AccessResult(latency=l1_latency, l1_hit=True)
-        if self.l2.access(addr, write=write):
+        if self.l2.access(addr):
             return AccessResult(
                 latency=l1_latency + self.config.l2_latency, l1_hit=False, l2_hit=True
             )
@@ -85,9 +81,3 @@ class MemoryHierarchy:
             l1_hit=False,
             l2_hit=False,
         )
-
-    def flush(self) -> None:
-        """Empty all caches (cold restart)."""
-        self.il1.flush()
-        self.dl1.flush()
-        self.l2.flush()

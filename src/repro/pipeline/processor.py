@@ -386,9 +386,9 @@ class Processor:
         if slow_wakeups.pending:
             for entry, op_index, tag in slow_wakeups.pop(now):
                 self._deliver_slow(entry, op_index, tag)
-        for entry, epoch, data_valid in self._pop_broadcasts(now):
+        for entry, epoch in self._pop_broadcasts(now):
             if entry.epoch == epoch:
-                self._broadcast(entry, data_valid)
+                self._broadcast(entry)
         for entry, epoch in self._pop_completions(now):
             if entry.epoch == epoch and entry.state is ISSUED:
                 entry.state = COMPLETED
@@ -419,11 +419,11 @@ class Processor:
             return True
         return operand.side is entry.fast_side
 
-    def _broadcast(self, producer: IQEntry, data_valid: bool) -> None:
+    def _broadcast(self, producer: IQEntry) -> None:
         """Deliver a destination-tag broadcast to all registered consumers."""
         now = self.now
         tag = producer.tag
-        record = self.scoreboard.mark_broadcast(tag, now, data_valid)
+        record = self.scoreboard.mark_broadcast(tag, now)
         if record is None:
             return
         use_matrix = self._use_matrix
@@ -579,7 +579,6 @@ class Processor:
         entry.state = ISSUED
         entry.issue_cycle = now
         entry.epoch += 1
-        entry.seq_reg_access = seq_access
         entry.slot = slot
         self.stats.issued += 1
         if entry.is_two_source:
@@ -621,7 +620,7 @@ class Processor:
             if all(operand.woke_now(now) for operand in entry.operands):
                 latency += 1
                 self.stats.double_bypass_delays += 1
-        self._broadcasts.schedule(now, now + latency, (entry, entry.epoch, True))
+        self._broadcasts.schedule(now, now + latency, (entry, entry.epoch))
         self._completions.schedule(
             now, now + self._exec_offset + latency, (entry, entry.epoch)
         )
@@ -641,14 +640,14 @@ class Processor:
             entry.mem_fill_cycle = now + self._agen_lat + actual_mem
         fill = max(entry.mem_fill_cycle, now + assumed)
         completion = fill + self._exec_offset - self._agen_lat
+        # Broadcast at the assumed-hit time (speculative when the data is late).
+        self._broadcasts.schedule(now, now + assumed, (entry, entry.epoch))
         if fill <= now + assumed:
             # Data arrives within the assumed-hit schedule.
-            self._broadcasts.schedule(now, now + assumed, (entry, entry.epoch, True))
             self._completions.schedule(now, completion, (entry, entry.epoch))
             return
-        # Latency misprediction: speculative broadcast at the assumed-hit
-        # time, kill after the resolution shadow, real broadcast at fill.
-        self._broadcasts.schedule(now, now + assumed, (entry, entry.epoch, False))
+        # Latency misprediction: kill after the resolution shadow, real
+        # broadcast at fill.
         kill_cycle = now + assumed + self._load_spec_window
         window = (now + assumed, kill_cycle - 1)
         self._kills.schedule(
@@ -660,7 +659,7 @@ class Processor:
         # A re-issued load's in-flight fill can land inside the kill shadow;
         # the re-broadcast must follow the kill or it would be invalidated.
         rebroadcast = max(fill, kill_cycle + 1)
-        self._broadcasts.schedule(now, rebroadcast, (entry, entry.epoch, True))
+        self._broadcasts.schedule(now, rebroadcast, (entry, entry.epoch))
         self._completions.schedule(
             now, max(completion, rebroadcast), (entry, entry.epoch)
         )
@@ -821,7 +820,7 @@ class Processor:
             operands.append(operand)
             producers.append((record, position))
         entry = IQEntry(op, tag, operands, now)
-        scoreboard.allocate(tag, entry)
+        scoreboard.allocate(tag)
         for record, position in producers:
             record.consumers.append((entry, position))
         if op.dest is not None:

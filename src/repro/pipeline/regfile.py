@@ -23,11 +23,10 @@ from repro.pipeline.config import MachineConfig, RegFileModel, SchedulerModel
 class RegisterFilePolicy:
     """Issue-time read-port accounting for one machine configuration."""
 
-    __slots__ = ("model", "width", "crossbar", "sequential", "fast_side_now_only",
+    __slots__ = ("width", "crossbar", "sequential", "fast_side_now_only",
                  "_ports_used")
 
     def __init__(self, config: MachineConfig):
-        self.model = config.regfile
         self.width = config.width
         #: the only models with issue-time work (the loop skips the calls
         #: for the others: :meth:`try_reserve` always grants, and

@@ -2,8 +2,6 @@
 
 from operator import attrgetter
 
-import pytest
-
 from repro.core.iq import EntryState, IQEntry, Operand
 from repro.core.last_arrival import OperandSide
 from repro.core.scoreboard import Scoreboard
@@ -98,14 +96,14 @@ class TestScoreboard:
 
     def test_broadcast_lifecycle(self):
         board = Scoreboard()
-        board.allocate(1, None)
+        board.allocate(1)
         assert not board.is_valid(1)
         board.mark_broadcast(1, 10)
         assert board.is_valid(1)
 
     def test_invalidate_returns_consumers(self):
         board = Scoreboard()
-        board.allocate(1, None)
+        board.allocate(1)
         entry = entry_with(deps=(2,))
         board.add_consumer(1, entry, 0)
         board.mark_broadcast(1, 5)
@@ -115,7 +113,7 @@ class TestScoreboard:
 
     def test_rebroadcast_after_invalidate(self):
         board = Scoreboard()
-        board.allocate(1, None)
+        board.allocate(1)
         board.mark_broadcast(1, 5)
         board.invalidate(1)
         board.mark_broadcast(1, 20)
@@ -123,7 +121,7 @@ class TestScoreboard:
 
     def test_consumers_survive_invalidation(self):
         board = Scoreboard()
-        board.allocate(1, None)
+        board.allocate(1)
         entry = entry_with(deps=(2,))
         board.add_consumer(1, entry, 0)
         board.invalidate(1)
@@ -131,7 +129,7 @@ class TestScoreboard:
 
     def test_free(self):
         board = Scoreboard()
-        board.allocate(1, None)
+        board.allocate(1)
         board.free(1)
         assert board.get(1) is None
         assert board.is_valid(1)

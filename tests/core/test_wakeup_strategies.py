@@ -150,7 +150,7 @@ class TestTagEliminationStrategy:
         entry = two_source_entry()
         logic.assign_sides(entry)
         board = Scoreboard()
-        board.allocate(50, None)
+        board.allocate(50)
         board.mark_broadcast(50, 0)
         entry.operands[0].wake(0)
         entry.operands[1].wake(1)

@@ -9,12 +9,14 @@ parameterized over the fast backends and skips cleanly when the compiled
 extension is missing.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.analysis.cache import serialize_result
 from repro.fastsim import make_processor, native_available
+from repro.memory import CacheConfig, MemoryHierarchyConfig
 from repro.pipeline.config import (
     EIGHT_WIDE,
     FOUR_WIDE,
@@ -93,6 +95,33 @@ def test_parity_with_warmup_and_shadow_bank(backend):
         backend,
         warmup=200,
         shadow=(64, 256),
+    )
+
+
+#: Every level and latency differs from Table 1: the native engine takes
+#: its cache geometry and latencies from ``config.mem``.
+_SMALL_MEMORY = MemoryHierarchyConfig(
+    il1=CacheConfig("IL1", 1024, 1, 32),
+    dl1=CacheConfig("DL1", 512, 2, 16),
+    l2=CacheConfig("L2", 4096, 4, 64),
+    il1_latency=1,
+    dl1_latency=3,
+    l2_latency=11,
+    memory_latency=40,
+)
+
+
+@pytest.mark.parametrize("backend", _FAST_BACKENDS)
+@pytest.mark.parametrize("profile", ["gcc", "mcf"])
+def test_non_table1_memory_geometry_parity(profile, backend):
+    _require_native()
+    config = dataclasses.replace(FOUR_WIDE, name="small-memory", mem=_SMALL_MEMORY)
+    _assert_parity(
+        lambda: SyntheticWorkload(get_profile(profile), seed=3),
+        config,
+        backend,
+        insts=3_000,
+        warmup=1_000,
     )
 
 

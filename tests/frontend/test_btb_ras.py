@@ -29,13 +29,6 @@ class TestBTB:
         assert btb.lookup(0) == 1
         assert btb.lookup(2) is None
 
-    def test_hit_rate(self):
-        btb = BranchTargetBuffer(16, 4)
-        btb.lookup(1)
-        btb.install(1, 2)
-        btb.lookup(1)
-        assert btb.hit_rate == pytest.approx(0.5)
-
     def test_bad_geometry(self):
         with pytest.raises(ConfigurationError):
             BranchTargetBuffer(10, 4)

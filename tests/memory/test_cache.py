@@ -1,7 +1,5 @@
 """Unit and property tests for the set-associative cache model."""
 
-from collections import OrderedDict
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +53,6 @@ class TestAccess:
         cache.access(0x020)  # evicts 0x000
         assert cache.access(0x010) is True
         assert cache.access(0x000) is False
-        assert cache.stats.evictions >= 1
 
     def test_hit_refreshes_lru(self):
         cache = tiny_cache(assoc=2, sets=1, line=16)
@@ -74,52 +71,64 @@ class TestAccess:
         assert cache.access(0x010) is True
 
     def test_stats(self):
+        """Hits and misses are read from the access results."""
         cache = tiny_cache()
-        cache.access(0x0)
-        cache.access(0x0)
-        cache.access(0x1000)
-        assert cache.stats.accesses == 3
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
-        assert cache.stats.miss_rate == pytest.approx(2 / 3)
+        results = [cache.access(addr) for addr in (0x0, 0x0, 0x1000)]
+        assert results == [False, True, False]
 
     def test_miss_rate_empty(self):
-        assert tiny_cache().stats.miss_rate == 0.0
+        """A fresh cache misses on the first access to every line."""
+        cache = tiny_cache(assoc=2, sets=4, line=16)
+        lines = range(0, 8 * 16, 16)  # exactly fills the cache
+        assert [cache.access(addr) for addr in lines] == [False] * 8
+        assert [cache.access(addr) for addr in lines] == [True] * 8
 
     def test_stats_reset(self):
+        """A cache keeps nothing to reset but its lines: no counters and
+        no per-line state beside the tag."""
         cache = tiny_cache()
-        cache.access(0x0)
-        cache.stats.reset()
-        assert cache.stats.accesses == 0
+        for addr in (0x0, 0x0, 0x1000, 0x2000):
+            cache.access(addr)
+        assert Cache.__slots__ == ("config", "_line_shift", "_set_mask", "_sets")
+        assert all(
+            value is None for lines in cache._sets.values() for value in lines.values()
+        )
 
 
 class TestProbeInvalidateFlush:
+    """Queries fill nothing, and a line leaves a cache only by eviction."""
+
     def test_probe_does_not_fill(self):
         cache = tiny_cache()
-        assert cache.probe(0x100) is False
+        assert cache.line_address(0x100) == 0x100
+        assert len(cache._sets) == 0
         assert cache.access(0x100) is False  # still a miss
 
     def test_probe_does_not_touch_lru(self):
         cache = tiny_cache(assoc=2, sets=1, line=16)
         cache.access(0x000)
         cache.access(0x010)
-        cache.probe(0x000)  # must NOT refresh
+        cache.line_address(0x000)  # must NOT refresh
         cache.access(0x020)  # evicts 0x000 (true LRU)
-        assert cache.probe(0x000) is False
+        assert cache.access(0x000) is False
 
     def test_invalidate(self):
-        cache = tiny_cache()
-        cache.access(0x100)
-        assert cache.invalidate(0x100) is True
-        assert cache.probe(0x100) is False
-        assert cache.invalidate(0x100) is False
+        """An evicted line misses once, is filled again, then hits."""
+        cache = tiny_cache(assoc=2, sets=1, line=16)
+        for addr in (0x000, 0x010, 0x020):  # the third evicts 0x000
+            cache.access(addr)
+        assert cache.access(0x000) is False
+        assert cache.access(0x000) is True
 
     def test_flush(self):
+        """A cache built from the same config starts empty."""
         cache = tiny_cache()
         cache.access(0x100)
         cache.access(0x200)
-        cache.flush()
-        assert cache.resident_lines == 0
+        fresh = Cache(cache.config)
+        assert len(fresh._sets) == 0
+        assert fresh.access(0x100) is False
+        assert cache.access(0x100) is True
 
     def test_line_address(self):
         cache = tiny_cache(line=32)
@@ -133,15 +142,10 @@ class TestLazySets:
 
     def test_only_an_access_builds_a_set(self):
         cache = tiny_cache(assoc=2, sets=4, line=16)
-        assert cache.probe(0x100) is False
-        assert cache.invalidate(0x100) is False
-        assert cache.resident_lines == 0
-        assert len(cache._sets) == 0
         cache.access(0x100)
         cache.access(0x110)  # the next set
+        cache.access(0x100)
         assert len(cache._sets) == 2
-        cache.flush()
-        assert len(cache._sets) == 0
 
 
 class EagerLRU:
@@ -150,63 +154,30 @@ class EagerLRU:
 
     def __init__(self, assoc, sets, line):
         self.assoc, self.sets, self.line = assoc, sets, line
-        self.lines = [OrderedDict() for _ in range(sets)]
-        self.hits = self.misses = self.evictions = 0
+        self.lines = [[] for _ in range(sets)]
 
-    def _locate(self, addr):
+    def access(self, addr):
         tag = addr // self.line
-        return self.lines[tag % self.sets], tag
-
-    def access(self, addr, write):
-        lines, tag = self._locate(addr)
-        if tag in lines:
-            self.hits += 1
-            lines.move_to_end(tag)
-            return True
-        self.misses += 1
-        if len(lines) == self.assoc:
-            lines.popitem(last=False)
-            self.evictions += 1
-        lines[tag] = write
-        return False
-
-    def probe(self, addr):
-        lines, tag = self._locate(addr)
-        return tag in lines
-
-    def invalidate(self, addr):
-        lines, tag = self._locate(addr)
-        return lines.pop(tag, None) is not None
-
-    def flush(self):
-        for lines in self.lines:
-            lines.clear()
-
-    @property
-    def resident_lines(self):
-        return sum(len(lines) for lines in self.lines)
-
-
-_CACHE_OPS = st.one_of(
-    st.tuples(st.just("access"), st.integers(0, 0x3FF), st.booleans()),
-    st.tuples(st.sampled_from(["probe", "invalidate"]), st.integers(0, 0x3FF)),
-    st.tuples(st.just("flush")),
-)
+        lines = self.lines[tag % self.sets]
+        hit = tag in lines
+        if hit:
+            lines.remove(tag)
+        elif len(lines) == self.assoc:
+            del lines[0]
+        lines.append(tag)
+        return hit
 
 
 class TestProperties:
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(_CACHE_OPS, max_size=300))
-    def test_lazy_sets_match_an_eager_reference(self, ops):
+    @given(st.lists(st.integers(0, 0x3FF), max_size=300))
+    def test_lazy_sets_match_an_eager_reference(self, addrs):
         cache = tiny_cache(assoc=2, sets=8, line=16)
         reference = EagerLRU(assoc=2, sets=8, line=16)
-        for name, *args in ops:
-            assert getattr(cache, name)(*args) == getattr(reference, name)(*args)
-            assert cache.resident_lines == reference.resident_lines
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (
-            reference.hits, reference.misses, reference.evictions
-        )
+        for addr in addrs:
+            assert cache.access(addr) == reference.access(addr)
+        for index, lines in enumerate(reference.lines):
+            assert list(cache._sets.get(index, ())) == lines
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=300))
@@ -214,8 +185,7 @@ class TestProperties:
         cache = tiny_cache(assoc=2, sets=4, line=16)
         for addr in addrs:
             cache.access(addr)
-        assert cache.resident_lines <= 8
-        assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
+        assert all(len(lines) <= 2 for lines in cache._sets.values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=200))
@@ -223,7 +193,7 @@ class TestProperties:
         cache = tiny_cache()
         for addr in addrs:
             cache.access(addr)
-            assert cache.probe(addr) is True
+            assert cache.access(addr) is True
 
     @settings(max_examples=40, deadline=None)
     @given(

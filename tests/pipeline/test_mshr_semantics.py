@@ -11,13 +11,14 @@ import dataclasses
 from repro.pipeline.config import FOUR_WIDE, RecoveryModel
 from repro.pipeline.processor import Processor
 from repro.workloads import SyntheticWorkload, get_profile
-from tests.util import ScriptedFeed, op
+from tests.util import CountingHierarchy, ScriptedFeed, op
 
 BASE = dataclasses.replace(FOUR_WIDE, name="mshr-4w", ruu_size=32, lsq_size=16)
 
 
 def run(ops, config=BASE):
     processor = Processor(ScriptedFeed(ops), config, record_schedule=True)
+    processor.memory = CountingHierarchy(config.mem)
     processor.run(max_insts=len(ops), warmup=0)
     return processor
 
@@ -35,7 +36,7 @@ class TestSingleAccessPerLoad:
         processor = run(ops)
         assert processor.stats.load_miss_replays >= 1
         # Two loads, two DL1 accesses — no replay re-access.
-        assert processor.memory.dl1.stats.accesses == 2
+        assert processor.memory.accesses["DL1"] == 2
 
     def test_refill_timing_preserved_across_replay(self):
         """The re-issued dependent load's data still arrives no earlier
@@ -71,8 +72,9 @@ class TestRecoverySchemesSeeSameMemory:
         for recovery in (RecoveryModel.NON_SELECTIVE, RecoveryModel.SELECTIVE):
             config = dataclasses.replace(BASE, recovery=recovery, name=f"r-{recovery.value}")
             processor = Processor(workload, config)
+            memory = processor.memory = CountingHierarchy(config.mem)
             processor.run(max_insts=6000, warmup=6000)
-            rates[recovery] = processor.memory.dl1.stats.miss_rate
+            rates[recovery] = memory.misses["DL1"] / memory.accesses["DL1"]
         non_sel = rates[RecoveryModel.NON_SELECTIVE]
         sel = rates[RecoveryModel.SELECTIVE]
         assert abs(non_sel - sel) < 0.02, rates

@@ -4,11 +4,12 @@ import dataclasses
 
 from repro.pipeline.config import FOUR_WIDE
 from repro.pipeline.processor import Processor
-from tests.util import ScriptedFeed, op
+from tests.util import CountingHierarchy, ScriptedFeed, op
 
 
 def run(ops, config, max_insts=None):
     processor = Processor(ScriptedFeed(ops), config, record_schedule=True)
+    processor.memory = CountingHierarchy(config.mem)
     processor.run(max_insts=max_insts or len(ops), warmup=0)
     return processor
 
@@ -64,7 +65,7 @@ class TestInstructionCacheStalls:
         dense_run = run(dense, FOUR_WIDE)
         sparse_run = run(sparse, FOUR_WIDE)
         assert sparse_run.now > dense_run.now
-        assert sparse_run.memory.il1.stats.misses > dense_run.memory.il1.stats.misses
+        assert sparse_run.memory.misses["IL1"] > dense_run.memory.misses["IL1"]
 
 
 class TestTagElimRecoveryPolicy:

@@ -7,7 +7,10 @@ issue/commit cycles in the processor.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.isa.opcodes import OpClass
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.trace import DynOp
 
 _CLASS_OF = {
@@ -87,3 +90,27 @@ def processor_entry(processor, seq: int):
         if entry.tag == seq:
             return entry
     raise AssertionError(f"entry {seq} not in ROB (already committed?)")
+
+
+class CountingHierarchy(MemoryHierarchy):
+    """A memory hierarchy that tallies accesses and misses per level, by
+    cache name ("IL1", "DL1", "L2"); the model itself counts nothing.
+
+    Set it on ``processor.memory`` before ``run()``.
+    """
+
+    __slots__ = ("accesses", "misses")
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.accesses: Counter[str] = Counter()
+        self.misses: Counter[str] = Counter()
+
+    def _access(self, l1, l1_latency, addr):
+        result = super()._access(l1, l1_latency, addr)
+        for name, hit in ((l1.config.name, result.l1_hit), (self.l2.config.name, result.l2_hit)):
+            self.accesses[name] += 1
+            if hit:
+                break
+            self.misses[name] += 1
+        return result
