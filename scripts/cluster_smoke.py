@@ -15,7 +15,8 @@ SIGKILLs one worker mid-run, and asserts the cluster's core guarantees:
   byte-identical to what offline ``repro export-stats`` writes for the
   same inputs;
 * answered at admission — resubmitting the sweep's unique specs once
-  more returns every receipt already ``done`` and dispatches nothing;
+  more returns every receipt already ``done``, carrying its job
+  document, and dispatches nothing; waiting on them sends no request;
 * kept-alive connections — the router accepts at most a tenth as many
   connections as it answers requests;
 * no leaked claims — after the drain, every store claim file left
@@ -245,10 +246,27 @@ def main() -> None:
     late = [receipt["id"] for receipt in repeats if receipt["status"] != "done"]
     if late:
         fail(f"{len(late)} resubmitted finished specs were not done at submit: {late[:5]}")
-    grown = client.metrics()["metrics"].get("router.dispatches", 0) - dispatches
+    counters = client.metrics()["metrics"]
+    grown = counters.get("router.dispatches", 0) - dispatches
     if grown:
         fail(f"resubmitting finished specs dispatched {grown} jobs to workers")
-    print(f"all {len(repeats)} resubmitted unique specs were done at submit")
+    bare = [
+        receipt["id"] for receipt in repeats
+        if receipt.get("document", {}).get("status") != "done"
+        or receipt["document"].get("fingerprint") != receipt["fingerprint"]
+    ]
+    if bare:
+        fail(f"{len(bare)} done receipts carry no done document of their job: {bare[:5]}")
+    # Their waits are answered from the receipts: the only request
+    # between the two /metrics reads is the second read itself.
+    requests = counters.get("router.http_requests", 0)
+    for receipt in repeats:
+        client.wait(receipt["id"], timeout=60)
+    sent = client.metrics()["metrics"].get("router.http_requests", 0) - requests - 1
+    if sent:
+        fail(f"waiting on {len(repeats)} done receipts sent {sent} requests")
+    print(f"all {len(repeats)} resubmitted unique specs were done at submit, "
+          "and waiting on them sent no request")
 
     # Snapshot router metrics for the CI artifact before draining.
     ARTIFACTS.mkdir(parents=True, exist_ok=True)

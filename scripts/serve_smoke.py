@@ -5,7 +5,8 @@ Boots ``repro serve`` as a real subprocess, submits a 20-job sweep with
 overlapping specs, asserts that coalescing actually happened (coalesce-hit
 counter > 0, simulations <= distinct fingerprints) and that batched
 dispatch engaged (a ``serve.batch_size`` bucket > 1) with zero lost jobs,
-then SIGTERMs the server and asserts a clean drain.  The final metrics
+checks that resubmitting the finished sweep and waiting on it costs one
+request (its receipts carry their done job documents), then SIGTERMs the server and asserts a clean drain.  The final metrics
 snapshot (queue depth, latency histogram, counters) lands in
 ``serve-smoke-artifacts/`` for CI to upload.
 
@@ -88,6 +89,18 @@ def main() -> None:
             fail(f"batched dispatch never engaged: serve.batch_size={batches}")
         if metrics.get("serve.failed", 0):
             fail(f"{metrics['serve.failed']} job(s) failed during the sweep")
+
+        # The sweep again: every receipt is done at admission and carries
+        # its job document, so submit_and_wait costs the POST alone.
+        requests = metrics.get("serve.http_requests", 0)
+        documents = client.submit_and_wait(sweep, timeout=60)
+        if any(document["status"] != "done" for document in documents):
+            fail("a resubmitted finished spec did not end done")
+        sent = client.metrics()["metrics"].get("serve.http_requests", 0) - requests
+        # the POST and this /metrics read
+        if sent != 2:
+            fail(f"resubmitting the finished sweep sent {sent - 1} requests, not 1")
+        print("the finished sweep resubmitted and waited on in one request")
 
         process.send_signal(signal.SIGTERM)
         try:

@@ -14,7 +14,9 @@ flaky network needs:
   retry blindly;
 * **streaming poll** — :meth:`wait` long-polls ``GET /v1/jobs/{id}``
   (``?wait=``) so results arrive within one round-trip of completion
-  without hammering the server;
+  without hammering the server; a receipt that is already ``done``
+  carries its job document, and ``wait`` answers it from the calling
+  thread's last :meth:`submit` without a request;
 * **kept-alive connections** — each calling thread reuses one HTTP/1.1
   connection, so a submit and its wait cost no TCP set-up.
 
@@ -110,7 +112,8 @@ class ServeClient:
         self.retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
-        #: one kept-alive ``HTTPConnection`` per calling thread
+        #: per calling thread: one kept-alive ``HTTPConnection``, and the
+        #: documents of the done receipts of its last :meth:`submit`
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -217,13 +220,20 @@ class ServeClient:
 
         Safe to retry: duplicate submissions coalesce server-side onto
         the same fingerprint, so at-least-once delivery costs nothing.
+        The documents that ``done`` receipts carry are kept, until this
+        thread's next submit, for :meth:`wait` to answer from.
         """
         if isinstance(specs, dict):
             payload: dict = specs
         else:
             payload = {"jobs": list(specs)}
-        document = self.request("POST", "/v1/jobs", payload)
-        return document["jobs"]
+        receipts = self.request("POST", "/v1/jobs", payload)["jobs"]
+        self._local.done = {
+            receipt["id"]: receipt["document"]
+            for receipt in receipts
+            if receipt["status"] == "done" and "document" in receipt
+        }
+        return receipts
 
     def job(self, job_id: str, wait: float | None = None) -> dict:
         """Fetch one job's status/result; ``wait`` long-polls server-side."""
@@ -259,9 +269,16 @@ class ServeClient:
         compacted away during the restart, an id at or above it was
         never issued.
 
+        A job whose receipt from this thread's last :meth:`submit` was
+        already ``done`` is answered from that receipt's document, once,
+        without a request.
+
         Raises :class:`JobFailed` on a failed/cancelled job and
         :class:`ServeError` on timeout.
         """
+        document = getattr(self._local, "done", {}).pop(job_id, None)
+        if document is not None:
+            return document
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()

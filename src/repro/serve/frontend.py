@@ -6,8 +6,9 @@ everything a client sees (see docs/SERVING.md for the full API
 reference):
 
 * ``POST /v1/jobs``      — submit one spec or ``{"jobs": [...], "ids"?:
-  [...]}``; 202 with per-job ids, 429 + ``Retry-After`` when the queue is
-  full, 409 when a pinned id is already held by a different spec;
+  [...]}``; 202 with per-job receipts (a ``done`` one carries its job
+  document), 429 + ``Retry-After`` when the queue is full, 409 when a
+  pinned id is already held by a different spec;
 * ``GET /v1/jobs``       — list jobs (``?status=`` filter);
 * ``GET /v1/jobs/{id}``  — status/result; ``?wait=SECONDS`` long-polls;
 * ``DELETE /v1/jobs/{id}`` — cancel a job that has not started;
@@ -40,6 +41,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs.registry import MetricsRegistry
 from repro.serve.jobs import Job, JobTable, SpoolJournal
 from repro.serve.protocol import (
+    DONE,
     PROTOCOL_VERSION,
     QUEUED,
     ProtocolError,
@@ -497,15 +499,18 @@ class JobFrontEnd:
                 else:
                     self._admit(job)
                 self.registry.counter(f"{self.role}.submitted").inc()
-            accepted.append(
-                {
-                    "id": job.id,
-                    "status": job.status,
-                    "fingerprint": job.fingerprint,
-                    "coalesced": job.coalesced_into is not None,
-                    "coalesced_into": job.coalesced_into,
-                }
-            )
+            receipt = {
+                "id": job.id,
+                "status": job.status,
+                "fingerprint": job.fingerprint,
+                "coalesced": job.coalesced_into is not None,
+                "coalesced_into": job.coalesced_into,
+            }
+            if job.status == DONE:
+                # A done job's document is final: the receipt carries what
+                # its GET would return, so the client needs no round trip.
+                receipt["document"] = job.public()
+            accepted.append(receipt)
         return _encode_response(202, {"protocol_version": PROTOCOL_VERSION, "jobs": accepted})
 
     def _list_jobs(self, query: dict) -> bytes:

@@ -408,7 +408,8 @@ class RouterServer(JobFrontEnd):
             await asyncio.sleep(backoff)
 
     async def _run_on(self, worker: WorkerHandle, job: Job) -> float | None:
-        """Dispatch *job* to *worker* and watch it.
+        """Dispatch *job* to *worker* and watch it, unless the worker's
+        receipt says it is already done and carries its document.
 
         Returns None once the job needs no more placing (settled, or left
         pending for the journal by a drain), else the seconds to wait
@@ -429,6 +430,13 @@ class RouterServer(JobFrontEnd):
             )
             return None
         self.registry.counter("router.dispatches").inc()
+        receipt = next(
+            (r for r in document.get("jobs", ()) if r.get("id") == job.id), {}
+        )
+        if receipt.get("status") == "done" and "document" in receipt:
+            # The worker already finished this id: no watch needed.
+            self._settle(job, receipt["document"].get("result"))
+            return None
         if await self._watch(job, worker):
             return None
         self.registry.counter("router.redispatches").inc()

@@ -8,8 +8,6 @@ the matrix blind — executable proof of the paper's Section 3.1 argument.
 
 import dataclasses
 
-import pytest
-
 from repro.core.dependence_matrix import DependenceMatrix
 from repro.pipeline.config import FOUR_WIDE, RecoveryModel, SchedulerModel
 from repro.pipeline.processor import Processor

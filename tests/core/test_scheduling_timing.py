@@ -7,11 +7,8 @@ r20..r27 are never written, so operands naming them are ready at insert.
 
 import dataclasses
 
-import pytest
-
 from repro.pipeline.config import (
     FOUR_WIDE,
-    MachineConfig,
     RecoveryModel,
     RegFileModel,
     SchedulerModel,

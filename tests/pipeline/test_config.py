@@ -9,7 +9,6 @@ from repro.isa.opcodes import OpClass
 from repro.pipeline.config import (
     EIGHT_WIDE,
     FOUR_WIDE,
-    FunctionalUnitPool,
     Latencies,
     MachineConfig,
     RecoveryModel,

@@ -1,7 +1,5 @@
 """End-to-end processor tests: kernels, front end, invariants, properties."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -21,6 +21,8 @@ from repro.serve import frontend
 from repro.serve import router as router_mod
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.executor import JobExecutor
+from repro.serve.jobs import JobTable, SpoolJournal
+from repro.serve.protocol import parse_spec
 from repro.serve.router import BackgroundRouter, WorkerHandle, _worker_request
 from repro.serve.server import BackgroundServer
 
@@ -209,6 +211,39 @@ def test_restarted_worker_adds_no_dispatch_errors(quiet_cluster):
     assert registry.counter("router.dispatch_errors").value == 0
     assert registry.counter("router.redispatches").value == 0
     assert handle.consecutive_failures == 0 and handle.healthy
+
+
+def test_recovered_dispatch_of_a_finished_id_is_settled_from_its_receipt(
+    quiet_cluster, tmp_path
+):
+    """A recovered router re-dispatches a journaled job the worker already
+    finished: the worker's done receipt settles it, with no watch GET."""
+    _router, _handle, state = quiet_cluster
+    worker = state["worker"]
+    spec = tiny_run("gzip", seed=87)
+    worker_client = ServeClient(worker.base_url, timeout=30)
+    (receipt,) = worker_client.submit({"jobs": [spec], "ids": ["j-000001"]})
+    finished = worker_client.wait(receipt["id"], timeout=60)
+    spool = tmp_path / "router-spool"
+    journal = SpoolJournal(spool)
+    table = JobTable()
+    journal.record_submit(table.submit(parse_spec(spec), job_id="j-000001")[0])
+    before = _counters(worker, "http_requests")[0]
+    recovered = BackgroundRouter(port=0, workers=[worker.base_url], spool=spool).start()
+    try:
+        document = ServeClient(recovered.base_url, timeout=30).wait("j-000001", timeout=60)
+        handle = recovered.server.workers[worker.base_url]
+        deadline = time.monotonic() + 10.0
+        while handle.name is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert handle.name == "w0"  # the start-up probe is done
+        assert document["result"] == finished["result"]
+        # the start-up probe and the dispatch POST: no watch GET
+        assert _counters(worker, "http_requests")[0] - before == 2
+        registry = recovered.server.registry
+        assert registry.counter("router.dispatches").value == 1
+    finally:
+        recovered.stop(graceful=True)
 
 
 def test_stale_pooled_connection_is_resent_once_on_a_new_one():

@@ -1,7 +1,5 @@
 """Tests for the relative energy models."""
 
-import pytest
-
 from repro.timing.regfile_delay import RegisterFileDelayModel
 from repro.timing.wakeup_delay import WakeupDelayModel
 
