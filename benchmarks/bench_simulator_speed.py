@@ -65,7 +65,7 @@ def test_speed_cache_hierarchy(benchmark):
     def sweep():
         total = 0
         for addr in addresses:
-            total += hierarchy.load(addr).latency
+            total += hierarchy.load(addr)
         return total
 
     assert benchmark(sweep) > 0

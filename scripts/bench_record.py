@@ -8,9 +8,12 @@ writes one JSON file with, per workload and end-to-end metric, the
 median and quartiles of each side, both scaled to reference host speed
 and raw where perfbench prints the raw value, plus the pair count, the
 number of pairs the change won, ``env/host_speed_factor``, the backend
-and nproc.  After the pairs, one ``--trace 1`` pass per side adds the
-per-layer rows (raw, as perfbench prints them) under ``layers``.  Run from
-the root of the checkout::
+and nproc.  ``cpu_s`` holds each side's median and quartiles of the CPU
+seconds (user + system) that one perfbench run and the processes it
+waited for used, so a CPU-bound change can be read apart from time the
+host took from the vCPUs.  After the pairs, one ``--trace 1`` pass per
+side adds the per-layer rows (raw, as perfbench prints them) under
+``layers``.  Run from the root of the checkout::
 
     python3 scripts/bench_record.py --out BENCH_<n>.json --workloads serve --pairs 10
     python3 scripts/bench_record.py --out BENCH_<n>.json --workloads regen,trace,fuzz
@@ -31,6 +34,7 @@ import argparse
 import io
 import json
 import math
+import resource
 import shutil
 import signal
 import statistics
@@ -113,11 +117,15 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
               trace: int = 0) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if completed.returncode != 0:
         raise RuntimeError(f"{workload} in {checkout} exited {completed.returncode}:\n"
                            f"{completed.stderr[-2000:]}")
-    return parse_run(completed.stdout)
+    run = parse_run(completed.stdout)
+    run["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return run
 
 
 def spread(values: list) -> dict | None:
@@ -156,6 +164,8 @@ def summarize(workload: str, runs: dict, end_to_end: list) -> dict:
                           for run in side_runs])
             for side, side_runs in runs.items()
         },
+        "cpu_s": {side: spread([run["cpu_s"] for run in side_runs])
+                  for side, side_runs in runs.items()},
         "failed": {
             side: sum(run["result"]["failed"] for run in side_runs)
             for side, side_runs in runs.items()

@@ -6,7 +6,8 @@ Modules:
   (Section 3.2, Figure 7);
 * :mod:`repro.core.iq` — issue queue entries with per-operand wakeup state,
   including the fast/slow side split and the ``now`` bits of Figure 11;
-* :mod:`repro.core.scoreboard` — destination tag tracking, consumer lists
+* :mod:`repro.core.scoreboard` — destination tag tracking (tag →
+  producing entry; the entry holds its broadcast state and consumer list)
   and the invalidation cascade used by scheduling replay;
 * :mod:`repro.core.wakeup` — wakeup-logic strategies: conventional,
   sequential wakeup (Section 3.3) and tag elimination (Ernst & Austin);
@@ -21,7 +22,7 @@ from repro.core.last_arrival import (
     StaticLastArrival,
 )
 from repro.core.iq import EntryState, IQEntry, Operand
-from repro.core.scoreboard import Scoreboard, TagRecord
+from repro.core.scoreboard import Scoreboard
 from repro.core.wakeup import (
     BaseWakeup,
     SequentialWakeup,
@@ -40,7 +41,6 @@ __all__ = [
     "IQEntry",
     "Operand",
     "Scoreboard",
-    "TagRecord",
     "BaseWakeup",
     "SequentialWakeup",
     "TagElimination",

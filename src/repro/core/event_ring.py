@@ -34,13 +34,17 @@ class EventRing:
     delay is at least one cycle).
     """
 
-    __slots__ = ("_mask", "_size", "_buckets", "_overflow", "pending")
+    __slots__ = ("mask", "size", "buckets", "_overflow", "pending")
 
     def __init__(self, horizon: int):
         size = ring_size(horizon)
-        self._mask = size - 1
-        self._size = size
-        self._buckets: list[list] = [[] for _ in range(size)]
+        self.mask = size - 1
+        self.size = size
+        #: one list per cycle modulo ``size``; the outer list is never
+        #: replaced, so a caller may hold it and, for an event less than
+        #: ``size`` cycles ahead, append to ``buckets[cycle & mask]`` and
+        #: add one to ``pending`` itself (what :meth:`schedule` does)
+        self.buckets: list[list] = [[] for _ in range(size)]
         self._overflow: dict[int, list] = {}
         #: events scheduled and not yet popped; a caller whose calendar is
         #: usually empty tests this instead of calling :meth:`pop`
@@ -49,8 +53,8 @@ class EventRing:
     def schedule(self, now: int, cycle: int, item) -> None:
         """Enqueue *item* for *cycle* (must be > *now*)."""
         self.pending += 1
-        if cycle - now < self._size:
-            self._buckets[cycle & self._mask].append(item)
+        if cycle - now < self.size:
+            self.buckets[cycle & self.mask].append(item)
         else:
             self._overflow.setdefault(cycle, []).append(item)
 
@@ -61,15 +65,15 @@ class EventRing:
         caller may iterate without copying; an empty shared list is
         returned when nothing is due.
         """
-        index = cycle & self._mask
-        bucket = self._buckets[index]
+        index = cycle & self.mask
+        bucket = self.buckets[index]
         if self._overflow:
             extra = self._overflow.pop(cycle, None)
             if extra is not None:
                 bucket.extend(extra)
         if not bucket:
             return _EMPTY
-        self._buckets[index] = []
+        self.buckets[index] = []
         self.pending -= len(bucket)
         return bucket
 
@@ -83,9 +87,9 @@ class EventRing:
         rest.  The scan stops at the first non-empty bucket, and at once
         when ``now + 1`` is due.
         """
-        buckets = self._buckets
-        mask = self._mask
-        for cycle in range(now + 1, min(limit, now + self._size)):
+        buckets = self.buckets
+        mask = self.mask
+        for cycle in range(now + 1, min(limit, now + self.size)):
             if buckets[cycle & mask]:
                 limit = cycle
                 break

@@ -3,7 +3,9 @@
 An :class:`IQEntry` models one scheduler entry: up to two register source
 operands (each with ready/now bits and a fast/slow side assignment), plus an
 optional memory dependence (store-to-load forwarding) that real hardware
-tracks in the LSQ rather than on the wakeup bus.
+tracks in the LSQ rather than on the wakeup bus.  An entry is also the
+record of its destination tag (broadcast validity, consumers), which
+the :class:`~repro.core.scoreboard.Scoreboard` maps by tag.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ class IQEntry:
         "slot",
         "select_key",
         "is_two_source",
+        "valid",
+        "consumers",
+        "matrix_payload",
     )
 
     def __init__(
@@ -170,6 +175,15 @@ class IQEntry:
         #: immutable over the entry's lifetime, so the per-cycle candidate
         #: sort avoids recomputing it
         self.select_key = (_RANK_BY_IDX[op.op_class.idx], tag)
+        # -- the entry's destination tag, as the scoreboard sees it -------
+        #: True from the wakeup broadcast until it is invalidated (a valid
+        #: tag's broadcast has been delivered, so no cycle is kept)
+        self.valid = False
+        #: (consumer entry, operand index) pairs woken by the broadcast;
+        #: index -1 is a load's memory dependence on this store
+        self.consumers: list[tuple[IQEntry, int]] = []
+        #: Figure 5 matrix carried on the bus with the last broadcast
+        self.matrix_payload = None
 
     # ------------------------------------------------------------------
     @property

@@ -1605,7 +1605,7 @@ native_run(PyObject *self, PyObject *args)
                                 c->nomem = 1;
                             }
                         }
-                        /* record_dispatch */
+                        /* dispatch tallies */
                         c->s_dispatched++;
                         if (nsrc == 2) {
                             c->s_two_src++;

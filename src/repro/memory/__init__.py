@@ -1,7 +1,7 @@
 """Memory system substrate: set-associative caches and the paper's hierarchy.
 
 A cache keeps only its resident tags in LRU order, and the hierarchy answers
-each access with its latency and where it hit; nothing is counted.
+each access with its latency; nothing is counted.
 
 Table 1 of the paper specifies:
 
@@ -12,12 +12,11 @@ Table 1 of the paper specifies:
 """
 
 from repro.memory.cache import Cache, CacheConfig
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy, MemoryHierarchyConfig
+from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
 
 __all__ = [
     "Cache",
     "CacheConfig",
-    "AccessResult",
     "MemoryHierarchy",
     "MemoryHierarchyConfig",
 ]

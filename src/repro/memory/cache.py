@@ -62,10 +62,6 @@ class Cache:
             OrderedDict
         )
 
-    def line_address(self, addr: int) -> int:
-        """Align *addr* down to its cache-line address."""
-        return (addr >> self._line_shift) << self._line_shift
-
     def access(self, addr: int) -> bool:
         """Look up *addr*; fill on miss, evicting the LRU line of a full
         set.  Returns True on a hit."""

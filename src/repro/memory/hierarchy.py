@@ -20,31 +20,13 @@ class MemoryHierarchyConfig:
     memory_latency: int = 50
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one memory access.
-
-    Attributes:
-        latency: total access latency in cycles.
-        l1_hit: True if the access hit in its first-level cache.
-        l2_hit: True if an L1 miss hit in the L2 (False on L1 hits too).
-    """
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool = False
-
-    @property
-    def is_miss(self) -> bool:
-        return not self.l1_hit
-
-
 class MemoryHierarchy:
     """IL1 + DL1 backed by a unified L2 and main memory.
 
     Latencies accumulate down the hierarchy: an access that misses everywhere
     costs ``l1 + l2 + memory`` cycles, mirroring sim-outorder's serial lookup
-    model.
+    model.  Each access answers with its latency alone; it hit in its L1
+    exactly when that is the L1's latency.
     """
 
     __slots__ = ("config", "il1", "dl1", "l2")
@@ -56,28 +38,23 @@ class MemoryHierarchy:
         self.l2 = Cache(self.config.l2)
 
     # ------------------------------------------------------------------
-    def fetch(self, pc_addr: int) -> AccessResult:
+    def fetch(self, pc_addr: int) -> int:
         """Instruction fetch of the line holding *pc_addr*."""
         return self._access(self.il1, self.config.il1_latency, pc_addr)
 
-    def load(self, addr: int) -> AccessResult:
+    def load(self, addr: int) -> int:
         """Data load from *addr*."""
         return self._access(self.dl1, self.config.dl1_latency, addr)
 
-    def store(self, addr: int) -> AccessResult:
+    def store(self, addr: int) -> int:
         """Data store to *addr* (write-allocate: the same walk as a load)."""
         return self._access(self.dl1, self.config.dl1_latency, addr)
 
     # ------------------------------------------------------------------
-    def _access(self, l1: Cache, l1_latency: int, addr: int) -> AccessResult:
+    def _access(self, l1: Cache, l1_latency: int, addr: int) -> int:
         if l1.access(addr):
-            return AccessResult(latency=l1_latency, l1_hit=True)
+            return l1_latency
+        config = self.config
         if self.l2.access(addr):
-            return AccessResult(
-                latency=l1_latency + self.config.l2_latency, l1_hit=False, l2_hit=True
-            )
-        return AccessResult(
-            latency=l1_latency + self.config.l2_latency + self.config.memory_latency,
-            l1_hit=False,
-            l2_hit=False,
-        )
+            return l1_latency + config.l2_latency
+        return l1_latency + config.l2_latency + config.memory_latency

@@ -143,12 +143,13 @@ class Latencies:
                 OpClass.LOAD: self.agen,  # address generation part only
             },
         )
-        # Dense-index variant of the same table (OpClass.idx -> latency):
-        # list indexing skips enum hashing on the issue path.
+        # Dense-index variant of the same table (OpClass.idx -> latency,
+        # None for classes that never execute): list indexing skips enum
+        # hashing on the issue path, which reads it directly.
         by_index: list[int | None] = [None] * len(OpClass)
         for op_class, latency in self._by_class.items():
             by_index[op_class.idx] = latency
-        object.__setattr__(self, "_by_index", by_index)
+        object.__setattr__(self, "by_index", by_index)
 
     @property
     def worst_case(self) -> int:
@@ -156,7 +157,7 @@ class Latencies:
         return max(self._by_class.values())
 
     def for_class(self, op_class: OpClass) -> int:
-        latency = self._by_index[op_class.idx]
+        latency = self.by_index[op_class.idx]
         if latency is None:
             raise ConfigurationError(f"no latency for {op_class}")
         return latency

@@ -40,6 +40,9 @@ _NON_PIPELINED_BY_IDX: tuple[bool, ...] = tuple(
     op_class in _NON_PIPELINED for op_class in OpClass
 )
 
+#: Per-pool issue counts of a cycle that has issued nothing yet.
+_NO_ISSUES = (0,) * 5
+
 #: Pools a non-pipelined class issues to: only these hold busy units.
 _BUSY_POOLS: tuple[int, ...] = tuple(sorted({_POOL_OF[c] for c in _NON_PIPELINED}))
 
@@ -70,7 +73,7 @@ class FunctionalUnits:
         read by a cycle that issues, and pruning against a later *now*
         frees the same units.
         """
-        self._issued_this_cycle = [0] * 5
+        self._issued_this_cycle[:] = _NO_ISSUES
         busy_until = self._busy_until
         for index in _BUSY_POOLS:
             busy = busy_until[index]

@@ -38,12 +38,17 @@ class LoadStoreQueue:
             raise OverflowError("LSQ overflow: dispatch must check capacity")
         self._entries.append(entry)
 
-    def remove(self, entry: IQEntry) -> None:
-        """Drop a committed memory instruction."""
-        try:
-            self._entries.remove(entry)
-        except ValueError:
-            pass
+    def head(self) -> IQEntry | None:
+        return self._entries[0] if self._entries else None
+
+    def commit_head(self) -> IQEntry:
+        """Drop the oldest memory instruction as it commits.
+
+        Dispatch inserts in program order and commit retires in program
+        order, so a committing load or store is always the head (the
+        invariant checker's ``lsq-order`` kind asserts it).
+        """
+        return self._entries.popleft()
 
     # ------------------------------------------------------------------
     def forwarding_store(self, load: IQEntry) -> IQEntry | None:

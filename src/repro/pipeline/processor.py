@@ -16,17 +16,24 @@ paper's Figure 9/12 examples.
 Implementation note: the inner loop is written for CPython speed — event
 calendars are :class:`~repro.core.event_ring.EventRing` buckets instead of
 dicts, selection sorts on a precomputed key, and hot methods hoist
-attribute lookups into locals.  Enum members are module constants
+attribute lookups into locals.  Each in-flight instruction has one
+record, its :class:`~repro.core.iq.IQEntry`, which is also its
+destination tag's record: the scoreboard maps tag → producing entry, the
+rename map points at the newest producer, and broadcast, rename and commit
+use those dicts directly.  The memory hierarchy answers an access with
+its latency alone, issue appends broadcasts and completions inside the
+horizon straight into their ring buckets, and dispatch, issue and commit
+count their statistics in place.  Enum members are module constants
 (``WAITING``, ``LEFT``, ...) and configuration enums become booleans
 here, because an ``EnumType`` attribute lookup costs over 100 ns on
 CPython 3.11.  The phases skip work that cannot matter: a cycle with an
 empty ready set leaves the functional units' per-cycle state alone, and
-the rarely used kill and slow-wakeup calendars are popped only while
-they hold events; ``run()`` still calls all five phases on every cycle
-it does not skip.  After a cycle that leaves nothing ready and nothing
-to commit, :meth:`Processor._fast_forward` jumps the clock to the next
-cycle in which an event, a dispatch, a fetch or the watchdog can act, as
-the native loop does; most cycles of a short run are such dead cycles.
+each event calendar is popped only while it holds events; ``run()``
+still calls all five phases on every cycle it does not skip.  After a
+cycle that leaves nothing ready and nothing to commit,
+:meth:`Processor._fast_forward` jumps the clock to the next cycle in
+which an event, a dispatch, a fetch or the watchdog can act, as the
+native loop does; most cycles of a short run are such dead cycles.
 None of this changes simulated timing;
 ``tests/analysis/test_parallel_and_cache.py`` pins cycle-exact
 determinism, ``tests/trace/test_corpus.py`` pins the results of every
@@ -159,9 +166,10 @@ class Processor:
         "profiler",
         "checker",
         # -- hoisted hot-path bindings (see end of __init__) -------------
+        "_producers",
         "_entry_ready",
         "_verify_at_issue",
-        "_lat_for_class",
+        "_lat_by_index",
         "_width",
         "_front_depth",
         "_exec_offset",
@@ -170,8 +178,12 @@ class Processor:
         "_load_spec_window",
         "_tag_elim_detect",
         "_dl1_latency",
-        "_pop_broadcasts",
-        "_pop_completions",
+        "_il1_latency",
+        "_fetch_line_shift",
+        "_ring_size",
+        "_ring_mask",
+        "_broadcast_buckets",
+        "_completion_buckets",
     )
 
     def __init__(
@@ -200,7 +212,9 @@ class Processor:
         self.lsq = LoadStoreQueue(config.lsq_size)
 
         self.now = 0
-        self._rename: dict[int, int | None] = {}
+        # architectural register -> its newest in-flight producer (None once
+        # that producer has committed)
+        self._rename: dict[int, IQEntry | None] = {}
         self._ready: dict[int, IQEntry] = {}
         # (arrive_cycle, tag, op); the tag is the op's fetch-order number
         self._frontend: deque[tuple[int, int, DynOp]] = deque()
@@ -212,6 +226,7 @@ class Processor:
         self._feed_done = False
         self._fetch_stalled_until = 0
         self._fetch_blocked_on: int | None = None
+        # IL1 line number (address >> line shift) of the last fetch access
         self._last_fetch_line = -1
         self._pc_address = getattr(feed, "pc_address", lambda pc: pc * 4)
 
@@ -260,9 +275,10 @@ class Processor:
 
         # Hot-path bindings: pre-resolved bound methods and config scalars,
         # saving an attribute-chain walk per use inside the cycle loop.
+        self._producers = self.scoreboard.entries
         self._entry_ready = self.wakeup.entry_ready
         self._verify_at_issue = self.wakeup.verify_at_issue
-        self._lat_for_class = config.lat.for_class
+        self._lat_by_index = config.lat.by_index
         self._width = config.width
         self._front_depth = config.front_depth
         self._exec_offset = config.exec_offset
@@ -271,8 +287,15 @@ class Processor:
         self._load_spec_window = config.load_spec_window
         self._tag_elim_detect = config.tag_elim_detect_delay
         self._dl1_latency = config.mem.dl1_latency
-        self._pop_broadcasts = self._broadcasts.pop
-        self._pop_completions = self._completions.pop
+        self._il1_latency = config.mem.il1_latency
+        self._fetch_line_shift = config.mem.il1.line_bytes.bit_length() - 1
+        # Issue appends broadcasts and completions less than a ring size
+        # ahead straight into their buckets (all four rings share the
+        # horizon, so one size and mask serve both).
+        self._ring_size = self._broadcasts.size
+        self._ring_mask = self._broadcasts.mask
+        self._broadcast_buckets = self._broadcasts.buckets
+        self._completion_buckets = self._completions.buckets
 
     # ==================================================================
     # Main loop.
@@ -376,8 +399,9 @@ class Processor:
     # ==================================================================
     def _process_events(self) -> None:
         now = self.now
-        # Kills and slow-bus wakeups are rare: most cycles find both
-        # calendars empty without a call.
+        # Each calendar is popped only while it holds events: kills and
+        # slow-bus wakeups are rare, and many cycles deliver no broadcast
+        # or completion either.
         kills = self._kills
         if kills.pending:
             for kill in kills.pop(now):
@@ -386,15 +410,19 @@ class Processor:
         if slow_wakeups.pending:
             for entry, op_index, tag in slow_wakeups.pop(now):
                 self._deliver_slow(entry, op_index, tag)
-        for entry, epoch in self._pop_broadcasts(now):
-            if entry.epoch == epoch:
-                self._broadcast(entry)
-        for entry, epoch in self._pop_completions(now):
-            if entry.epoch == epoch and entry.state is ISSUED:
-                entry.state = COMPLETED
-                entry.complete_cycle = now
-                if entry.op.is_control:
-                    self._resolve_branch(entry)
+        broadcasts = self._broadcasts
+        if broadcasts.pending:
+            for entry, epoch in broadcasts.pop(now):
+                if entry.epoch == epoch:
+                    self._broadcast(entry)
+        completions = self._completions
+        if completions.pending:
+            for entry, epoch in completions.pop(now):
+                if entry.epoch == epoch and entry.state is ISSUED:
+                    entry.state = COMPLETED
+                    entry.complete_cycle = now
+                    if entry.op.is_control:
+                        self._resolve_branch(entry)
 
     def _broadcast_matrix(self, producer: IQEntry) -> DependenceMatrix:
         """Figure 5 bus payload: ancestors of *producer*, plus itself."""
@@ -421,20 +449,20 @@ class Processor:
 
     def _broadcast(self, producer: IQEntry) -> None:
         """Deliver a destination-tag broadcast to all registered consumers."""
-        now = self.now
         tag = producer.tag
-        record = self.scoreboard.mark_broadcast(tag, now)
-        if record is None:
-            return
+        if tag not in self._producers:
+            return  # committed: the value is architectural
+        producer.valid = True
+        now = self.now
         use_matrix = self._use_matrix
         if use_matrix:
-            record.matrix_payload = self._broadcast_matrix(producer)
+            producer.matrix_payload = self._broadcast_matrix(producer)
         # Only sequential wakeup has a slow bus; elsewhere every operand
         # sees the tag now.
         delivery_delay = self.wakeup.delivery_delay if self._seq_wakeup else None
         entry_ready = self._entry_ready
         ready = self._ready
-        for entry, op_index in record.consumers:
+        for entry, op_index in producer.consumers:
             if op_index < 0:
                 if entry.mem_dep_tag == tag and not entry.mem_dep_ready:
                     entry.mem_dep_ready = True
@@ -460,7 +488,7 @@ class Processor:
             if operand.first_wake_cycle is None:
                 operand.first_wake_cycle = now
             if use_matrix and self._operand_has_comparator(entry, operand):
-                operand.matrix = record.matrix_payload
+                operand.matrix = producer.matrix_payload
             if (
                 entry.state is WAITING
                 and not entry.in_ready
@@ -480,13 +508,12 @@ class Processor:
         operand = entry.operands[op_index]
         if operand.ready or operand.tag != tag:
             return
-        if not self.scoreboard.is_valid(tag):
+        producer = self._producers.get(tag)
+        if producer is not None and not producer.valid:
             return  # the broadcast was invalidated in the meantime
         operand.wake(self.now)
-        if self._use_matrix:
-            record = self.scoreboard.get(tag)
-            if record is not None:
-                operand.matrix = record.matrix_payload
+        if self._use_matrix and producer is not None:
+            operand.matrix = producer.matrix_payload
         self._maybe_ready(entry)
 
     def _maybe_record_wakeup_pair(self, entry: IQEntry) -> None:
@@ -578,17 +605,20 @@ class Processor:
         entry.in_ready = False
         entry.state = ISSUED
         entry.issue_cycle = now
-        entry.epoch += 1
+        epoch = entry.epoch + 1
+        entry.epoch = epoch
         entry.slot = slot
-        self.stats.issued += 1
+        stats = self.stats
+        stats.issued += 1
+        op = entry.op
         if entry.is_two_source:
             self._record_issue_stats(entry)
         if self.trace is not None:
             record = self.trace.setdefault(entry.tag, {"issues": []})
             record["issues"].append(now)
             record["seq_reg_access"] = seq_access
-            record["opcode"] = entry.op.opcode
-            record["pc"] = entry.op.pc
+            record["opcode"] = op.opcode
+            record["pc"] = op.pc
 
         # Only tag elimination issues speculatively and verifies.
         verify_ok = not self._tag_elim or self._verify_at_issue(entry, self.scoreboard, now)
@@ -597,33 +627,47 @@ class Processor:
             # detection delay; the replay window covers everything issued
             # in the shadow, the mis-issued instruction included.
             detect = self._tag_elim_detect
-            self.stats.tag_elim_misschedules += 1
+            stats.tag_elim_misschedules += 1
             self._kills.schedule(
                 now,
                 now + detect,
-                _Kill(entry, entry.epoch, (now, now + detect - 1), squash_root=True),
+                _Kill(entry, epoch, (now, now + detect - 1), squash_root=True),
             )
         if self.checker is not None:
             self.checker.on_issue(entry, now, seq_access, verify_ok)
 
-        if entry.op.is_load:
+        if op.is_load:
             self._issue_load(entry)
             return
-        latency = self._lat_for_class(entry.op.op_class)
+        latency = self._lat_by_index[op.op_class.idx]
         if seq_access:
             latency += 1
-            self.stats.sequential_rf_accesses += 1
+            stats.sequential_rf_accesses += 1
         if self._half_bypass and len(entry.operands) == 2:
             # Half-price bypass (Section 6 extension): only one value can
             # be caught off the bypass per cycle; a double catch latches
             # one operand and starts execution a cycle later.
-            if all(operand.woke_now(now) for operand in entry.operands):
+            left, right = entry.operands
+            if (
+                left.ready and left.ready_cycle == now and not left.ready_at_insert
+                and right.ready and right.ready_cycle == now
+                and not right.ready_at_insert
+            ):
                 latency += 1
-                self.stats.double_bypass_delays += 1
-        self._broadcasts.schedule(now, now + latency, (entry, entry.epoch))
-        self._completions.schedule(
-            now, now + self._exec_offset + latency, (entry, entry.epoch)
-        )
+                stats.double_bypass_delays += 1
+        event = (entry, epoch)
+        size = self._ring_size
+        if latency < size:
+            self._broadcasts.pending += 1
+            self._broadcast_buckets[(now + latency) & self._ring_mask].append(event)
+        else:
+            self._broadcasts.schedule(now, now + latency, event)
+        delay = self._exec_offset + latency
+        if delay < size:
+            self._completions.pending += 1
+            self._completion_buckets[(now + delay) & self._ring_mask].append(event)
+        else:
+            self._completions.schedule(now, now + delay, event)
 
     def _issue_load(self, entry: IQEntry) -> None:
         now = self.now
@@ -636,15 +680,20 @@ class Processor:
             if entry.forwarded:
                 actual_mem = self._dl1_latency  # store queue data
             else:
-                actual_mem = self.memory.load(entry.op.mem_addr).latency
+                actual_mem = self.memory.load(entry.op.mem_addr)
             entry.mem_fill_cycle = now + self._agen_lat + actual_mem
         fill = max(entry.mem_fill_cycle, now + assumed)
         completion = fill + self._exec_offset - self._agen_lat
-        # Broadcast at the assumed-hit time (speculative when the data is late).
-        self._broadcasts.schedule(now, now + assumed, (entry, entry.epoch))
+        event = (entry, entry.epoch)
+        # Broadcast at the assumed-hit time (speculative when the data is
+        # late); the assumed latency is always inside the ring's horizon.
+        self._broadcasts.pending += 1
+        self._broadcast_buckets[(now + assumed) & self._ring_mask].append(event)
         if fill <= now + assumed:
-            # Data arrives within the assumed-hit schedule.
-            self._completions.schedule(now, completion, (entry, entry.epoch))
+            # Data arrives within the assumed-hit schedule (so the
+            # completion, too, lies inside the horizon).
+            self._completions.pending += 1
+            self._completion_buckets[completion & self._ring_mask].append(event)
             return
         # Latency misprediction: kill after the resolution shadow, real
         # broadcast at fill.
@@ -659,18 +708,22 @@ class Processor:
         # A re-issued load's in-flight fill can land inside the kill shadow;
         # the re-broadcast must follow the kill or it would be invalidated.
         rebroadcast = max(fill, kill_cycle + 1)
-        self._broadcasts.schedule(now, rebroadcast, (entry, entry.epoch))
-        self._completions.schedule(
-            now, max(completion, rebroadcast), (entry, entry.epoch)
-        )
+        self._broadcasts.schedule(now, rebroadcast, event)
+        self._completions.schedule(now, max(completion, rebroadcast), event)
 
     def _record_issue_stats(self, entry: IQEntry) -> None:
-        """Figure 10 category of a two-source entry's issue."""
+        """Figure 10 category of a two-source entry's issue.
+
+        The ``now`` bit (:meth:`Operand.woke_now`) is tested inline.
+        """
         now = self.now
         left, right = entry.operands
         if left.ready_at_insert and right.ready_at_insert:
             entry.rf_category = "two_ready"
-        elif left.woke_now(now) or right.woke_now(now):
+        elif (
+            (left.ready and left.ready_cycle == now and not left.ready_at_insert)
+            or (right.ready and right.ready_cycle == now and not right.ready_at_insert)
+        ):
             entry.rf_category = "back_to_back"
         else:
             entry.rf_category = "non_back_to_back"
@@ -783,57 +836,54 @@ class Processor:
 
     def _insert(self, op: DynOp, tag: int) -> None:
         now = self.now
+        stats = self.stats
+        stats.dispatched += 1
         if op.is_eliminated_nop:
             entry = IQEntry(op, tag, [], now)
             entry.state = COMPLETED
             self.rob.push(entry)
-            self.stats.record_dispatch(False, 0)
             return
-        # Rename: each source's producer record is looked up once, and the
-        # new entry joins its consumers once the entry exists.
-        scoreboard = self.scoreboard
-        rename_get = self._rename.get
-        scoreboard_get = scoreboard.get
+        # Rename: each source's newest in-flight producer, if any; the new
+        # entry joins its consumers once the entry exists.
+        rename = self._rename
+        rename_get = rename.get
         operands: list[Operand] = []
         producers = []
         for position, arch in enumerate(op.sched_deps):
             side = LEFT if position == 0 else RIGHT
-            producer_tag = rename_get(arch)
-            # No producer tag or no record: the producer has committed and
-            # the value is architectural.
-            record = None if producer_tag is None else scoreboard_get(producer_tag)
-            if record is None:
+            producer = rename_get(arch)
+            if producer is None:
+                # The producer has committed: the value is architectural.
                 operands.append(Operand(None, side))
                 continue
-            if record.valid and record.broadcast_cycle is not None and (
-                record.broadcast_cycle <= now
-            ):
+            if producer.valid:
                 # Ready bit set at insert; the producer may still be
                 # squashed later, so the tag reference is kept for the
                 # invalidation cascade.
                 operand = Operand(None, side)
-                operand.tag = producer_tag
+                operand.tag = producer.tag
                 if self._use_matrix:
-                    operand.matrix = record.matrix_payload
+                    operand.matrix = producer.matrix_payload
             else:
-                operand = Operand(producer_tag, side)
+                operand = Operand(producer.tag, side)
             operands.append(operand)
-            producers.append((record, position))
+            producers.append((producer, position))
         entry = IQEntry(op, tag, operands, now)
-        scoreboard.allocate(tag)
-        for record, position in producers:
-            record.consumers.append((entry, position))
+        self._producers[tag] = entry
+        for producer, position in producers:
+            producer.consumers.append((entry, position))
         if op.dest is not None:
-            self._rename[op.dest] = tag
+            rename[op.dest] = entry
         if entry.is_two_source:
             self.wakeup.assign_sides(entry)
+            stats.two_source_dispatched += 1
+            stats.ready_at_insert[entry.stat_ready_at_insert] += 1
         self.rob.push(entry)
         if op.is_load:
             self._setup_load_forwarding(entry)
             self.lsq.insert(entry)
         elif op.is_store:
             self.lsq.insert(entry)
-        self.stats.record_dispatch(entry.is_two_source, entry.stat_ready_at_insert)
         # A new entry is waiting and outside the ready set.
         if entry.mem_dep_ready and self._entry_ready(entry):
             entry.in_ready = True
@@ -847,7 +897,7 @@ class Processor:
         if not self.lsq.store_agen_done(store):
             entry.mem_dep_tag = store.tag
             entry.mem_dep_ready = False
-            self.scoreboard.add_consumer(store.tag, entry, -1)
+            store.consumers.append((entry, -1))
 
     def _maybe_ready(self, entry: IQEntry) -> None:
         if (
@@ -871,7 +921,7 @@ class Processor:
         ):
             return
         memory = self.memory
-        line_address = memory.il1.line_address
+        shift = self._fetch_line_shift
         pc_address = self._pc_address
         frontend_append = self._frontend.append
         arrive = now + self._front_depth
@@ -887,13 +937,14 @@ class Processor:
                     self._feed_done = True
                     break
             address = pc_address(op.pc)
-            line = line_address(address)
+            line = address >> shift
             if line != self._last_fetch_line:
-                result = memory.fetch(address)
+                latency = memory.fetch(address)
                 self._last_fetch_line = line
-                if result.is_miss:
-                    # The op stays next in line until the stall ends.
-                    self._fetch_stalled_until = now + result.latency
+                if latency != self._il1_latency:
+                    # An IL1 miss: the op stays next in line until the
+                    # stall ends.
+                    self._fetch_stalled_until = now + latency
                     break
             frontend_append((arrive, tag, op))
             tag += 1
@@ -944,8 +995,8 @@ class Processor:
         width = self._width
         stats = self.stats
         rename = self._rename
-        lsq = self.lsq
-        scoreboard_free = self.scoreboard.free
+        lsq_commit = self.lsq.commit_head
+        producers_pop = self._producers.pop
         trace = self.trace
         checker = self.checker
         committed = 0
@@ -956,15 +1007,21 @@ class Processor:
             op = entry.op
             if op.is_store:
                 self.memory.store(op.mem_addr)
-                lsq.remove(entry)
+                lsq_commit()
             elif op.is_load:
-                lsq.remove(entry)
+                lsq_commit()
             dest = op.dest
-            if dest is not None and rename.get(dest) == entry.tag:
+            if dest is not None and rename.get(dest) is entry:
                 rename[dest] = None
-            scoreboard_free(entry.tag)
-            if entry.rf_category is not None:
-                stats.record_rf_category(entry.rf_category)
+            producers_pop(entry.tag, None)  # eliminated NOPs own no tag
+            category = entry.rf_category
+            if category is not None:
+                if category == "back_to_back":
+                    stats.rf_back_to_back += 1
+                elif category == "two_ready":
+                    stats.rf_two_ready += 1
+                else:
+                    stats.rf_non_back_to_back += 1
             if trace is not None:
                 record = trace.setdefault(entry.tag, {"issues": []})
                 record["insert"] = entry.insert_cycle

@@ -1,6 +1,6 @@
 """Simulation statistics: every counter the paper's figures need.
 
-The recorder is fed by the processor at well-defined points:
+The processor updates the counters in place at well-defined points:
 
 * dispatch — Figure 4 (ready operands at insert) and stream composition;
 * wakeup — Figure 6 (wakeup slack), Table 3 (order stability, left/right),
@@ -178,12 +178,6 @@ class SimStats:
         return self.branch_mispredicts / self.branches if self.branches else 0.0
 
     # ----------------------------------------------------------------------
-    def record_dispatch(self, is_two_source: bool, ready_count: int) -> None:
-        self.dispatched += 1
-        if is_two_source:
-            self.two_source_dispatched += 1
-            self.ready_at_insert[ready_count] += 1
-
     def record_wakeup_pair(
         self,
         pc: int,
@@ -196,16 +190,6 @@ class SimStats:
         self.order.observe(pc, last_side)
         if self.shadow_bank is not None:
             self.shadow_bank.observe(pc, last_side)
-
-    def record_rf_category(self, category: str) -> None:
-        if category == "back_to_back":
-            self.rf_back_to_back += 1
-        elif category == "two_ready":
-            self.rf_two_ready += 1
-        elif category == "non_back_to_back":
-            self.rf_non_back_to_back += 1
-        else:
-            raise ValueError(f"unknown register access category {category!r}")
 
     def reset_window(self) -> None:
         """Reset measurement counters at the warmup boundary.

@@ -25,6 +25,8 @@ the outside, with independent bookkeeping:
   producing broadcast has been invalidated;
 * **commit-state** / **commit-order** — only COMPLETED entries commit, in
   contiguous program (sequence) order;
+* **lsq-order** — a committing load or store is the head of the
+  load/store queue (commit retires the LSQ by popping its head);
 * **replay-window** — after a windowed (non-selective) kill, nothing
   issued inside the window is still in flight, and a squash-root kill
   leaves its root squashed.
@@ -259,10 +261,18 @@ class InvariantChecker:
                 "commit-state", now,
                 f"committed entry in state {entry.state.value} ({entry!r})",
             )
-        seq = entry.op.seq
+        op = entry.op
+        seq = op.seq
         if seq != self._next_seq:
             raise InvariantViolation(
                 "commit-order", now,
                 f"committed seq {seq}, expected {self._next_seq} ({entry!r})",
             )
         self._next_seq += 1
+        if op.is_load or op.is_store:
+            head = self.processor.lsq.head()
+            if head is not entry:
+                raise InvariantViolation(
+                    "lsq-order", now,
+                    f"committing {entry!r} but the LSQ head is {head!r}",
+                )

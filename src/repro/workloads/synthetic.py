@@ -544,21 +544,14 @@ class SyntheticWorkload:
                 taken, next_pc = self._control_outcome(
                     op, pc, rng, loop_counts, jump_rr, num_ops
                 )
+            # Positional arguments, in DynOp's parameter order: keywords
+            # cost about twice as much per op.
             yield DynOp(
-                seq=seq,
-                pc=pc,
-                opcode=op.opcode,
-                op_class=op.op_class,
-                dest=op.dest if op.dest != R31 else None,
-                srcs=op.srcs,
-                sched_deps=op.sched_deps,
-                store_data_reg=op.store_data_reg,
-                mem_addr=mem_addr,
-                taken=taken,
-                next_pc=next_pc,
-                static_target=op.static_target,
-                is_two_source_format=op.is_two_source_format,
-                is_eliminated_nop=op.is_eliminated_nop,
+                seq, pc, op.opcode, op.op_class,
+                op.dest if op.dest != R31 else None,
+                op.srcs, op.sched_deps, op.store_data_reg, mem_addr, taken,
+                next_pc, op.static_target, op.is_two_source_format,
+                op.is_eliminated_nop,
             )
             seq += 1
             pc = next_pc

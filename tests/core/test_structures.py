@@ -90,53 +90,61 @@ class TestIQEntry:
 
 
 class TestScoreboard:
+    """The scoreboard maps a tag to its producing entry, which carries the
+    tag's broadcast state and consumers; the processor writes both."""
+
+    @staticmethod
+    def producing(board, tag):
+        producer = entry_with(deps=(), seq=tag)
+        board.entries[tag] = producer
+        return producer
+
     def test_absent_tags_are_valid(self):
         board = Scoreboard()
         assert board.is_valid(12345)
 
     def test_broadcast_lifecycle(self):
         board = Scoreboard()
-        board.allocate(1)
+        producer = self.producing(board, 1)
         assert not board.is_valid(1)
-        board.mark_broadcast(1, 10)
+        producer.valid = True  # the broadcast
         assert board.is_valid(1)
 
     def test_invalidate_returns_consumers(self):
         board = Scoreboard()
-        board.allocate(1)
+        producer = self.producing(board, 1)
         entry = entry_with(deps=(2,))
-        board.add_consumer(1, entry, 0)
-        board.mark_broadcast(1, 5)
+        producer.consumers.append((entry, 0))
+        producer.valid = True
         consumers = board.invalidate(1)
         assert consumers == [(entry, 0)]
         assert not board.is_valid(1)
 
     def test_rebroadcast_after_invalidate(self):
         board = Scoreboard()
-        board.allocate(1)
-        board.mark_broadcast(1, 5)
+        producer = self.producing(board, 1)
+        producer.valid = True
         board.invalidate(1)
-        board.mark_broadcast(1, 20)
+        producer.valid = True
         assert board.is_valid(1)
 
     def test_consumers_survive_invalidation(self):
         board = Scoreboard()
-        board.allocate(1)
+        producer = self.producing(board, 1)
         entry = entry_with(deps=(2,))
-        board.add_consumer(1, entry, 0)
+        producer.consumers.append((entry, 0))
         board.invalidate(1)
         assert board.invalidate(1) == [(entry, 0)]
 
     def test_free(self):
         board = Scoreboard()
-        board.allocate(1)
-        board.free(1)
-        assert board.get(1) is None
+        self.producing(board, 1)
+        del board.entries[1]  # the commit
         assert board.is_valid(1)
 
-    def test_add_consumer_to_missing_tag_is_noop(self):
+    def test_invalidate_missing_tag_is_noop(self):
         board = Scoreboard()
-        board.add_consumer(42, entry_with(), 0)  # must not raise
+        assert board.invalidate(42) == []
 
 
 #: the sort key the processor's select phase orders ready entries by

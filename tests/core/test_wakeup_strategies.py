@@ -150,8 +150,9 @@ class TestTagEliminationStrategy:
         entry = two_source_entry()
         logic.assign_sides(entry)
         board = Scoreboard()
-        board.allocate(50)
-        board.mark_broadcast(50, 0)
+        producer = one_source_entry()
+        producer.valid = True  # tag 50 has broadcast
+        board.entries[50] = producer
         entry.operands[0].wake(0)
         entry.operands[1].wake(1)
         assert logic.verify_at_issue(entry, board, 1)

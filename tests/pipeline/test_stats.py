@@ -3,7 +3,16 @@
 import pytest
 
 from repro.core.last_arrival import OperandSide
+from repro.pipeline.config import FOUR_WIDE
+from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats, WakeupOrderStats
+from tests.util import ScriptedFeed, op
+
+
+def run(ops):
+    processor = Processor(ScriptedFeed(ops), FOUR_WIDE)
+    processor.run(max_insts=len(ops), warmup=0)
+    return processor
 
 
 class TestWakeupOrderStats:
@@ -56,12 +65,18 @@ class TestSimStats:
         assert SimStats().ipc == 0.0
 
     def test_record_dispatch(self):
-        stats = SimStats()
-        stats.record_dispatch(True, 0)
-        stats.record_dispatch(True, 2)
-        stats.record_dispatch(False, 0)
-        assert stats.dispatched == 3
+        """Dispatch counts every op, two-source ones by ready operands."""
+        ops = [
+            op(0, "DIV", dest=1, srcs=(20,)),
+            op(1, "DIV", dest=2, srcs=(21,)),
+            op(2, dest=3, srcs=(1, 2)),    # two-source, neither ready
+            op(3, dest=4, srcs=(20, 21)),  # two-source, both ready
+            op(4, "NOP2"),
+        ]
+        stats = run(ops).stats
+        assert stats.dispatched == 5
         assert stats.two_source_dispatched == 2
+        assert stats.ready_at_insert == {0: 1, 2: 1}
         assert stats.frac_two_pending == pytest.approx(0.5)
 
     def test_record_wakeup_pair_slack_capped(self):
@@ -76,14 +91,18 @@ class TestSimStats:
         assert stats.frac_simultaneous == pytest.approx(0.5)
 
     def test_rf_categories(self):
-        stats = SimStats()
-        stats.committed = 10
-        stats.record_rf_category("back_to_back")
-        stats.record_rf_category("two_ready")
-        stats.record_rf_category("non_back_to_back")
-        assert stats.frac_two_rf_reads == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            stats.record_rf_category("bogus")
+        """Commit counts each two-source instruction in its Figure 10
+        category: eight consumers of one broadcast fill two issue cycles."""
+        ops = (
+            [op(0, "DIV", dest=1, srcs=(20,))]
+            + [op(i, dest=1 + i, srcs=(1, 20)) for i in range(1, 9)]
+            + [op(9, dest=10, srcs=(20, 21))]
+        )
+        stats = run(ops).stats
+        assert stats.rf_two_ready == 1
+        assert stats.rf_back_to_back == 4
+        assert stats.rf_non_back_to_back == 4
+        assert stats.frac_two_rf_reads == pytest.approx(0.5)
 
     def test_predictor_accuracy(self):
         stats = SimStats()

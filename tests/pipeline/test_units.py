@@ -158,13 +158,17 @@ class TestLoadStoreQueue:
         lsq.insert(self.make_store(0, 0x1000))
         assert lsq.forwarding_store(self.make_load(1, 0x1008)) is None
 
-    def test_remove_is_idempotent(self):
+    def test_commit_head_pops_in_program_order(self):
         lsq = LoadStoreQueue(8)
         load = self.make_load(0, 0x10)
+        store = self.make_store(1, 0x20)
         lsq.insert(load)
-        lsq.remove(load)
-        lsq.remove(load)
-        assert len(lsq) == 0
+        lsq.insert(store)
+        assert lsq.head() is load
+        assert lsq.commit_head() is load
+        assert lsq.head() is store
+        assert lsq.commit_head() is store
+        assert len(lsq) == 0 and lsq.head() is None
 
     def test_store_agen_done(self):
         store = self.make_store(0, 0x10)

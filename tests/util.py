@@ -94,7 +94,8 @@ def processor_entry(processor, seq: int):
 
 class CountingHierarchy(MemoryHierarchy):
     """A memory hierarchy that tallies accesses and misses per level, by
-    cache name ("IL1", "DL1", "L2"); the model itself counts nothing.
+    cache name ("IL1", "DL1", "L2"), worked out from each access's latency;
+    the model itself counts nothing.
 
     Set it on ``processor.memory`` before ``run()``.
     """
@@ -107,10 +108,14 @@ class CountingHierarchy(MemoryHierarchy):
         self.misses: Counter[str] = Counter()
 
     def _access(self, l1, l1_latency, addr):
-        result = super()._access(l1, l1_latency, addr)
-        for name, hit in ((l1.config.name, result.l1_hit), (self.l2.config.name, result.l2_hit)):
+        latency = super()._access(l1, l1_latency, addr)
+        # The latency tells where the access hit: the L1's own, plus the
+        # L2's, plus memory's.
+        l2_hit_latency = l1_latency + self.config.l2_latency
+        for name, hit in ((l1.config.name, latency == l1_latency),
+                          (self.l2.config.name, latency == l2_hit_latency)):
             self.accesses[name] += 1
             if hit:
                 break
             self.misses[name] += 1
-        return result
+        return latency

@@ -15,6 +15,7 @@ from repro.core.wakeup import WakeupLogic
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import OpClass
 from repro.pipeline.fu import FunctionalUnits
+from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.processor import Processor
 from repro.pipeline.regfile import RegisterFilePolicy
 from repro.verify import InvariantViolation, check_source, config_matrix
@@ -144,6 +145,14 @@ class TestMutationsCaught:
         monkeypatch.setattr(Processor, "_squash", lambda self, entry: None)
         failure = check_source(MISS_SHADOW, BASE)
         assert failure is not None and failure.kind == "replay-window"
+
+    def test_lsq_order(self, monkeypatch):
+        # An LSQ that files each new memory instruction at the front:
+        # the first load to commit is not the queue's head.
+        monkeypatch.setattr(LoadStoreQueue, "insert",
+                            lambda self, entry: self._entries.appendleft(entry))
+        failure = check_source(THREE_LOADS, BASE)
+        assert failure is not None and failure.kind == "lsq-order"
 
     def test_mutation_does_not_outlive_monkeypatch(self):
         # The monkeypatches above are class-level; everything must be
