@@ -11,7 +11,7 @@ argument rests on.
 """
 
 from repro.timing.regfile_delay import RegisterFileDelayModel
-from repro.timing.technology import TECH_0_13_UM, TECH_0_18_UM, TECH_0_25_UM
+from repro.timing.technology import TECH_0_18_UM, TechnologyNode
 from repro.timing.wakeup_delay import WakeupDelayModel
 
 
@@ -37,10 +37,10 @@ def main() -> None:
         fast = wakeup.sequential_wakeup_delay(entries)
         print(f"  {entries:>8} {base:>13.0f} {fast:>11.0f} {base - fast:>6.0f}")
 
-    print("\nScheduler (wakeup+select) delay vs. machine width (ps, 64 entries)")
+    print("\nWakeup delay vs. machine width (ps, 64 entries)")
     for width in (2, 4, 8, 16):
-        base = wakeup.scheduler_delay(64, 2.0, width)
-        fast = wakeup.scheduler_delay(64, 1.0, width)
+        base = wakeup.conventional_delay(64, width)
+        fast = wakeup.sequential_wakeup_delay(64, width)
         print(f"  {width:>2}-wide: {base:>6.0f} -> {fast:>6.0f}")
 
     print("\nRegister file access time vs. read+write ports (ns, 160 entries)")
@@ -50,7 +50,8 @@ def main() -> None:
         print(f"  {ports:>2} ports: {time:5.2f} ns, {area:4.1f}x area (vs 8 ports)")
 
     print("\nTechnology scaling of the wakeup anchor (conventional 64-entry)")
-    for tech in (TECH_0_25_UM, TECH_0_18_UM, TECH_0_13_UM):
+    nodes = (TechnologyNode("0.25um", 0.25), TECH_0_18_UM, TechnologyNode("0.13um", 0.13))
+    for tech in nodes:
         model = WakeupDelayModel(tech)
         print(f"  {tech.name}: {model.conventional_delay(64):.0f} ps")
 

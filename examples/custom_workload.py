@@ -34,7 +34,7 @@ def main() -> None:
         loop_trip_mean=6.0,
     )
     workload = SyntheticWorkload(profile, seed=7)
-    print(f"workload: {profile.name} ({workload.static_size} static instructions)")
+    print(f"workload: {profile.name} (seed {workload.seed})")
 
     base = simulate(workload, FOUR_WIDE, max_insts=8000, warmup=12000)
     print(f"\nbase 4-wide: IPC={base.ipc:.3f}  "

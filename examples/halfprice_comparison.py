@@ -13,7 +13,6 @@ paper's Figures 14, 15 and 16.
 
 import argparse
 
-from repro.analysis.report import render_bars
 from repro.analysis.runner import ExperimentRunner
 from repro.pipeline import EIGHT_WIDE, FOUR_WIDE, RegFileModel, SchedulerModel
 from repro.workloads import SPEC_BENCHMARKS
@@ -48,11 +47,9 @@ def main() -> None:
     for name in names:
         base_ipc = runner.base(name, args.width).ipc
         print(f"\n{name}: base IPC {base_ipc:.3f} ({base.name})")
-        bars = {
-            label: runner.normalized_ipc(name, config)
-            for label, config in variants.items()
-        }
-        print(render_bars("  normalized IPC (1.0 = base)", bars))
+        print("  normalized IPC (1.0 = base)")
+        for label, config in variants.items():
+            print(f"    {label:22s} {runner.normalized_ipc(name, config):.3f}")
 
     print("\naverages across selected benchmarks:")
     for label, config in variants.items():

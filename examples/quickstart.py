@@ -31,7 +31,7 @@ def main() -> None:
     # Layer 1: architectural execution.
     emulator = Emulator(program)
     steps = emulator.run()
-    print(f"functional emulation: {steps} instructions, r1 = {emulator.int_reg(1)}")
+    print(f"functional emulation: {steps} instructions, r1 = {emulator.read_reg(1)}")
 
     # Layer 2: cycle-level timing on the base machine.
     base_config = FOUR_WIDE if args.width == 4 else EIGHT_WIDE

@@ -11,7 +11,12 @@ number of pairs the change won, ``env/host_speed_factor``, the backend
 and nproc.  ``cpu_s`` holds each side's median and quartiles of the CPU
 seconds (user + system) that one perfbench run and the processes it
 waited for used, so a CPU-bound change can be read apart from time the
-host took from the vCPUs.  After the pairs, one ``--trace 1`` pass per
+host took from the vCPUs.  A run stops at ``run_seconds`` by whole passes,
+so ``cpu_s`` also counts how many passes fit; ``cpu_ms_per_op`` divides
+each run's CPU time by the operations it attempted (``attempted`` in
+perfbench's JSON result) into a cost per operation, with the same median
+and quartiles.  Both include the run's set-up: interpreter start, imports
+and the work planned before timing starts.  After the pairs, one ``--trace 1`` pass per
 side adds the per-layer rows (raw, as perfbench prints them) under
 ``layers``.  Run from the root of the checkout::
 
@@ -128,6 +133,12 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     return run
 
 
+def cpu_ms_per_op(run: dict) -> float | None:
+    """CPU milliseconds per attempted operation of one run, set-up included."""
+    attempted = run["result"]["attempted"]
+    return 1000 * run["cpu_s"] / attempted if attempted else None
+
+
 def spread(values: list) -> dict | None:
     values = sorted(v for v in values if v is not None)
     if not values:
@@ -166,6 +177,8 @@ def summarize(workload: str, runs: dict, end_to_end: list) -> dict:
         },
         "cpu_s": {side: spread([run["cpu_s"] for run in side_runs])
                   for side, side_runs in runs.items()},
+        "cpu_ms_per_op": {side: spread([cpu_ms_per_op(run) for run in side_runs])
+                          for side, side_runs in runs.items()},
         "failed": {
             side: sum(run["result"]["failed"] for run in side_runs)
             for side, side_runs in runs.items()

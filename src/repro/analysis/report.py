@@ -1,4 +1,4 @@
-"""ASCII rendering for experiment results (tables and bar charts)."""
+"""ASCII rendering for experiment results (aligned tables)."""
 
 from __future__ import annotations
 
@@ -56,19 +56,4 @@ def render(result: ExperimentResult) -> str:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     for note in result.notes:
         lines.append(f"  note: {note}")
-    return "\n".join(lines)
-
-
-def render_bars(
-    title: str, values: dict[str, float], scale: float = 40.0, unit: str = ""
-) -> str:
-    """Render a labelled horizontal bar chart (for figure-style output)."""
-    if not values:
-        return title
-    peak = max(abs(v) for v in values.values()) or 1.0
-    lines = [title]
-    label_width = max(len(k) for k in values)
-    for key, value in values.items():
-        bar = "#" * max(0, round(abs(value) / peak * scale))
-        lines.append(f"  {key.ljust(label_width)} |{bar} {value:.3f}{unit}")
     return "\n".join(lines)

@@ -246,9 +246,9 @@ class ExperimentRunner:
         self,
         directory: Path | str,
         configs: tuple[MachineConfig, ...] | list[MachineConfig] | None = None,
-        seeds: tuple[int, ...] | None = None,
     ) -> list[Path]:
-        """Export every (benchmark, config, seed) combination's manifest.
+        """Export every (benchmark, config) combination's manifest at the
+        runner's first seed.
 
         Missing results are bulk-resolved through :meth:`prefetch` first,
         so independent simulations fan out over the parallel engine; the
@@ -256,17 +256,15 @@ class ExperimentRunner:
         count (pinned by the CI determinism job).
         """
         configs = tuple(configs) if configs else (FOUR_WIDE,)
-        seeds = tuple(seeds) if seeds else (self.seed,)
         requests = [
-            (benchmark, config, seed, False)
+            (benchmark, config, self.seed, False)
             for benchmark in self.benchmarks
             for config in configs
-            for seed in seeds
         ]
         self.prefetch(requests)
         return [
-            self.export_run(benchmark, config, directory, seed=seed)
-            for benchmark, config, seed, _ in requests
+            self.export_run(benchmark, config, directory)
+            for benchmark, config, _, _ in requests
         ]
 
     # ------------------------------------------------------------------

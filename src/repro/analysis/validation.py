@@ -1,9 +1,9 @@
-"""Validation scorecard: does the reproduction preserve the paper's shapes?
+"""Shape checks: does the reproduction preserve the paper's conclusions?
 
 Each check encodes one conclusion of the paper as a testable predicate
 over the regenerated experiments, and is the only bound on that claim:
 ``benchmarks/bench_claims.py`` asserts every check at whatever run size
-the runner is configured for.  The scorecard is the automated version of
+the runner is configured for, and is the automated version of
 EXPERIMENTS.md's judgement column: absolute values differ (synthetic
 workloads, see DESIGN.md §3) but the *direction and rough magnitude* of
 every claim must hold.  A check's name starts with the
@@ -447,21 +447,3 @@ ALL_CHECKS: tuple[Check, ...] = (
     Check("sweep-window-flat", "seq wakeup cost stays flat in window size", _check_sweep_window),
     Check("sweep-width-flat", "seq wakeup cost stays flat in machine width", _check_sweep_width),
 )
-
-
-def scorecard(runner: ExperimentRunner) -> ExperimentResult:
-    """Run every shape check; returns a PASS/FAIL table."""
-    result = ExperimentResult(
-        "Scorecard",
-        "Shape-preservation checks against the paper's conclusions",
-        ["check", "verdict", "detail", "paper claim"],
-    )
-    # The checks share the base-machine runs; resolve them all through the
-    # parallel engine before any check starts pulling results one by one.
-    runner.prefetch_base()
-    for check in ALL_CHECKS:
-        ok, detail = check.predicate(runner)
-        result.rows.append(
-            [check.name, "PASS" if ok else "FAIL", detail, check.paper_claim]
-        )
-    return result

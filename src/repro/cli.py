@@ -125,12 +125,8 @@ def _cmd_run(args) -> int:
 def _cmd_kernel(args) -> int:
     config = _machine(args)
     feed = EmulatorFeed(kernel_program(args.name), name=args.name)
-    processor = Processor(feed, config, record_schedule=args.pipetrace > 0)
-    result = processor.run(max_insts=10**7, warmup=0)
+    result = Processor(feed, config).run(max_insts=10**7, warmup=0)
     _print_summary(result)
-    if args.pipetrace > 0:
-        print()
-        print(render_pipetrace(processor, first_seq=0, count=args.pipetrace))
     return 0
 
 
@@ -723,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernel_parser = subparsers.add_parser("kernel", help="run an assembly kernel")
     kernel_parser.add_argument("name", choices=sorted(KERNELS))
-    kernel_parser.add_argument(
-        "--pipetrace", type=int, default=0, metavar="N",
-        help="render the pipeline timeline of the first N instructions",
-    )
     _add_machine_arguments(kernel_parser)
 
     experiment_parser = subparsers.add_parser(

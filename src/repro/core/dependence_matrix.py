@@ -62,10 +62,6 @@ class DependenceMatrix:
         """Does the kill-bus bit (issue cycle, slot) hit this matrix?"""
         return (kill_cycle, kill_slot) in self._bits
 
-    def snapshot(self) -> "DependenceMatrix":
-        """Copy taken when the owner broadcasts (bus payload)."""
-        return DependenceMatrix(self.depth, self._bits)
-
     def clear(self) -> None:
         self._bits.clear()
 

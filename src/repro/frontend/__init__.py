@@ -9,7 +9,6 @@ from repro.frontend.direction import (
     BimodalPredictor,
     CombinedPredictor,
     GSharePredictor,
-    SaturatingCounter,
 )
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ras import ReturnAddressStack
@@ -19,7 +18,6 @@ __all__ = [
     "BimodalPredictor",
     "CombinedPredictor",
     "GSharePredictor",
-    "SaturatingCounter",
     "BranchTargetBuffer",
     "ReturnAddressStack",
     "BranchPrediction",

@@ -10,50 +10,16 @@ The combined predictor (McFarling-style, as shipped in the Alpha 21264 and
 SimpleScalar) keeps both component predictions from the most recent
 ``predict`` internally so that ``update`` can train the selector.
 
-Every table holds its saturating counters as one byte each in a flat
-``bytearray``: a machine builds three 4096-entry tables, and one object
-per counter cost more to build than the rest of the machine.
+Every table holds its n-bit saturating counters as one byte each in a
+flat ``bytearray``: a machine builds three 4096-entry tables, and one
+object per counter cost more to build than the rest of the machine.  A
+counter predicts "taken" in the upper half of its range and starts weakly
+taken, just above the midpoint.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-
-
-class SaturatingCounter:
-    """An n-bit saturating up/down counter.
-
-    The counter predicts "taken"/"strong" when in the upper half of its
-    range.  A standalone model of one table entry: the predictor tables
-    below hold the same counters as bytes and apply the same rule.
-    """
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, initial: int | None = None):
-        if bits < 1:
-            raise ConfigurationError("counter needs at least one bit")
-        self.maximum = (1 << bits) - 1
-        # Default: weakly-taken (just above the midpoint).
-        self.value = (self.maximum + 1) // 2 if initial is None else initial
-
-    def increment(self) -> None:
-        if self.value < self.maximum:
-            self.value += 1
-
-    def decrement(self) -> None:
-        if self.value > 0:
-            self.value -= 1
-
-    def train(self, outcome: bool) -> None:
-        if outcome:
-            self.increment()
-        else:
-            self.decrement()
-
-    @property
-    def predict(self) -> bool:
-        return self.value > self.maximum // 2
 
 
 def _check_power_of_two(entries: int, what: str) -> None:

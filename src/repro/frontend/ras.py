@@ -26,9 +26,6 @@ class ReturnAddressStack:
             return None
         return self._stack.pop()
 
-    def peek(self) -> int | None:
-        return self._stack[-1] if self._stack else None
-
     def clear(self) -> None:
         self._stack.clear()
 

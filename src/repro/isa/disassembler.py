@@ -7,16 +7,14 @@ from repro.isa.opcodes import OpClass
 from repro.isa.registers import reg_name
 
 
-def disassemble(inst: Instruction, label: str | None = None) -> str:
+def disassemble(inst: Instruction) -> str:
     """Render *inst* as one line of HPRISC assembly.
 
-    ``label`` overrides the numeric branch target with a symbolic name.
+    A branch target is rendered as its instruction index.
     """
     name = inst.opcode.name
     cls = inst.op_class
-    target = label if label is not None else (
-        str(inst.target) if inst.target is not None else "?"
-    )
+    target = str(inst.target) if inst.target is not None else "?"
     if cls in (OpClass.NOP, OpClass.HALT):
         if name == "NOP2":
             return f"NOP2 {reg_name(inst.srcs[0])}, {reg_name(inst.srcs[1])}"
@@ -44,15 +42,3 @@ def disassemble(inst: Instruction, label: str | None = None) -> str:
         f"{name} {reg_name(inst.dest)}, "
         f"{reg_name(inst.srcs[0])}, {reg_name(inst.srcs[1])}"
     )
-
-
-def disassemble_program(program) -> str:
-    """Render a whole :class:`~repro.isa.assembler.Program` as text."""
-    index_to_label = {v: k for k, v in program.labels.items()}
-    lines = []
-    for index, inst in enumerate(program.instructions):
-        if index in index_to_label:
-            lines.append(f"{index_to_label[index]}:")
-        label = index_to_label.get(inst.target) if inst.target is not None else None
-        lines.append("    " + disassemble(inst, label=label))
-    return "\n".join(lines)

@@ -52,7 +52,7 @@ class Emulator:
         program = assemble(SOURCE)
         emu = Emulator(program)
         emu.run()
-        assert emu.int_reg(1) == 42
+        assert emu.read_reg(1) == 42
     """
 
     def __init__(self, program: Program, entry: int = 0):
@@ -83,14 +83,6 @@ class Emulator:
             self._fp_regs[reg - FP_REG_BASE] = float(value)
         else:
             self._int_regs[reg] = _to_signed(int(value))
-
-    def int_reg(self, number: int) -> int:
-        """Convenience accessor for integer register ``r<number>``."""
-        return self.read_reg(number)
-
-    def fp_reg(self, number: int) -> float:
-        """Convenience accessor for floating register ``f<number>``."""
-        return self.read_reg(FP_REG_BASE + number)
 
     def read_mem(self, addr: int) -> int | float:
         return self.memory.get(addr & ~7, 0)

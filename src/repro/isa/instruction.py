@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import Opcode, OpClass
-from repro.isa.registers import is_zero_reg, reg_name
+from repro.isa.registers import is_zero_reg
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,3 @@ class Instruction:
         from repro.isa.disassembler import disassemble
 
         return disassemble(self)
-
-    def describe(self) -> str:
-        """Verbose, unambiguous rendering for debugging."""
-        parts = [self.opcode.name]
-        if self.dest is not None:
-            parts.append(f"dest={reg_name(self.dest)}")
-        if self.srcs:
-            parts.append("srcs=" + ",".join(reg_name(s) for s in self.srcs))
-        if self.imm:
-            parts.append(f"imm={self.imm}")
-        if self.target is not None:
-            parts.append(f"target={self.target}")
-        return " ".join(parts)

@@ -138,12 +138,3 @@ OPCODE_BY_NAME: dict[str, Opcode] = {
         _op("HALT", OpClass.HALT, Format.ZERO_REG, 0, False),
     ]
 }
-
-
-#: Opcodes whose execution transfers control.
-CONTROL_OPCODES = frozenset(
-    name for name, op in OPCODE_BY_NAME.items() if op.op_class.is_control
-)
-
-#: Conditional branch opcodes (direction depends on a register value).
-CONDITIONAL_BRANCHES = frozenset({"BEQ", "BNE", "BLT", "BGE"})

@@ -30,7 +30,6 @@ _EXPORTS = {
     "write_chrome_trace": "chrometrace",
     "STATS_SCHEMA_VERSION": "export",
     "build_stats_export": "export",
-    "load_stats_json": "export",
     "stats_filename": "export",
     "write_stats_json": "export",
     "CounterMetric": "registry",
@@ -67,7 +66,6 @@ __all__ = [
     "build_stats_export",
     "stats_filename",
     "write_stats_json",
-    "load_stats_json",
     "export_chrome_trace",
     "write_chrome_trace",
 ]

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from repro.analysis.cache import config_identity, fingerprint, serialize_result
 from repro.analysis.parallel import Job
-from repro.errors import SimulationError
 from repro.pipeline.processor import TIMING_MODEL_VERSION, SimulationResult
 
 #: Bump whenever the export document gains/loses/renames fields.
@@ -91,19 +90,3 @@ def write_stats_json(document: dict, directory: Path | str) -> Path:
     payload = json.dumps(document, sort_keys=True, indent=1) + "\n"
     path.write_text(payload, encoding="utf-8")
     return path
-
-
-def load_stats_json(path: Path | str) -> dict:
-    """Load and version-check one export document."""
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise SimulationError(f"unreadable stats export {path}: {error}") from error
-    version = document.get("schema_version")
-    if version != STATS_SCHEMA_VERSION:
-        raise SimulationError(
-            f"{path}: stats schema version {version!r} "
-            f"(this code reads {STATS_SCHEMA_VERSION})"
-        )
-    return document

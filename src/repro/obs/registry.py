@@ -124,9 +124,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     def get(self, name: str):
         return self._metrics.get(name)
 

@@ -96,19 +96,6 @@ class FunctionalUnitPool:
     fp_mult: int    # floating MULT/DIV units
     mem_ports: int
 
-    def count_for(self, op_class: OpClass) -> int:
-        if op_class in (OpClass.INT_ALU, OpClass.BRANCH, OpClass.JUMP):
-            return self.int_alu
-        if op_class is OpClass.FP_ALU:
-            return self.fp_alu
-        if op_class in (OpClass.INT_MULT, OpClass.INT_DIV):
-            return self.int_mult
-        if op_class in (OpClass.FP_MULT, OpClass.FP_DIV):
-            return self.fp_mult
-        if op_class.is_memory:
-            return self.mem_ports
-        raise ConfigurationError(f"no functional unit for {op_class}")
-
 
 @dataclass(frozen=True)
 class Latencies:

@@ -93,9 +93,6 @@ class FunctionalUnits:
         if _NON_PIPELINED_BY_IDX[idx]:
             self._busy_until[pool].append(now + self._lat.for_class(op_class))
 
-    def pool_size(self, op_class: OpClass) -> int:
-        return self._counts[_POOL_BY_IDX[op_class.idx]]
-
 
 def pool_index(op_class: OpClass) -> int:
     """Index of the issue-bandwidth pool *op_class* shares (0..4).

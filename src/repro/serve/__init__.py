@@ -38,15 +38,13 @@ from repro.serve.protocol import (
     ProtocolError,
     RunSpec,
     VerifySpec,
-    parse_batch,
     parse_spec,
 )
 from repro.serve.frontend import run_server
-from repro.serve.server import BackgroundServer, ServeServer
+from repro.serve.server import ServeServer
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "BackgroundServer",
     "Job",
     "JobExecutor",
     "JobFailed",
@@ -59,7 +57,6 @@ __all__ = [
     "ServeServer",
     "SpoolJournal",
     "VerifySpec",
-    "parse_batch",
     "parse_spec",
     "run_server",
 ]

@@ -450,9 +450,3 @@ def parse_batch_with_ids(payload: object) -> tuple[list[JobSpec], list[str] | No
             )
         return specs, ids
     return [parse_spec(payload)], None
-
-
-def parse_batch(payload: object) -> list[JobSpec]:
-    """Parse a ``POST /v1/jobs`` body: a single spec or ``{"jobs": [...]}``."""
-    specs, _ids = parse_batch_with_ids(payload)
-    return specs

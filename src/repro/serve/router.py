@@ -32,16 +32,13 @@ settled.  The design invariants (docs/SERVING.md, "Cluster mode"):
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from repro.obs.registry import MetricsRegistry
 from repro.serve.frontend import (
-    BackgroundFrontEnd,
     JobFrontEnd,
     read_headers,
     wants_close,
@@ -193,10 +190,9 @@ class RouterServer(JobFrontEnd):
         port: int = 0,
         workers: list[str] | tuple[str, ...] = (),
         spool: Path | str | None = None,
-        registry: MetricsRegistry | None = None,
         queue_size: int = DEFAULT_QUEUE_SIZE,
     ):
-        super().__init__(host, port, queue_size, spool, registry)
+        super().__init__(host, port, queue_size, spool)
         self.health_interval_s = HEALTH_INTERVAL_S
         self.health_failures = HEALTH_FAILURES
         self.watch_poll_s = WATCH_POLL_S
@@ -474,7 +470,3 @@ class RouterServer(JobFrontEnd):
                 self._settle(job, document.get("result"), document.get("error"))
                 return True
         return True
-
-
-#: A RouterServer on its own thread + event loop (tests, fixtures).
-BackgroundRouter = functools.partial(BackgroundFrontEnd, RouterServer)

@@ -17,13 +17,11 @@ so queued work persists to the spool instead of executing.
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
 from pathlib import Path
 
-from repro.obs.registry import MetricsRegistry
 from repro.serve.executor import JobExecutor
-from repro.serve.frontend import BackgroundFrontEnd, JobFrontEnd
+from repro.serve.frontend import JobFrontEnd
 from repro.serve.jobs import Job
 
 #: Default bind and capacity knobs (overridable per server).
@@ -50,10 +48,9 @@ class ServeServer(JobFrontEnd):
         queue_size: int = DEFAULT_QUEUE_SIZE,
         spool: Path | str | None = None,
         executor: JobExecutor | None = None,
-        registry: MetricsRegistry | None = None,
         name: str | None = None,
     ):
-        super().__init__(host, port, queue_size, spool, registry)
+        super().__init__(host, port, queue_size, spool)
         #: worker identity, reported on /healthz (cluster diagnostics)
         self.name = name
         self.workers = workers
@@ -152,7 +149,3 @@ class ServeServer(JobFrontEnd):
                 self._settle(job, error=f"{type(outcome).__name__}: {outcome}")
             else:
                 self._settle(job, result=outcome)
-
-
-#: A ServeServer on its own thread + event loop (tests, fixtures).
-BackgroundServer = functools.partial(BackgroundFrontEnd, ServeServer)

@@ -64,33 +64,6 @@ class RegisterFileDelayModel:
         return entries * self.bits * cell_dim * cell_dim
 
     # ------------------------------------------------------------------
-    def port_reduction_speedup(
-        self, entries: int, ports_before: int, ports_after: int
-    ) -> float:
-        """Fractional access-time drop from a port reduction.
-
-        The paper's 8-wide case halves the *read* ports: 24 total ports
-        (16 read + 8 write) down to 16 (8 read + 8 write), a 20.5 % drop
-        at 160 entries.
-        """
-        base = self.access_time(entries, ports_before)
-        reduced = self.access_time(entries, ports_after)
-        return (base - reduced) / base
-
-    def read_energy(self, entries: int, ports: int) -> float:
-        """Relative dynamic energy of one read access.
-
-        A read swings one wordline (length ∝ bits × cell width) and
-        ``bits`` bitline pairs (length ∝ entries × cell height); both cell
-        dimensions grow with the port count, so reducing ports saves
-        energy on *every* access, not only cycle time.
-        """
-        self._check(entries, ports)
-        cell_dim = 1.0 + _P_GROWTH * ports
-        wordline = self.bits * cell_dim
-        bitlines = self.bits * entries * cell_dim * 0.05
-        return wordline + bitlines
-
     def paper_anchor(self) -> tuple[float, float]:
         """The paper's quoted pair: (24-port, 16-port) access times at
         160 entries, 0.18 µm."""

@@ -31,7 +31,3 @@ class TechnologyNode:
 
 #: The paper's reference node.
 TECH_0_18_UM = TechnologyNode("0.18um", 0.18)
-
-#: Other contemporary nodes, for scaling studies.
-TECH_0_25_UM = TechnologyNode("0.25um", 0.25)
-TECH_0_13_UM = TechnologyNode("0.13um", 0.13)

@@ -1,4 +1,4 @@
-"""Palacharla-style wakeup/select delay model (paper Section 3.3).
+"""Palacharla-style wakeup delay model (paper Section 3.3).
 
 The wakeup path is tag drive → tag match → match OR.  Tag drive is the
 wire-dominated term: the broadcast bus runs past every issue queue entry,
@@ -20,7 +20,6 @@ wakeup equivalent at 374 ps (a 24.6 % speedup).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -36,14 +35,11 @@ _H1 = 1.0
 #: paper's 466 ps / 374 ps anchor pair.
 _D1 = 1.158928571428571
 _D2 = 7.254464285714286e-4
-#: Select-tree delay: root + per-log4-level (ps), Palacharla's form.
-_SELECT_BASE = 120.0
-_SELECT_PER_LEVEL = 50.0
 
 
 @dataclass(frozen=True)
 class WakeupDelayModel:
-    """Analytic scheduler delay model.
+    """Analytic wakeup delay model.
 
     Attributes:
         technology: process node (delays scale linearly with feature size).
@@ -73,17 +69,6 @@ class WakeupDelayModel:
             + self.tag_drive_delay(entries, comparators_per_entry, width)
         )
 
-    def select_delay(self, entries: int) -> float:
-        """Selection tree delay in ps (log4 arbitration tree)."""
-        if entries <= 0:
-            raise ConfigurationError("entries must be positive")
-        levels = max(1.0, math.log(entries, 4))
-        return (_SELECT_BASE + _SELECT_PER_LEVEL * levels) * self.technology.delay_scale
-
-    def scheduler_delay(self, entries: int, comparators_per_entry: float, width: int = 4) -> float:
-        """Atomic wakeup+select loop delay in ps."""
-        return self.wakeup_delay(entries, comparators_per_entry, width) + self.select_delay(entries)
-
     # ------------------------------------------------------------------
     def conventional_delay(self, entries: int = 64, width: int = 4) -> float:
         """Wakeup delay of a conventional scheduler (2 comparators/entry)."""
@@ -92,12 +77,6 @@ class WakeupDelayModel:
     def sequential_wakeup_delay(self, entries: int = 64, width: int = 4) -> float:
         """Fast-bus wakeup delay under sequential wakeup (1 comparator)."""
         return self.wakeup_delay(entries, 1.0, width)
-
-    def speedup(self, entries: int = 64, width: int = 4) -> float:
-        """Fractional wakeup speedup of sequential wakeup (paper: 24.6 %)."""
-        base = self.conventional_delay(entries, width)
-        fast = self.sequential_wakeup_delay(entries, width)
-        return (base - fast) / base
 
     # ------------------------------------------------------------------
     def broadcast_energy(self, entries: int, comparators_per_entry: float, width: int = 4) -> float:

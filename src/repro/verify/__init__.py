@@ -35,16 +35,15 @@ from repro.verify.fuzz import (
 )
 from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.lockstep import DivergenceError, LockstepChecker
-from repro.verify.progen import GeneratorKnobs, ProgramGenerator, generate_source
+from repro.verify.progen import ProgramGenerator, generate_source
 from repro.verify.reprofile import REPRO_SUFFIX, ReproCase, read_repro, write_repro
-from repro.verify.shrink import count_instructions, shrink_source
+from repro.verify.shrink import shrink_source
 
 __all__ = [
     "DEFAULT_BUDGET",
     "DivergenceError",
     "FuzzFailure",
     "FuzzReport",
-    "GeneratorKnobs",
     "InvariantChecker",
     "InvariantViolation",
     "LockstepChecker",
@@ -55,7 +54,6 @@ __all__ = [
     "check_source",
     "check_source_cross_backend",
     "config_matrix",
-    "count_instructions",
     "generate_source",
     "read_repro",
     "replay_corpus",

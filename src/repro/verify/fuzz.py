@@ -54,7 +54,7 @@ from repro.pipeline.config import (
     SchedulerModel,
 )
 from repro.pipeline.processor import Processor
-from repro.verify.progen import GeneratorKnobs, generate_source
+from repro.verify.progen import generate_source
 from repro.verify.reprofile import REPRO_SUFFIX, ReproCase, read_repro, write_repro
 from repro.verify.shrink import shrink_source
 from repro.workloads.feed import EmulatorFeed, ReplayFeed
@@ -87,10 +87,8 @@ _RECOVERIES: dict[str, RecoveryModel] = {
 }
 
 
-def config_matrix(
-    names: Sequence[str] | None = None, base: MachineConfig = FOUR_WIDE
-) -> list[MachineConfig]:
-    """Build the fuzzing configuration matrix.
+def config_matrix(names: Sequence[str] | None = None) -> list[MachineConfig]:
+    """Build the fuzzing configuration matrix over the 4-wide machine.
 
     With no *names*, returns all eight machines: {base, seq-wakeup,
     seq-regfile, tag-elim} x {nonsel, sel}.  *names* filters by full label
@@ -110,7 +108,7 @@ def config_matrix(
                 else:
                     continue
             matrix.append(
-                base.with_techniques(recovery=recovery, name=label, **techniques)
+                FOUR_WIDE.with_techniques(recovery=recovery, name=label, **techniques)
             )
     if names is not None:
         unknown = [name for name in names if name not in matched]
@@ -375,7 +373,6 @@ def run_fuzz(
     seed: int = 0,
     configs: Sequence[MachineConfig] | None = None,
     budget: int = DEFAULT_BUDGET,
-    knobs: GeneratorKnobs | None = None,
     shrink: bool = True,
     corpus_dir: str | Path | None = None,
     max_failures: int = 5,
@@ -412,7 +409,7 @@ def run_fuzz(
     failures: list[FuzzFailure] = []
     checked = 0
     for index, gen_seed in enumerate(seeds):
-        source = generate_source(gen_seed, knobs)
+        source = generate_source(gen_seed)
         for config in matrix:
             result = check(source, config, budget)
             checked += 1

@@ -29,7 +29,6 @@ divides a reserved non-zero FP register.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.isa.assembler import Program, assemble
 
@@ -56,32 +55,29 @@ _FP_ALU = ("ADDF", "SUBF", "CMPFEQ", "CMPFLT")
 _BRANCHES = ("BEQ", "BNE", "BLT", "BGE")
 
 
-@dataclass(frozen=True)
-class GeneratorKnobs:
-    """Size and mix parameters of one generated program."""
-
-    #: top-level structured segments (blocks / loops / diamonds / calls)
-    segments: int = 8
-    #: straight-line block length range (inclusive)
-    block_len: tuple[int, int] = (2, 6)
-    #: counted-loop iteration range (inclusive; small keeps runs bounded)
-    loop_iters: tuple[int, int] = (1, 4)
-    #: maximum loop nesting depth (bounded by the counter register pool)
-    max_loop_depth: int = 2
-    #: maximum number of straight-line subroutines
-    subroutines: int = 2
-    #: 64-bit words in the shared data region
-    data_words: int = 32
-    #: byte address of the data region
-    region_base: int = 4096
-    #: probability that an integer source names the zero register r31
-    zero_reg_bias: float = 0.08
-    #: probability that a 2-source instruction duplicates one source
-    duplicate_bias: float = 0.10
+# Size and mix of every generated program.
+#: top-level structured segments (blocks / loops / diamonds / calls)
+_SEGMENTS = 8
+#: straight-line block length range (inclusive)
+_BLOCK_LEN = (2, 6)
+#: counted-loop iteration range (inclusive; small keeps runs bounded)
+_LOOP_ITERS = (1, 4)
+#: maximum loop nesting depth (one reserved counter register per level)
+_MAX_LOOP_DEPTH = len(_COUNTERS)
+#: maximum number of straight-line subroutines
+_SUBROUTINES = 2
+#: 64-bit words in the shared data region
+_DATA_WORDS = 32
+#: byte address of the data region
+_REGION_BASE = 4096
+#: probability that an integer (FP) source names the zero register r31 (f31)
+_ZERO_REG_BIAS = 0.08
+#: probability that a 2-source instruction duplicates one source
+_DUPLICATE_BIAS = 0.10
 
 
 class ProgramGenerator:
-    """Deterministic random program builder for one ``(seed, knobs)`` pair.
+    """Deterministic random program builder for one seed.
 
     Example::
 
@@ -89,9 +85,8 @@ class ProgramGenerator:
         program = assemble(source)
     """
 
-    def __init__(self, seed: int, knobs: GeneratorKnobs | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.knobs = knobs or GeneratorKnobs()
         self.rng = random.Random(seed)
         self._label_counter = 0
         self._subroutines: list[str] = []
@@ -99,15 +94,14 @@ class ProgramGenerator:
     # ------------------------------------------------------------------
     def source(self) -> str:
         """Generate the program's assembly source text."""
-        knobs = self.knobs
         rng = self.rng
-        sub_count = rng.randint(0, knobs.subroutines)
+        sub_count = rng.randint(0, _SUBROUTINES)
         self._subroutines = [f"sub{i}" for i in range(sub_count)]
 
         lines: list[str] = [f"; fuzz program (seed={self.seed})"]
         lines += self._data_section()
         lines += self._init_block()
-        for _ in range(knobs.segments):
+        for _ in range(_SEGMENTS):
             lines += self._segment(depth=0)
         lines.append("    HALT")
         for name in self._subroutines:
@@ -123,11 +117,10 @@ class ProgramGenerator:
     # ------------------------------------------------------------------
     def _data_section(self) -> list[str]:
         rng = self.rng
-        knobs = self.knobs
         # Word 0 is the FP divisor source: keep it small and non-zero.
         words = [rng.randint(1, 9)]
-        words += [rng.randint(-100, 100) for _ in range(knobs.data_words - 1)]
-        lines = [f"    .data {knobs.region_base}"]
+        words += [rng.randint(-100, 100) for _ in range(_DATA_WORDS - 1)]
+        lines = [f"    .data {_REGION_BASE}"]
         for start in range(0, len(words), 8):
             chunk = " ".join(str(w) for w in words[start : start + 8])
             lines.append(f"    .word {chunk}")
@@ -135,11 +128,9 @@ class ProgramGenerator:
 
     def _init_block(self) -> list[str]:
         rng = self.rng
-        knobs = self.knobs
-        base = knobs.region_base
-        lines = [f"    LDI  {_POINTERS[0]}, {base}"]
+        lines = [f"    LDI  {_POINTERS[0]}, {_REGION_BASE}"]
         for pointer in _POINTERS[1:]:
-            lines.append(f"    LDI  {pointer}, {base + 8 * rng.randrange(knobs.data_words)}")
+            lines.append(f"    LDI  {pointer}, {_REGION_BASE + 8 * rng.randrange(_DATA_WORDS)}")
         lines.append(f"    LDI  {_INT_DIVISOR}, {rng.randint(2, 9)}")
         lines.append(f"    LDF  {_FP_DIVISOR}, 0({_POINTERS[0]})")
         for reg in rng.sample(_INT_WORK, 4):
@@ -163,7 +154,7 @@ class ProgramGenerator:
         choices = ["block", "block", "diamond", "diamond", "loop", "loop"]
         if self._subroutines:
             choices.append("call")
-        if depth >= self.knobs.max_loop_depth:
+        if depth >= _MAX_LOOP_DEPTH:
             choices = [c for c in choices if c != "loop"]
         kind = rng.choice(choices)
         if kind == "loop":
@@ -176,7 +167,7 @@ class ProgramGenerator:
 
     def _block(self) -> list[str]:
         lines: list[str] = []
-        for _ in range(self.rng.randint(*self.knobs.block_len)):
+        for _ in range(self.rng.randint(*_BLOCK_LEN)):
             lines += self._instruction()
         return lines
 
@@ -184,7 +175,7 @@ class ProgramGenerator:
         rng = self.rng
         counter = _COUNTERS[depth]
         label = self._label("loop")
-        lines = [f"    LDI  {counter}, {rng.randint(*self.knobs.loop_iters)}"]
+        lines = [f"    LDI  {counter}, {rng.randint(*_LOOP_ITERS)}"]
         lines.append(f"{label}:")
         for _ in range(rng.randint(1, 2)):
             lines += self._segment(depth + 1)
@@ -232,24 +223,24 @@ class ProgramGenerator:
 
     def _int_src(self) -> str:
         rng = self.rng
-        if rng.random() < self.knobs.zero_reg_bias:
+        if rng.random() < _ZERO_REG_BIAS:
             return "r31"
         return rng.choice(_INT_WORK + _POINTERS + (_INT_DIVISOR,))
 
     def _int_pair(self) -> tuple[str, str]:
         a = self._int_src()
-        if self.rng.random() < self.knobs.duplicate_bias:
+        if self.rng.random() < _DUPLICATE_BIAS:
             return a, a
         return a, self._int_src()
 
     def _fp_src(self) -> str:
         rng = self.rng
-        if rng.random() < self.knobs.zero_reg_bias:
+        if rng.random() < _ZERO_REG_BIAS:
             return "f31"
         return rng.choice(_FP_WORK + (_FP_DIVISOR,))
 
     def _offset(self) -> int:
-        return 8 * self.rng.randrange(self.knobs.data_words)
+        return 8 * self.rng.randrange(_DATA_WORDS)
 
     def _gen_alu_rr(self) -> str:
         a, b = self._int_pair()
@@ -337,6 +328,6 @@ class ProgramGenerator:
         return f"{stem}{self._label_counter}"
 
 
-def generate_source(seed: int, knobs: GeneratorKnobs | None = None) -> str:
+def generate_source(seed: int) -> str:
     """Generate one random program's assembly source for *seed*."""
-    return ProgramGenerator(seed, knobs).source()
+    return ProgramGenerator(seed).source()

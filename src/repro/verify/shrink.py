@@ -19,15 +19,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.isa.assembler import assemble
-
 #: Safety valve: maximum candidate evaluations per shrink.
 DEFAULT_MAX_TESTS = 2_000
-
-
-def count_instructions(source: str) -> int:
-    """Number of static instructions *source* assembles to."""
-    return len(assemble(source))
 
 
 def _join(lines: list[str]) -> str:

@@ -509,11 +509,6 @@ class SyntheticWorkload:
     # ==================================================================
     # Public interface.
     # ==================================================================
-    @property
-    def static_size(self) -> int:
-        """Number of static instructions in the synthetic program."""
-        return len(self._ops)
-
     def pc_address(self, pc: int) -> int:
         """Byte address of static instruction *pc* (I-cache modelling)."""
         return pc * self._pc_spacing

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import ExperimentResult, render, render_bars
+from repro.analysis.report import ExperimentResult, render
 from repro.analysis.runner import ExperimentRunner
 from repro.pipeline.config import FOUR_WIDE, SchedulerModel
 
@@ -75,14 +75,6 @@ class TestReport:
         assert self.result().row_for("b") == ["b", 2.0]
         with pytest.raises(KeyError):
             self.result().row_for("zzz")
-
-    def test_render_bars(self):
-        text = render_bars("title", {"x": 1.0, "y": 0.5})
-        assert "title" in text and "#" in text
-        assert text.index("x") < text.index("y")
-
-    def test_render_bars_empty(self):
-        assert render_bars("t", {}) == "t"
 
 
 class TestExperimentDefinitions:

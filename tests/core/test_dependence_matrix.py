@@ -48,14 +48,6 @@ class TestMatrixUnit:
         matrix.prune(15)
         assert not matrix.matches(10, 1)
 
-    def test_snapshot_is_independent(self):
-        matrix = DependenceMatrix(4)
-        matrix.add_ancestor(1, 1)
-        copy = matrix.snapshot()
-        matrix.add_ancestor(2, 2)
-        assert not copy.matches(2, 2)
-        assert copy.matches(1, 1)
-
     def test_len_and_contains(self):
         matrix = DependenceMatrix(4, [(1, 0), (2, 1)])
         assert len(matrix) == 2

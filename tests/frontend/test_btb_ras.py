@@ -70,12 +70,13 @@ class TestRAS:
         assert ras.pop() == 2
         assert ras.pop() is None
 
-    def test_peek_and_len(self):
+    def test_len(self):
         ras = ReturnAddressStack(4)
-        assert ras.peek() is None
+        assert len(ras) == 0
         ras.push(5)
-        assert ras.peek() == 5
         assert len(ras) == 1
+        assert ras.pop() == 5
+        assert len(ras) == 0
 
     def test_clear(self):
         ras = ReturnAddressStack(4)

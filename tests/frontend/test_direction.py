@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.frontend.direction import (
-    BimodalPredictor,
-    CombinedPredictor,
-    GSharePredictor,
-    SaturatingCounter,
-)
+from repro.frontend.direction import BimodalPredictor, CombinedPredictor, GSharePredictor
+from tests.util import SaturatingCounter
 
 
 class TestSaturatingCounter:

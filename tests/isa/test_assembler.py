@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import AssemblyError
 from repro.isa.assembler import assemble
-from repro.isa.disassembler import disassemble, disassemble_program
+from repro.isa.disassembler import disassemble
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import FP_REG_BASE, R31
+from tests.util import labelled_source
 
 
 class TestBasicAssembly:
@@ -162,7 +163,7 @@ class TestDisassembler:
     def test_roundtrip(self):
         """Disassembling and reassembling yields identical instructions."""
         program = assemble(self.SOURCE)
-        text = disassemble_program(program)
+        text = labelled_source(program)
         again = assemble(text)
         assert again.instructions == program.instructions
 

@@ -16,41 +16,41 @@ def run(source, max_steps=100_000):
 class TestArithmetic:
     def test_add(self):
         emu = run("LDI r1, 2\nLDI r2, 3\nADD r3, r1, r2\nHALT")
-        assert emu.int_reg(3) == 5
+        assert emu.read_reg(3) == 5
 
     def test_sub_negative_result(self):
         emu = run("LDI r1, 2\nLDI r2, 3\nSUB r3, r1, r2\nHALT")
-        assert emu.int_reg(3) == -1
+        assert emu.read_reg(3) == -1
 
     def test_logic_ops(self):
         emu = run(
             "LDI r1, 12\nLDI r2, 10\n"
             "AND r3, r1, r2\nOR r4, r1, r2\nXOR r5, r1, r2\nHALT"
         )
-        assert emu.int_reg(3) == 8
-        assert emu.int_reg(4) == 14
-        assert emu.int_reg(5) == 6
+        assert emu.read_reg(3) == 8
+        assert emu.read_reg(4) == 14
+        assert emu.read_reg(5) == 6
 
     def test_shifts(self):
         emu = run("LDI r1, 3\nSLL r2, r1, #4\nSRL r3, r2, #2\nHALT")
-        assert emu.int_reg(2) == 48
-        assert emu.int_reg(3) == 12
+        assert emu.read_reg(2) == 48
+        assert emu.read_reg(3) == 12
 
     def test_compares(self):
         emu = run(
             "LDI r1, 5\nLDI r2, 5\nCMPEQ r3, r1, r2\n"
             "CMPLT r4, r1, r2\nCMPLE r5, r1, r2\nHALT"
         )
-        assert (emu.int_reg(3), emu.int_reg(4), emu.int_reg(5)) == (1, 0, 1)
+        assert (emu.read_reg(3), emu.read_reg(4), emu.read_reg(5)) == (1, 0, 1)
 
     def test_mul_div(self):
         emu = run("LDI r1, 7\nLDI r2, -3\nMUL r3, r1, r2\nDIV r4, r3, r2\nHALT")
-        assert emu.int_reg(3) == -21
-        assert emu.int_reg(4) == 7
+        assert emu.read_reg(3) == -21
+        assert emu.read_reg(4) == 7
 
     def test_div_truncates_toward_zero(self):
         emu = run("LDI r1, -7\nLDI r2, 2\nDIV r3, r1, r2\nHALT")
-        assert emu.int_reg(3) == -3
+        assert emu.read_reg(3) == -3
 
     def test_div_by_zero_raises(self):
         with pytest.raises(EmulationError):
@@ -58,7 +58,7 @@ class TestArithmetic:
 
     def test_wraparound_64bit(self):
         emu = run("LDI r1, 1\nSLL r2, r1, #63\nADD r3, r2, r2\nHALT")
-        assert emu.int_reg(3) == 0
+        assert emu.read_reg(3) == 0
 
     def test_fp_ops(self):
         emu = run(
@@ -73,30 +73,30 @@ class TestArithmetic:
 class TestZeroRegister:
     def test_reads_as_zero(self):
         emu = run("LDI r1, 5\nADD r2, r1, r31\nHALT")
-        assert emu.int_reg(2) == 5
+        assert emu.read_reg(2) == 5
 
     def test_writes_discarded(self):
         emu = run("LDI r31, 77\nADD r1, r31, r31\nHALT")
-        assert emu.int_reg(1) == 0
+        assert emu.read_reg(1) == 0
 
     def test_nop2_has_no_effect(self):
         emu = run("LDI r1, 5\nNOP2 r1, r1\nHALT")
-        assert emu.int_reg(1) == 5
+        assert emu.read_reg(1) == 5
 
 
 class TestMemory:
     def test_store_load_roundtrip(self):
         emu = run("LDI r1, 4096\nLDI r2, 99\nSTQ r2, 8(r1)\nLDQ r3, 8(r1)\nHALT")
-        assert emu.int_reg(3) == 99
+        assert emu.read_reg(3) == 99
 
     def test_initial_data(self):
         emu = run(".data 4096\n.word 11 22\nLDI r1, 4096\nLDQ r2, 0(r1)\nLDQ r3, 8(r1)\nHALT")
-        assert emu.int_reg(2) == 11
-        assert emu.int_reg(3) == 22
+        assert emu.read_reg(2) == 11
+        assert emu.read_reg(3) == 22
 
     def test_uninitialized_memory_is_zero(self):
         emu = run("LDI r1, 5000\nLDQ r2, 0(r1)\nHALT")
-        assert emu.int_reg(2) == 0
+        assert emu.read_reg(2) == 0
 
     def test_mem_addr_recorded(self):
         emu = Emulator(assemble("LDI r1, 4096\nLDQ r2, 8(r1)\nHALT"))
@@ -111,12 +111,12 @@ class TestControlFlow:
             "LDI r1, 0\nLDI r2, 10\n"
             "loop: ADD r1, r1, #1\nSUB r3, r1, r2\nBNE r3, loop\nHALT"
         )
-        assert emu.int_reg(1) == 10
+        assert emu.read_reg(1) == 10
 
     def test_branch_not_taken_falls_through(self):
         emu = Emulator(assemble("LDI r1, 1\nBEQ r1, skip\nLDI r2, 5\nskip: HALT"))
         emu.run()
-        assert emu.int_reg(2) == 5
+        assert emu.read_reg(2) == 5
 
     def test_taken_flag(self):
         emu = Emulator(assemble("BR next\nnext: HALT"))
@@ -131,8 +131,8 @@ class TestControlFlow:
             "HALT\n"
             "sub: LDI r1, 1\nRET (r26)"
         )
-        assert emu.int_reg(1) == 1
-        assert emu.int_reg(2) == 2
+        assert emu.read_reg(1) == 1
+        assert emu.read_reg(2) == 2
 
     def test_step_budget_enforced(self):
         with pytest.raises(EmulationError):

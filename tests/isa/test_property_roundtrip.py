@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.disassembler import disassemble_program
 from repro.isa.emulator import Emulator
+from tests.util import labelled_source
 
 _REGS = st.integers(0, 30).map(lambda n: f"r{n}")
 _FREGS = st.integers(0, 30).map(lambda n: f"f{n}")
@@ -54,7 +54,7 @@ class TestAssemblerProperties:
     @given(straightline_program())
     def test_disassembly_reassembles_identically(self, source):
         program = assemble(source)
-        text = disassemble_program(program)
+        text = labelled_source(program)
         again = assemble(text)
         assert again.instructions == program.instructions
 

@@ -15,6 +15,7 @@ from repro.pipeline.config import (
     RegFileModel,
     SchedulerModel,
 )
+from repro.pipeline.fu import pool_index
 
 
 class TestTable1:
@@ -69,10 +70,12 @@ class TestDerivedProperties:
         assert xbar.total_read_ports == 4
 
     def test_fu_count_lookup(self):
-        assert FOUR_WIDE.fu.count_for(OpClass.BRANCH) == 4
-        assert FOUR_WIDE.fu.count_for(OpClass.LOAD) == 2
-        with pytest.raises(ConfigurationError):
-            FOUR_WIDE.fu.count_for(OpClass.NOP)
+        # Branches share the integer ALUs' issue bandwidth, loads and
+        # stores the memory ports; a NOP needs no unit.
+        assert pool_index(OpClass.BRANCH) == pool_index(OpClass.INT_ALU)
+        assert pool_index(OpClass.LOAD) == pool_index(OpClass.STORE)
+        assert (FOUR_WIDE.fu.int_alu, FOUR_WIDE.fu.mem_ports) == (4, 2)
+        assert pool_index(OpClass.NOP) is None
 
 
 class TestVariants:

@@ -16,12 +16,7 @@ import repro.pipeline.processor as processor_module
 from repro.analysis.cache import serialize_result
 from repro.analysis.runner import SHADOW_SIZES
 from repro.errors import SimulationError
-from repro.frontend.direction import (
-    BimodalPredictor,
-    CombinedPredictor,
-    GSharePredictor,
-    SaturatingCounter,
-)
+from repro.frontend.direction import BimodalPredictor, CombinedPredictor, GSharePredictor
 from repro.pipeline.config import (
     EIGHT_WIDE,
     FOUR_WIDE,
@@ -31,7 +26,7 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.processor import Processor, SimulationResult
 from repro.workloads import EmulatorFeed, SyntheticWorkload, get_profile, kernel_program
-from tests.util import op
+from tests.util import SaturatingCounter, op
 
 PROFILES = ("gcc", "mcf", "crafty", "vortex")
 LENGTHS = ((300, 150), (2000, 1000))

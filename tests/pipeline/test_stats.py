@@ -64,7 +64,7 @@ class TestSimStats:
         assert stats.ipc == pytest.approx(1.5)
         assert SimStats().ipc == 0.0
 
-    def test_record_dispatch(self):
+    def test_dispatch_tallies(self):
         """Dispatch counts every op, two-source ones by ready operands."""
         ops = [
             op(0, "DIV", dest=1, srcs=(20,)),

@@ -80,8 +80,12 @@ class TestFunctionalUnits:
         assert not self.fu.can_issue(OpClass.INT_MULT, 2)
 
     def test_pool_size(self):
-        assert self.fu.pool_size(OpClass.INT_ALU) == 4
-        assert self.fu.pool_size(OpClass.LOAD) == 2
+        for op_class, size in ((OpClass.INT_ALU, 4), (OpClass.LOAD, 2)):
+            self.fu.begin_cycle(1)
+            for _ in range(size):
+                assert self.fu.can_issue(op_class, 1)
+                self.fu.issue(op_class, 1)
+            assert not self.fu.can_issue(op_class, 1)
 
 
 class TestReorderBuffer:

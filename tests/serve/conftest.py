@@ -13,8 +13,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.serve.executor import JobExecutor
-from repro.serve.router import BackgroundRouter
-from repro.serve.server import BackgroundServer
+from tests.serve.background import BackgroundRouter, BackgroundServer
 
 #: Run lengths small enough that one simulation takes ~10 ms.
 TINY = {"insts": 200, "warmup": 100}

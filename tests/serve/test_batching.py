@@ -16,9 +16,9 @@ from repro.serve import frontend
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_batch_with_ids
-from repro.serve.server import BackgroundServer
 
 from .conftest import tiny_run
+from tests.serve.background import BackgroundServer
 
 
 def _specs(payloads):

@@ -23,9 +23,9 @@ from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.jobs import JobTable, SpoolJournal
 from repro.serve.protocol import parse_spec
-from repro.serve.router import BackgroundRouter, WorkerHandle, _worker_request
-from repro.serve.server import BackgroundServer
+from repro.serve.router import WorkerHandle, _worker_request
 
+from tests.serve.background import BackgroundRouter, BackgroundServer
 from tests.serve.conftest import tiny_run
 
 ROLES = ("serve", "router")

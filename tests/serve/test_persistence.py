@@ -7,9 +7,9 @@ from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.jobs import JobTable, SpoolJournal
 from repro.serve.protocol import parse_spec
-from repro.serve.server import BackgroundServer
 
 from .conftest import tiny_run
+from tests.serve.background import BackgroundServer
 
 
 def _submit(table: JobTable, journal: SpoolJournal, wire: dict):

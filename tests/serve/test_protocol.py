@@ -11,7 +11,7 @@ from repro.serve.protocol import (
     RunSpec,
     TraceSpec,
     VerifySpec,
-    parse_batch,
+    parse_batch_with_ids,
     parse_spec,
 )
 
@@ -106,20 +106,22 @@ class TestVerifySpec:
 
 class TestBatch:
     def test_single_spec_body(self):
-        specs = parse_batch({"benchmark": "gzip"})
-        assert len(specs) == 1
+        specs, ids = parse_batch_with_ids({"benchmark": "gzip"})
+        assert len(specs) == 1 and ids is None
 
     def test_jobs_list_body(self):
-        specs = parse_batch({"jobs": [{"benchmark": "gzip"}, {"benchmark": "gcc"}]})
-        assert [spec.benchmark for spec in specs] == ["gzip", "gcc"]
+        specs, ids = parse_batch_with_ids(
+            {"jobs": [{"benchmark": "gzip"}, {"benchmark": "gcc"}]}
+        )
+        assert [spec.benchmark for spec in specs] == ["gzip", "gcc"] and ids is None
 
     def test_empty_jobs_rejected(self):
         with pytest.raises(ProtocolError, match="non-empty"):
-            parse_batch({"jobs": []})
+            parse_batch_with_ids({"jobs": []})
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
-            parse_batch([1, 2])
+            parse_batch_with_ids([1, 2])
 
 
 class TestBackendField:

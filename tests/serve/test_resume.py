@@ -19,8 +19,8 @@ from repro.analysis.cache import ResultCache
 from repro.serve import frontend
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.executor import JobExecutor
-from repro.serve.server import BackgroundServer
 
+from tests.serve.background import BackgroundServer
 from tests.serve.conftest import tiny_run
 
 

@@ -18,9 +18,9 @@ from repro.serve import router as router_mod
 from repro.serve.client import JobFailed, ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_spec
-from repro.serve.router import BackgroundRouter, RouterServer
-from repro.serve.server import BackgroundServer
+from repro.serve.router import RouterServer
 
+from tests.serve.background import BackgroundRouter, BackgroundServer
 from tests.serve.conftest import tiny_run
 
 

@@ -15,7 +15,7 @@ from repro.obs.export import write_stats_json
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_spec
-from repro.serve.server import BackgroundServer
+from tests.serve.background import BackgroundServer
 
 SOAK = {"insts": 120, "warmup": 60}
 

@@ -17,10 +17,10 @@ from repro.obs.export import write_stats_json
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_spec
-from repro.serve.server import BackgroundServer
 from repro.verify import check_source, config_matrix
 
 from .conftest import TINY, tiny_run
+from tests.serve.background import BackgroundServer
 
 CORPUS = sorted(Path(__file__).parent.parent.joinpath("verify", "corpus").glob("*.hpa"))
 

@@ -20,11 +20,6 @@ class TestKernel:
         out = capsys.readouterr().out
         assert "IPC:" in out and "committed:" in out
 
-    def test_kernel_pipetrace(self, capsys):
-        assert main(["kernel", "fibonacci", "--pipetrace", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "legend:" in out
-
     def test_kernel_with_techniques(self, capsys):
         assert main(
             ["kernel", "dotproduct", "--scheduler", "seq_wakeup",
@@ -265,7 +260,7 @@ class TestServeCommands:
     def served(self, tmp_path):
         from repro.analysis.cache import ResultCache
         from repro.serve.executor import JobExecutor
-        from repro.serve.server import BackgroundServer
+        from tests.serve.background import BackgroundServer
 
         background = BackgroundServer(
             port=0, workers=2, spool=tmp_path / "spool",

@@ -2,13 +2,17 @@
 
 ``ScriptedFeed`` lets a test specify an exact dynamic instruction sequence
 (with dependencies through architectural registers) and observe precise
-issue/commit cycles in the processor.
+issue/commit cycles in the processor.  ``SaturatingCounter`` is the
+one-object-per-entry oracle the predictors' byte tables are checked
+against, and ``labelled_source`` renders a program back to source that
+reassembles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+from repro.errors import ConfigurationError
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.trace import DynOp
@@ -119,3 +123,55 @@ class CountingHierarchy(MemoryHierarchy):
                 break
             self.misses[name] += 1
         return latency
+
+
+class SaturatingCounter:
+    """An n-bit saturating up/down counter.
+
+    The counter predicts "taken"/"strong" when in the upper half of its
+    range.  A standalone model of one predictor table entry: the tables in
+    ``repro.frontend.direction`` hold the same counters as bytes and must
+    apply the same rule.
+    """
+
+    __slots__ = ("value", "maximum")
+
+    def __init__(self, bits: int = 2, initial: int | None = None):
+        if bits < 1:
+            raise ConfigurationError("counter needs at least one bit")
+        self.maximum = (1 << bits) - 1
+        # Default: weakly-taken (just above the midpoint).
+        self.value = (self.maximum + 1) // 2 if initial is None else initial
+
+    def increment(self) -> None:
+        if self.value < self.maximum:
+            self.value += 1
+
+    def decrement(self) -> None:
+        if self.value > 0:
+            self.value -= 1
+
+    def train(self, outcome: bool) -> None:
+        if outcome:
+            self.increment()
+        else:
+            self.decrement()
+
+    @property
+    def predict(self) -> bool:
+        return self.value > self.maximum // 2
+
+
+def labelled_source(program) -> str:
+    """Assembly text for *program* that reassembles to the same instructions.
+
+    Every instruction gets the label ``L<index>`` and each branch names its
+    target by that label (the disassembler renders the bare index).
+    """
+    lines = []
+    for index, inst in enumerate(program.instructions):
+        text = str(inst)
+        if inst.target is not None:
+            text = f"{text.rsplit(' ', 1)[0]} L{inst.target}"
+        lines += [f"L{index}:", f"    {text}"]
+    return "\n".join(lines)

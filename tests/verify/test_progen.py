@@ -1,12 +1,20 @@
 """Random-program generator: determinism, validity, stressor coverage."""
 
+import hashlib
+
 import pytest
 
 from repro.isa.assembler import assemble
 from repro.isa.emulator import Emulator
-from repro.verify import GeneratorKnobs, ProgramGenerator, generate_source
+from repro.verify import ProgramGenerator, generate_source
 
 BUDGET = 50_000
+
+#: sha256 of the sources of seeds 0..199, concatenated in seed order.  Fuzz
+#: seeds, the committed corpus and perfbench's fuzz verdicts all name
+#: programs by generator seed, so any change to the generator's output (or
+#: to the order it draws from its RNG) must be deliberate.
+PINNED_SOURCES_SHA256 = "a103b117cd0038d29727f330fa562eda4ea0d886243146a9d09f56ddd51129d5"
 
 
 class TestDeterminism:
@@ -17,10 +25,11 @@ class TestDeterminism:
         sources = {generate_source(seed) for seed in range(10)}
         assert len(sources) == 10
 
-    def test_knobs_change_output(self):
-        small = GeneratorKnobs(segments=2)
-        large = GeneratorKnobs(segments=16)
-        assert generate_source(1, small) != generate_source(1, large)
+    def test_sources_are_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            digest.update(generate_source(seed).encode())
+        assert digest.hexdigest() == PINNED_SOURCES_SHA256
 
 
 class TestValidity:
@@ -35,11 +44,6 @@ class TestValidity:
     def test_program_helper_assembles(self):
         program = ProgramGenerator(seed=3).program()
         assert len(program) > 0
-
-    def test_larger_knobs_make_larger_programs(self):
-        small = len(assemble(generate_source(5, GeneratorKnobs(segments=2))))
-        large = len(assemble(generate_source(5, GeneratorKnobs(segments=20))))
-        assert large > small
 
 
 class TestStressorCoverage:

@@ -10,13 +10,8 @@ import pytest
 
 from repro.core.last_arrival import OperandSide
 from repro.core.wakeup import WakeupLogic
-from repro.verify import (
-    config_matrix,
-    count_instructions,
-    read_repro,
-    run_fuzz,
-    shrink_source,
-)
+from repro.isa.assembler import assemble
+from repro.verify import config_matrix, read_repro, run_fuzz, shrink_source
 
 
 class TestShrinkSource:
@@ -53,9 +48,6 @@ class TestShrinkSource:
         shrink_source("\n".join(["x"] * 50 + ["bad"]), still_fails, max_tests=10)
         assert calls <= 11  # baseline check + at most max_tests candidates
 
-    def test_count_instructions(self):
-        assert count_instructions("LDI r4, 1\nADD r5, r4, r4\nHALT") == 3
-
 
 class TestInjectedWakeupBug:
     """Acceptance: the fuzzer finds, classifies and shrinks a real bug."""
@@ -89,7 +81,7 @@ class TestInjectedWakeupBug:
         failure = report.failures[0]
         assert failure.kind == "issue-before-ready"
         assert failure.shrunk_source is not None
-        assert count_instructions(failure.shrunk_source) <= 12
+        assert len(assemble(failure.shrunk_source)) <= 12
 
         # The failure is written as a replayable repro file.
         assert failure.repro_path is not None and failure.repro_path.exists()

@@ -13,12 +13,12 @@ class TestKernelCorrectness:
             program.data[4096 + 8 * i] = i + 1
         emu = Emulator(program)
         emu.run()
-        assert emu.int_reg(1) == sum(range(1, 17))
+        assert emu.read_reg(1) == sum(range(1, 17))
 
     def test_fibonacci(self):
         emu = Emulator(kernel_program("fibonacci", n=10))
         emu.run()
-        assert emu.int_reg(1) == 55
+        assert emu.read_reg(1) == 55
 
     def test_memcpy(self):
         program = kernel_program("memcpy", n=8)
@@ -32,7 +32,7 @@ class TestKernelCorrectness:
     def test_pointer_chase_counts_nodes(self):
         emu = Emulator(kernel_program("pointer_chase", n=10, stride=64))
         emu.run()
-        assert emu.int_reg(1) == 10
+        assert emu.read_reg(1) == 10
 
     def test_dotproduct(self):
         program = kernel_program("dotproduct", n=4)
@@ -41,17 +41,17 @@ class TestKernelCorrectness:
             program.data[32768 + 8 * i] = 2
         emu = Emulator(program)
         emu.run()
-        assert emu.int_reg(1) == 2 * (1 + 2 + 3 + 4)
+        assert emu.read_reg(1) == 2 * (1 + 2 + 3 + 4)
 
     def test_branchy_max_in_range(self):
         emu = Emulator(kernel_program("branchy_max", n=50))
         emu.run()
-        assert 0 <= emu.int_reg(1) <= 1023
+        assert 0 <= emu.read_reg(1) <= 1023
 
     def test_call_tree(self):
         emu = Emulator(kernel_program("call_tree", depth=4, rounds=3))
         emu.run()
-        assert emu.int_reg(1) == 12  # depth * rounds calls
+        assert emu.read_reg(1) == 12  # depth * rounds calls
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_all_kernels_assemble_and_halt(self, name):

@@ -59,7 +59,7 @@ class TestHashProbe:
             if table.get(slot, 0) != 0:
                 hits += 1
             table[slot] = state or 1
-        assert emu.int_reg(1) == hits
+        assert emu.read_reg(1) == hits
 
 
 class TestMemscan:
@@ -67,14 +67,14 @@ class TestMemscan:
         n = 64
         emu = Emulator(kernel_program("memscan", n=n, needle=99))
         emu.run(max_steps=1_000_000)
-        assert emu.int_reg(1) == n - 1
+        assert emu.read_reg(1) == n - 1
 
     def test_finds_earlier_occurrence(self):
         program = kernel_program("memscan", n=64, needle=55)
         program.data[4096 + 8 * 10] = 55
         emu = Emulator(program)
         emu.run(max_steps=1_000_000)
-        assert emu.int_reg(1) == 10
+        assert emu.read_reg(1) == 10
 
 
 class TestOnTimingSimulator:
